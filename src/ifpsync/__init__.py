@@ -9,14 +9,12 @@ from .errors import (
     CertificateFailed,
     DimensionMismatch,
     EmptyTrajectory,
-    HistoryUnderflow,
     IfpSyncError,
     MuTauViolation,
     NegativeWeight,
     NotCertifiable,
     NotSquare,
     NotStronglyConnected,
-    NumericalBlowup,
     PoleOnAxis,
     SelfLoop,
     ZeroPolynomial,
@@ -57,22 +55,15 @@ from .certify import (
 )
 from .netsim import (
     AgentModel,
-    CustomAgent,
     DelayedIntegrator,
-    InputHistory,
     LtiSiso,
-    NetworkState,
     Plain,
     Reference,
     SimConfig,
     SimResult,
     SyncMetrics,
     Vehicle3rd,
-    couple_plain,
-    couple_reference,
-    make_histories,
     simulate,
-    step_network,
     sync_metrics,
 )
 from .scenarios import (
@@ -103,7 +94,7 @@ __all__ = [
     "IfpSyncError", "NotSquare", "NegativeWeight", "SelfLoop",
     "NotStronglyConnected", "ZeroPolynomial", "PoleOnAxis", "NotCertifiable",
     "BOutOfRange", "DimensionMismatch", "BadDimensions", "CertificateFailed",
-    "MuTauViolation", "NumericalBlowup", "HistoryUnderflow", "EmptyTrajectory",
+    "MuTauViolation", "EmptyTrajectory",
     # graphs
     "Digraph", "ConnectivityReport", "PerronWeights", "build_digraph",
     "connectivity", "degrees", "laplacian", "perron_weights",
@@ -116,10 +107,9 @@ __all__ = [
     "CaccGainSet", "PlatoonGainVerdict", "check_platoon_gains",
     "all_to_all_bound", "diffusive_power_identity", "dissipation_margin",
     # simulation
-    "AgentModel", "LtiSiso", "DelayedIntegrator", "Vehicle3rd", "CustomAgent",
-    "Plain", "Reference", "couple_plain", "couple_reference", "InputHistory",
-    "NetworkState", "make_histories", "step_network", "SimConfig", "SimResult",
-    "SyncMetrics", "simulate", "sync_metrics",
+    "AgentModel", "LtiSiso", "DelayedIntegrator", "Vehicle3rd", "Plain",
+    "Reference", "SimConfig", "SimResult", "SyncMetrics", "simulate",
+    "sync_metrics",
     # scenarios
     "TrafficSpec", "TrafficCertificate", "TrafficRun", "build_traffic",
     "run_traffic", "PlatoonSpec", "PlatoonCertificate", "PlatoonRun",

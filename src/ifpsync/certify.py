@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import BadDimensions, CertificateFailed, NotStronglyConnected
 from .graphnet import Digraph, connectivity, degrees, perron_weights
-from .passivity import Polynomial, ifp_shift, routh_hurwitz
+from .passivity import Polynomial, routh_hurwitz
 
 __all__ = [
     "WeakCouplingVerdict",
@@ -293,25 +293,3 @@ def dissipation_margin(g: Digraph, alphas, y) -> float:
     )
     rhs = -_pairwise_quadratic(g, verdict.kappa, y)
     return rhs - lhs
-
-
-def _pinned_form_min_eig(g: Digraph, alphas, b) -> float:
-    """Smallest eigenvalue of the assembled quadratic form behind the pinned
-    certificate (scalar outputs): sum w_ij (y_j-y_i)^2 + sum p_i gamma_i y_i^2
-    with w_ij = kappa_i a_ij. Internal diagnostic; positive on certified
-    instances."""
-    verdict = check_weak_coupling_pinned(g, alphas, b)
-    if not verdict.passes:
-        raise CertificateFailed(
-            f"pinned weak-coupling certificate fails: {', '.join(verdict.reasons)}"
-        )
-    alphas = np.asarray(alphas, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p = perron_weights(g).p
-    w = verdict.kappa[:, None] * g.adjacency
-    m = np.diag(w.sum(axis=1) + w.sum(axis=0)) - w - w.T
-    gamma = np.array(
-        [ifp_shift(a_i, b_i).gamma if b_i > 0.0 else 0.0 for a_i, b_i in zip(alphas, b)]
-    )
-    m = m + np.diag(p * gamma)
-    return float(np.linalg.eigvalsh(m).min())

@@ -67,17 +67,5 @@ class MuTauViolation(IfpSyncError):
 
 # --- simulation -------------------------------------------------------------
 
-class NumericalBlowup(IfpSyncError):
-    """State magnitude exceeded the divergence threshold.
-
-    simulate() reports divergence in the result instead of raising; this class
-    exists for callers that drive step_network directly.
-    """
-
-
-class HistoryUnderflow(IfpSyncError):
-    """Delay lookup before the recorded input history."""
-
-
 class EmptyTrajectory(IfpSyncError):
     """Metrics requested for an empty trajectory."""

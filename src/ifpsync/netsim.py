@@ -1,17 +1,14 @@
 """Fixed-step time-domain simulation of diffusively coupled agent networks.
 
-Agents are SISO (or small MIMO) blocks — LTI transfer functions, integrators
-with input delay, third-order vehicle models, or arbitrary right-hand sides —
-coupled over a weighted digraph, optionally with reference pinning. The
-integrator is classical RK4 with a fixed step; input delays are handled by
-per-agent ring buffers of the input signal with linear interpolation at the
-RK4 stage times. Runs report trajectories plus synchronization metrics
-(pairwise tail supremum and trapezoidal L2 disagreement integrals).
-
-Two execution paths produce the same trajectories (to rounding): a vectorized
-path for all-linear networks that precomputes the closed-loop matrices, and a
-generic per-agent path that accepts custom dynamics. `simulate` picks
-automatically; `engine="generic"` forces the slow path.
+Agents are linear blocks with m-dimensional input and output — LTI transfer
+functions, integrators with input delay, or third-order vehicle models —
+coupled over a weighted digraph, optionally with reference pinning. Every
+run takes one path: the agents' state-space realizations are assembled into
+one closed-loop system (coupling K ⊗ I_m on the stacked outputs) and
+integrated with classical RK4 at a fixed step. Input delays are read from a
+ring buffer of the stacked input signal with linear interpolation at the RK4
+stage times. Runs report trajectories plus synchronization metrics (pairwise
+tail supremum and trapezoidal L2 disagreement integrals).
 """
 
 from __future__ import annotations
@@ -24,13 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    BadDimensions,
-    DimensionMismatch,
-    EmptyTrajectory,
-    HistoryUnderflow,
-    MuTauViolation,
-)
+from .errors import BadDimensions, DimensionMismatch, EmptyTrajectory, MuTauViolation
 from .graphnet import Digraph, laplacian
 from .passivity import RationalTF, ifp_index
 
@@ -39,15 +30,8 @@ __all__ = [
     "LtiSiso",
     "DelayedIntegrator",
     "Vehicle3rd",
-    "CustomAgent",
     "Plain",
     "Reference",
-    "couple_plain",
-    "couple_reference",
-    "InputHistory",
-    "NetworkState",
-    "make_histories",
-    "step_network",
     "SimConfig",
     "SimResult",
     "SyncMetrics",
@@ -63,12 +47,11 @@ _GRID_SNAP = 1e-9  # fractional tolerance for treating a time as a grid point
 # ---------------------------------------------------------------------------
 
 class AgentModel(abc.ABC):
-    """One node's dynamics: dx/dt = deriv(t, x, u), y = output(x).
+    """One node's linear dynamics dx/dt = A x + B u(t - input_delay), y = C x.
 
-    `input_delay` > 0 means the agent consumes u(t - input_delay); the
-    simulator resolves the lookup from recorded input history. Linear agents
-    additionally expose state-space matrices through `linear_realization` so
-    the vectorized engine can assemble the closed loop.
+    Input and output share the dimension `output_dim`. `input_delay` > 0
+    means the agent consumes u(t - input_delay); the simulator resolves the
+    lookup from the recorded input history.
     """
 
     state_dim: int
@@ -76,16 +59,9 @@ class AgentModel(abc.ABC):
     input_delay: float = 0.0
 
     @abc.abstractmethod
-    def deriv(self, t: float, x: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.float64]:
-        ...
-
-    @abc.abstractmethod
-    def output(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        ...
-
-    def linear_realization(self) -> Optional[tuple[NDArray, NDArray, NDArray]]:
-        """(A, B, C) with dx/dt = A x + B u(t - delay), y = C x; None if nonlinear."""
-        return None
+    def linear_realization(self) -> tuple[NDArray, NDArray, NDArray]:
+        """(A, B, C) shaped (state_dim, state_dim), (state_dim, output_dim)
+        and (output_dim, state_dim)."""
 
     def ifp_index(self) -> float:
         """Passivity deficit of the agent, used by certificate builders."""
@@ -126,12 +102,6 @@ class LtiSiso(AgentModel):
     def from_coeffs(cls, num, den) -> "LtiSiso":
         return cls(RationalTF.from_coeffs(num, den))
 
-    def deriv(self, t, x, u):
-        return self._a @ x + self._b[:, 0] * u[0]
-
-    def output(self, x):
-        return self._c @ x
-
     def linear_realization(self):
         return self._a, self._b, self._c
 
@@ -155,12 +125,6 @@ class DelayedIntegrator(AgentModel):
         self.state_dim = dim
         self.output_dim = dim
         self.input_delay = self.delay
-
-    def deriv(self, t, x, u):
-        return np.asarray(u, dtype=float)
-
-    def output(self, x):
-        return x
 
     def linear_realization(self):
         m = self.state_dim
@@ -197,12 +161,6 @@ class Vehicle3rd(AgentModel):
     def tf(self) -> RationalTF:
         return RationalTF.from_coeffs([1.0], [0.0, self.mu, 1.0, self.tau])
 
-    def deriv(self, t, x, u):
-        return self._a @ x + self._b[:, 0] * u[0]
-
-    def output(self, x):
-        return self._c @ x
-
     def linear_realization(self):
         return self._a, self._b, self._c
 
@@ -212,41 +170,6 @@ class Vehicle3rd(AgentModel):
                 f"mu*tau = {self.mu * self.tau:.6g} >= 1/2; the 1/mu^2 index does not apply"
             )
         return 1.0 / self.mu**2
-
-
-class CustomAgent(AgentModel):
-    """Arbitrary right-hand side f(t, x, u) with output map h(x)."""
-
-    def __init__(
-        self,
-        f: Callable[[float, NDArray, NDArray], NDArray],
-        h: Callable[[NDArray], NDArray],
-        state_dim: int,
-        output_dim: int = 1,
-        input_delay: float = 0.0,
-        alpha: Optional[float] = None,
-    ):
-        if state_dim < 1 or output_dim < 1:
-            raise BadDimensions("state_dim and output_dim must be >= 1")
-        if input_delay < 0.0:
-            raise BadDimensions("input_delay must be >= 0")
-        self._f = f
-        self._h = h
-        self.state_dim = state_dim
-        self.output_dim = output_dim
-        self.input_delay = float(input_delay)
-        self.alpha = alpha
-
-    def deriv(self, t, x, u):
-        return np.asarray(self._f(t, x, u), dtype=float)
-
-    def output(self, x):
-        return np.atleast_1d(np.asarray(self._h(x), dtype=float))
-
-    def ifp_index(self) -> float:
-        if self.alpha is None:
-            raise NotImplementedError("no passivity index declared for this agent")
-        return self.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +216,6 @@ class Reference:
 Protocol = Plain | Reference
 
 
-def couple_plain(g: Digraph, y: Sequence[NDArray]) -> list[NDArray[np.float64]]:
-    """Diffusive coupling inputs u_i = sum_j a_ij (y_j - y_i) for output list y."""
-    ymat = _stack_output_list(g.n, y)
-    umat = -laplacian(g) @ ymat
-    return [umat[i] for i in range(g.n)]
-
-
-def couple_reference(proto: Reference, y: Sequence[NDArray], t: float) -> list[NDArray[np.float64]]:
-    """Reference-tracking coupling at time t; reduces to couple_plain when
-    b = 0 and u_bar is absent."""
-    ymat = _stack_output_list(proto.g.n, y)
-    umat = -laplacian(proto.g) @ ymat
-    umat += _reference_offset(proto, t, ymat.shape[1]) - proto.b[:, None] * ymat
-    return [umat[i] for i in range(proto.g.n)]
-
-
-def _stack_output_list(n: int, y: Sequence[NDArray]) -> NDArray[np.float64]:
-    if len(y) != n:
-        raise DimensionMismatch(f"expected {n} outputs, got {len(y)}")
-    rows = [np.atleast_1d(np.asarray(v, dtype=float)) for v in y]
-    m = rows[0].shape[0]
-    for i, r in enumerate(rows):
-        if r.shape != (m,):
-            raise DimensionMismatch(f"output {i} has shape {r.shape}, expected ({m},)")
-    return np.array(rows)
-
-
 def _reference_offset(proto: Reference, t: float, m: int) -> NDArray[np.float64]:
     """b_i * y_bar(t) + u_bar_i(t) as an (n, m) array."""
     n = proto.g.n
@@ -350,162 +246,6 @@ def _has_offset(protocol: Protocol) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# input history
-# ---------------------------------------------------------------------------
-
-class InputHistory:
-    """Uniformly sampled input record with linear interpolation.
-
-    Samples are appended once per step at times t0, t0+dt, t0+2dt, ...; a ring
-    buffer retains enough of them to cover `span` seconds of lookback. Queries
-    earlier than t0 are answered by the prehistory function `initial`
-    (default: zero), matching the convention that the input signal is
-    prescribed on [-delay, 0].
-    """
-
-    def __init__(
-        self,
-        m: int,
-        dt: float,
-        span: float,
-        initial: Optional[Callable[[float], float]] = None,
-        t0: float = 0.0,
-    ):
-        if dt <= 0.0 or span < 0.0:
-            raise BadDimensions("dt must be > 0 and span >= 0")
-        self.m = m
-        self.dt = dt
-        self.t0 = t0
-        self._initial = initial
-        self._lookback = int(math.ceil(span / dt - _GRID_SNAP)) + 1
-        self._cap = self._lookback + 4
-        self._buf = np.zeros((self._cap, m))
-        self._count = 0  # samples appended so far
-
-    @property
-    def latest_time(self) -> float:
-        return self.t0 + (self._count - 1) * self.dt
-
-    def append(self, u) -> None:
-        self._buf[self._count % self._cap] = u
-        self._count += 1
-
-    def _prehistory(self, t: float) -> NDArray[np.float64]:
-        if self._initial is None:
-            return np.zeros(self.m)
-        return np.broadcast_to(np.atleast_1d(np.asarray(self._initial(t), dtype=float)), (self.m,)).copy()
-
-    def eval(self, t: float) -> NDArray[np.float64]:
-        """Input at time t: prehistory for t < t0, else linear interpolation."""
-        pos = (t - self.t0) / self.dt
-        near = round(pos)
-        if abs(pos - near) < _GRID_SNAP:
-            pos = float(near)
-        if pos < 0.0:
-            return self._prehistory(t)
-        i = int(math.floor(pos))
-        frac = pos - i
-        if i >= self._count or (frac > 0.0 and i + 1 >= self._count):
-            raise HistoryUnderflow(
-                f"input history reaches t={self.latest_time:.6g}, queried at t={t:.6g}"
-            )
-        if i < self._count - self._cap:
-            raise HistoryUnderflow(
-                f"query at t={t:.6g} is older than the retained history window"
-            )
-        row = self._buf[i % self._cap]
-        if frac == 0.0:
-            return row.copy()
-        return (1.0 - frac) * row + frac * self._buf[(i + 1) % self._cap]
-
-
-def make_histories(
-    agents: Sequence[AgentModel],
-    dt: float,
-    initial: Optional[Sequence[Optional[Callable[[float], float]]]] = None,
-    t0: float = 0.0,
-) -> tuple[Optional[InputHistory], ...]:
-    """One InputHistory per delayed agent (None for undelayed ones)."""
-    if initial is not None and len(initial) != len(agents):
-        raise DimensionMismatch(f"initial histories must have {len(agents)} entries")
-    out: list[Optional[InputHistory]] = []
-    for i, a in enumerate(agents):
-        if a.input_delay > 0.0:
-            fn = initial[i] if initial is not None else None
-            out.append(InputHistory(a.output_dim, dt, a.input_delay, fn, t0))
-        else:
-            out.append(None)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# stepping
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NetworkState:
-    """Time and per-agent state vectors of the coupled system."""
-
-    t: float
-    x: tuple[NDArray[np.float64], ...]
-
-
-def _network_inputs(
-    protocol: Protocol, ymat: NDArray[np.float64], t: float
-) -> NDArray[np.float64]:
-    umat = -_coupling_matrix(protocol) @ ymat
-    if isinstance(protocol, Reference):
-        umat += _reference_offset(protocol, t, ymat.shape[1])
-    return umat
-
-
-def step_network(
-    agents: Sequence[AgentModel],
-    protocol: Protocol,
-    state: NetworkState,
-    histories: Sequence[Optional[InputHistory]],
-    dt: float,
-) -> tuple[NetworkState, Sequence[Optional[InputHistory]]]:
-    """One classical RK4 step of the coupled network.
-
-    The current input sample is appended to each delayed agent's history
-    before the stages run, so stage lookups at t_stage - delay (with
-    dt <= delay) land inside the recorded window. History buffers are
-    advanced in place and returned.
-    """
-    n = len(agents)
-    x0 = state.x
-    t0 = state.t
-    ymat = np.array([np.atleast_1d(agents[i].output(x0[i])) for i in range(n)], dtype=float)
-    u_now = _network_inputs(protocol, ymat, t0)
-    for i in range(n):
-        if histories[i] is not None:
-            histories[i].append(u_now[i])
-
-    def stage(ts: float, xs: tuple[NDArray, ...]) -> list[NDArray]:
-        ys = np.array([np.atleast_1d(agents[i].output(xs[i])) for i in range(n)], dtype=float)
-        us = _network_inputs(protocol, ys, ts)
-        ks = []
-        for i in range(n):
-            ui = us[i]
-            if histories[i] is not None:
-                ui = histories[i].eval(ts - agents[i].input_delay)
-            ks.append(np.asarray(agents[i].deriv(ts, xs[i], ui), dtype=float))
-        return ks
-
-    half = 0.5 * dt
-    k1 = stage(t0, x0)
-    k2 = stage(t0 + half, tuple(x0[i] + half * k1[i] for i in range(n)))
-    k3 = stage(t0 + half, tuple(x0[i] + half * k2[i] for i in range(n)))
-    k4 = stage(t0 + dt, tuple(x0[i] + dt * k3[i] for i in range(n)))
-    sixth = dt / 6.0
-    x1 = tuple(
-        x0[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)
-    )
-    return NetworkState(t=t0 + dt, x=x1), histories
-
-
-# ---------------------------------------------------------------------------
 # simulation configuration and results
 # ---------------------------------------------------------------------------
 
@@ -513,7 +253,10 @@ def step_network(
 class SimConfig:
     """Run settings: fixed step dt, horizon t_final, per-agent initial states
     (default zero) and input prehistories (default zero), recording stride,
-    synchronization tolerance, and the state norm treated as divergence."""
+    synchronization tolerance, and the state norm treated as divergence.
+
+    Raises BadDimensions unless dt, tol and blowup are finite and positive,
+    t_final is finite and exceeds dt, and record_stride >= 1."""
 
     dt: float
     t_final: float
@@ -522,6 +265,16 @@ class SimConfig:
     record_stride: int = 1
     tol: float = 1e-3
     blowup: float = 1e12
+
+    def __post_init__(self):
+        for name in ("dt", "tol", "blowup"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise BadDimensions(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.t_final) and self.t_final > self.dt):
+            raise BadDimensions(f"t_final must be finite and exceed dt, got {self.t_final}")
+        if self.record_stride < 1:
+            raise BadDimensions(f"record_stride must be >= 1, got {self.record_stride}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -654,13 +407,8 @@ def simulate(
     agents: Sequence[AgentModel],
     protocol: Protocol,
     config: SimConfig,
-    engine: str = "auto",
 ) -> SimResult:
     """Integrate the coupled network over [0, t_final] and report metrics.
-
-    engine: "auto" uses the vectorized linear path when every agent exposes a
-    state-space realization with scalar output, else the generic per-agent
-    path; "fast"/"generic" force one (fast raises if ineligible).
 
     Divergence (any |state| > config.blowup, or non-finite values) truncates
     the run, flags the result, and forces synchronized = False.
@@ -675,36 +423,19 @@ def simulate(
     if any(a.output_dim != m for a in agents):
         raise DimensionMismatch("all agents must share one output dimension")
     dt = float(config.dt)
-    if dt <= 0.0:
-        raise BadDimensions("dt must be positive")
-    if config.t_final <= dt:
-        raise BadDimensions("t_final must exceed dt")
-    if config.record_stride < 1:
-        raise BadDimensions("record_stride must be >= 1")
     delays = [a.input_delay for a in agents]
     pos_delays = [d for d in delays if d > 0.0]
     if pos_delays and dt > min(pos_delays) + 1e-15:
         raise BadDimensions(
             f"dt={dt} exceeds the smallest positive delay {min(pos_delays)}"
         )
+    if config.initial_histories is not None and len(config.initial_histories) != n:
+        raise DimensionMismatch(f"initial_histories must have {n} entries")
     x0 = _initial_states(agents, config.initial_states)
     n_steps = int(math.floor(config.t_final / dt + _GRID_SNAP))
     stride = config.record_stride
 
-    linear_ok = m == 1 and all(a.linear_realization() is not None for a in agents)
-    if engine == "auto":
-        use_fast = linear_ok
-    elif engine == "fast":
-        if not linear_ok:
-            raise BadDimensions("fast engine requires scalar-output linear agents")
-        use_fast = True
-    elif engine == "generic":
-        use_fast = False
-    else:
-        raise BadDimensions(f"unknown engine {engine!r}")
-
-    runner = _run_fast if use_fast else _run_generic
-    times, states, diverged, t_div = runner(agents, protocol, config, x0, n_steps, stride)
+    times, states, diverged, t_div = _integrate(agents, protocol, config, x0, n_steps, stride, m)
     y = _outputs_from_states(agents, states)
     u = _inputs_from_outputs(protocol, times, y)
 
@@ -751,12 +482,7 @@ def _outputs_from_states(agents, states) -> NDArray[np.float64]:
     m = agents[0].output_dim
     y = np.empty((n_rec, n, m))
     for i, a in enumerate(agents):
-        rl = a.linear_realization()
-        if rl is not None:
-            y[:, i, :] = states[i] @ rl[2].T
-        else:
-            for r in range(n_rec):
-                y[r, i, :] = np.atleast_1d(a.output(states[i][r]))
+        y[:, i, :] = states[i] @ a.linear_realization()[2].T
     return y
 
 
@@ -775,69 +501,42 @@ def _record_times(n_steps: int, stride: int, dt: float) -> NDArray[np.float64]:
     return ks * dt
 
 
-def _run_generic(agents, protocol, config, x0, n_steps, stride):
-    n = len(agents)
-    histories = make_histories(agents, config.dt, config.initial_histories)
-    state = NetworkState(t=0.0, x=tuple(x.copy() for x in x0))
-    n_rec = n_steps // stride + 1
-    rec = [np.empty((n_rec, a.state_dim)) for a in agents]
-    rows = 0
-    diverged = False
-    t_div = None
-    dt = config.dt
-    for k in range(n_steps + 1):
-        if k % stride == 0:
-            for i in range(n):
-                rec[i][rows] = state.x[i]
-            rows += 1
-        if k == n_steps:
-            break
-        state.t = k * dt  # keep the grid exact instead of accumulating
-        state, histories = step_network(agents, protocol, state, histories, dt)
-        bad = any(
-            not np.all(np.isfinite(xi)) or np.abs(xi).max() > config.blowup
-            for xi in state.x
-        )
-        if bad:
-            diverged = True
-            t_div = (k + 1) * dt
-            break
-    times = _record_times(n_steps, stride, dt)[:rows]
-    return times, tuple(r[:rows] for r in rec), diverged, t_div
+def _integrate(agents, protocol, config, x0, n_steps, stride, m):
+    """RK4 of the assembled closed loop of n agents with m-dimensional
+    inputs and outputs.
 
-
-def _run_fast(agents, protocol, config, x0, n_steps, stride):
-    """Vectorized RK4 for all-linear scalar-output networks.
-
-    The zero-delay part of the input is folded into a closed-loop matrix M;
-    delayed inputs are read from a shared ring buffer of the stacked input
-    signal, with interpolation offsets precomputed per RK4 stage time (the
-    step is fixed, so each (delay, stage) pair touches the same relative
-    slots with the same weights every step).
+    The stacked input has n*m columns, agent-major, and the coupling acts on
+    it as K ⊗ I_m. The zero-delay part of the input is folded into a
+    closed-loop matrix M; delayed inputs are read from a shared ring buffer
+    of the stacked input signal, with interpolation offsets precomputed per
+    RK4 stage time (the step is fixed, so each (delay, stage) pair touches
+    the same relative slots with the same weights every step).
     """
     n = len(agents)
+    nm = n * m
     dt = config.dt
     dims = [a.state_dim for a in agents]
     offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     nx = int(offs[-1])
     a_blk = np.zeros((nx, nx))
-    b_blk = np.zeros((nx, n))
-    c_blk = np.zeros((n, nx))
+    b_blk = np.zeros((nx, nm))
+    c_blk = np.zeros((nm, nx))
     for i, a in enumerate(agents):
         ai, bi, ci = a.linear_realization()
         s = slice(offs[i], offs[i + 1])
+        io = slice(i * m, (i + 1) * m)
         a_blk[s, s] = ai
-        b_blk[s, i] = bi[:, 0]
-        c_blk[i, s] = ci[0]
-    k_c = _coupling_matrix(protocol)
+        b_blk[s, io] = bi
+        c_blk[io, s] = ci
+    k_c = np.kron(_coupling_matrix(protocol), np.eye(m))
     kc = k_c @ c_blk
-    delays = np.array([a.input_delay for a in agents])
+    delays = np.repeat([a.input_delay for a in agents], m)
     zero_idx = np.flatnonzero(delays == 0.0)
     m_mat = a_blk - b_blk[:, zero_idx] @ kc[zero_idx, :]
 
     offset_fn = None
     if isinstance(protocol, Reference) and _has_offset(protocol):
-        offset_fn = lambda t: _reference_offset(protocol, t, 1)[:, 0]
+        offset_fn = lambda t: _reference_offset(protocol, t, m).reshape(-1)
 
     groups: dict[float, NDArray[np.int_]] = {}
     for d in sorted(set(delays[delays > 0.0])):
@@ -851,13 +550,15 @@ def _run_fast(agents, protocol, config, x0, n_steps, stride):
         theta_max = max(groups)
         lookback = int(math.ceil(theta_max / dt - _GRID_SNAP)) + 1
         cap = lookback + 4
-        ring = np.zeros((cap, n))
+        ring = np.zeros((cap, nm))
         init = config.initial_histories
 
-        def prehist(i: int, t: float) -> float:
-            if init is None or init[i] is None:
+        def prehist(c: int, t: float) -> float:
+            """Prescribed input of stacked column c (agent c // m) at t < 0."""
+            fn = None if init is None else init[c // m]
+            if fn is None:
                 return 0.0
-            return float(np.asarray(init[i](t)).reshape(()))
+            return float(np.asarray(fn(t)).reshape(()))
 
         # per (stage time offset, delay group): base slot shift and weight;
         # queries with base slot < 0 fall in the prescribed prehistory and are
@@ -891,19 +592,19 @@ def _run_fast(agents, protocol, config, x0, n_steps, stride):
         """Stacked input rows that do not come from the current stage state."""
         w = None
         if plan is not None:
-            w = np.zeros(n)
+            w = np.zeros(nm)
             for cols, base, frac, d in plan[stage_i]:
                 j = k_step + base
                 if j < 0:
-                    for i in cols:
-                        w[i] = prehist(i, t_s - d)
+                    for c in cols:
+                        w[c] = prehist(c, t_s - d)
                 elif frac == 0.0:
                     w[cols] = ring[j % cap][cols]
                 else:
                     w[cols] = (1.0 - frac) * ring[j % cap][cols] + frac * ring[(j + 1) % cap][cols]
         if offset_fn is not None:
             if w is None:
-                w = np.zeros(n)
+                w = np.zeros(nm)
             w[zero_idx] += offset_fn(t_s)[zero_idx]
         return w
 

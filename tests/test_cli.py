@@ -36,10 +36,38 @@ DIVERGING_TRIO = {
     "sim": {"dt": 0.005, "t_final": 150.0, "record_stride": 20},
 }
 
+VECTOR_PAIR = {
+    "adjacency": [[0.0, 0.5], [0.5, 0.0]],
+    "agents": [
+        {"type": "delayed_integrator", "delay": 0.0, "dim": 2, "x0": [1.0, -1.0]},
+        {"type": "delayed_integrator", "delay": 0.0, "dim": 2, "x0": [0.0, 0.5]},
+    ],
+    "protocol": {"type": "plain"},
+    "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10},
+}
+
 HARMONIC_TINY = {
     "scenario_type": "harmonic", "omega1": 1.0, "omega2": 2.0, "k": 1.0,
     "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10, "tol": 0.1},
 }
+
+TRAFFIC_RING = {
+    "scenario_type": "traffic", "topology_preset": "bidirectional_ring",
+    "n": 3, "K": 0.3, "delays": [0.2, 0.3, 0.4],
+    "v_init": [10.0, 15.0, 20.0],
+    "sim": {"dt": 0.002, "t_final": 60.0, "record_stride": 10},
+}
+
+REMARK1_DIVERGENT = {"scenario_type": "remark1", "p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 1.0}
+
+# "sim" entries that SimConfig rejects; Infinity and NaN are the literals
+# Python's json module reads and writes outside the JSON grammar
+BAD_SIM_SETTINGS = [
+    ("t_final", float("inf")),
+    ("dt", float("nan")),
+    ("tol", -1.0),
+    ("blowup", 0.0),
+]
 
 
 def write_json(path: Path, payload) -> Path:
@@ -218,20 +246,37 @@ class TestSimulateCommand:
         assert 1 < len(lines) - 1 < full
 
     def test_vector_outputs_flattened_with_dimension_suffix(self, tmp_path, capsys):
-        net = {
-            "adjacency": [[0.0, 0.5], [0.5, 0.0]],
-            "agents": [
-                {"type": "delayed_integrator", "delay": 0.0, "dim": 2, "x0": [1.0, -1.0]},
-                {"type": "delayed_integrator", "delay": 0.0, "dim": 2, "x0": [0.0, 0.5]},
-            ],
-            "protocol": {"type": "plain"},
-            "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10},
-        }
-        f = write_json(tmp_path / "vec.json", net)
+        f = write_json(tmp_path / "vec.json", VECTOR_PAIR)
         code, _ = run_cli(capsys, "simulate", str(f), "--output-dir", str(tmp_path))
         assert code == 0
         header = (tmp_path / "vec.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "t,y_1_1,y_1_2,y_2_1,y_2_2,u_1_1,u_1_2,u_2_1,u_2_2"
+
+    @pytest.mark.parametrize("key, value", BAD_SIM_SETTINGS)
+    def test_invalid_sim_settings_exit_input_error(self, tmp_path, capsys, key, value):
+        net = {**INTEGRATOR_PAIR, "sim": {**INTEGRATOR_PAIR["sim"], key: value}}
+        f = write_json(tmp_path / "bad.json", net)
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_initial_histories_must_cover_every_agent(self, tmp_path, capsys):
+        net = {
+            "adjacency": [[0.0, 1.0], [1.0, 0.0]],
+            "agents": [
+                {"type": "delayed_integrator", "delay": 0.1, "x0": [1.0]},
+                {"type": "delayed_integrator", "delay": 0.1, "x0": [0.0]},
+            ],
+            "initial_histories": [1.0],
+            "sim": {"dt": 0.01, "t_final": 1.0},
+        }
+        f = write_json(tmp_path / "short.json", net)
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_output_dir_env_var_respected(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "from_env"
@@ -257,13 +302,7 @@ class TestScenarioCommand:
         assert (tmp_path / "osc.csv").exists()
 
     def test_traffic_ring_report(self, tmp_path, capsys):
-        scn = {
-            "scenario_type": "traffic", "topology_preset": "bidirectional_ring",
-            "n": 3, "K": 0.3, "delays": [0.2, 0.3, 0.4],
-            "v_init": [10.0, 15.0, 20.0],
-            "sim": {"dt": 0.002, "t_final": 60.0, "record_stride": 10},
-        }
-        f = write_json(tmp_path / "ring.json", scn)
+        f = write_json(tmp_path / "ring.json", TRAFFIC_RING)
         code, out = run_cli(capsys, "scenario", str(f), "--output-dir", str(tmp_path))
         assert code == 0
         report = json.loads(out)
@@ -271,8 +310,7 @@ class TestScenarioCommand:
         assert report["synchronized"] is True
 
     def test_divergent_counterexample_exits_4(self, tmp_path, capsys):
-        scn = {"scenario_type": "remark1", "p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 1.0}
-        f = write_json(tmp_path / "blow.json", scn)
+        f = write_json(tmp_path / "blow.json", REMARK1_DIVERGENT)
         code, out = run_cli(capsys, "scenario", str(f), "--output-dir", str(tmp_path))
         assert code == 4
         report = json.loads(out)

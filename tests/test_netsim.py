@@ -1,6 +1,14 @@
-"""Coupling laws, the RK4 network stepper, full simulations, and metrics."""
+"""Coupling laws, single RK4 steps, full simulations, and metrics.
+
+Coupling laws are checked through `simulate`: with integrator agents the
+recorded input `SimResult.u[0]` is the protocol applied to the initial
+outputs. The assembled engine is cross-checked against `rk4_oracle`, an
+independent per-agent RK4 of the same closed loop.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +22,6 @@ from ifpsync import (
     DimensionMismatch,
     EmptyTrajectory,
     LtiSiso,
-    NetworkState,
     Plain,
     Reference,
     SimConfig,
@@ -22,11 +29,7 @@ from ifpsync import (
     build_digraph,
     check_weak_coupling,
     check_weak_coupling_pinned,
-    couple_plain,
-    couple_reference,
-    make_histories,
     simulate,
-    step_network,
     sync_metrics,
 )
 
@@ -43,72 +46,198 @@ def all_to_all(n: int, kappa: float) -> np.ndarray:
     return kappa * (np.ones((n, n)) - np.eye(n))
 
 
+def inputs_at_outputs(protocol, outputs) -> np.ndarray:
+    """(n, m) coupling inputs the protocol produces at t = 0 when agent i
+    outputs outputs[i]: simulate undelayed integrators started there."""
+    y0 = [np.atleast_1d(np.asarray(v, dtype=float)) for v in outputs]
+    agents = [DelayedIntegrator(dim=v.shape[0]) for v in y0]
+    res = simulate(agents, protocol, SimConfig(dt=0.01, t_final=0.02, initial_states=y0))
+    return res.u[0]
+
+
+def rk4_oracle(agents, protocol, config) -> np.ndarray:
+    """Recorded outputs (n_rec, n, m) of a per-agent classical RK4 of the
+    closed loop u = -K y + offset(t), K = L + diag(b), built from each agent's
+    (A, B, C). A delayed agent reads its input from the list of inputs
+    computed at the grid times, interpolated linearly, or from its
+    prehistory before t = 0."""
+    n = len(agents)
+    dt = config.dt
+    abc = [a.linear_realization() for a in agents]
+    adj = np.asarray(protocol.g.adjacency, dtype=float)
+    k = np.diag(adj.sum(axis=1)) - adj
+    pinned = isinstance(protocol, Reference)
+    if pinned:
+        k = k + np.diag(protocol.b)
+
+    def offset(i, t):
+        v = 0.0
+        if pinned and protocol.y_bar is not None:
+            v += protocol.b[i] * protocol.y_bar(t)
+        if pinned and protocol.u_bar is not None and protocol.u_bar[i] is not None:
+            v += protocol.u_bar[i](t)
+        return v
+
+    def coupled(t, xs):
+        ys = [c @ x for (_, _, c), x in zip(abc, xs)]
+        return [-sum(k[i, j] * ys[j] for j in range(n)) + offset(i, t) for i in range(n)]
+
+    history = [[] for _ in range(n)]  # u_i at t = 0, dt, 2 dt, ...
+
+    def past_input(i, t):
+        pos = t / dt
+        if abs(pos - round(pos)) < 1e-9:
+            pos = float(round(pos))
+        if pos < 0.0:
+            hist = config.initial_histories
+            fn = None if hist is None else hist[i]
+            return np.full(agents[i].output_dim, 0.0 if fn is None else fn(t))
+        j = math.floor(pos)
+        frac = pos - j
+        if frac == 0.0:
+            return history[i][j]
+        return (1.0 - frac) * history[i][j] + frac * history[i][j + 1]
+
+    def deriv(t, xs):
+        us = coupled(t, xs)
+        out = []
+        for i, ((a, b, _), x) in enumerate(zip(abc, xs)):
+            d = agents[i].input_delay
+            u = past_input(i, t - d) if d > 0.0 else us[i]
+            out.append(a @ x + b @ u)
+        return out
+
+    n_steps = int(math.floor(config.t_final / dt + 1e-9))
+    xs = [np.asarray(x, dtype=float) for x in config.initial_states]
+    rec = [[c @ x for (_, _, c), x in zip(abc, xs)]]
+    h = dt / 2.0
+    for step in range(n_steps):
+        t = step * dt
+        for i, u in enumerate(coupled(t, xs)):
+            history[i].append(u)
+        k1 = deriv(t, xs)
+        k2 = deriv(t + h, [x + h * d for x, d in zip(xs, k1)])
+        k3 = deriv(t + h, [x + h * d for x, d in zip(xs, k2)])
+        k4 = deriv(t + dt, [x + dt * d for x, d in zip(xs, k3)])
+        xs = [x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+              for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+        if (step + 1) % config.record_stride == 0:
+            rec.append([c @ x for (_, _, c), x in zip(abc, xs)])
+    return np.array(rec)
+
+
+def oracle_case(name: str):
+    """(agents, protocol, config) of the engine cross-check cases."""
+    if name == "plain_pair":
+        return (
+            [cubic_lag(2.0, 3.0), Vehicle3rd(tau=0.1, mu=2.0)],
+            Plain(build_digraph([[0, 1], [1, 0]])),
+            SimConfig(dt=1e-3, t_final=5.0, initial_states=[[0.3, 0, 0], [-0.2, 0.1, 0]]),
+        )
+    if name == "pinned_reference":
+        return (
+            [cubic_lag(2.0, 3.0), Vehicle3rd(tau=0.1, mu=2.0)],
+            Reference(
+                build_digraph([[0, 0.5], [0.5, 0]]),
+                (0.6, 0.0),
+                u_bar=(None, lambda t: 0.2 * math.sin(3.0 * t)),
+                y_bar=lambda t: 1.0 + 0.1 * t,
+            ),
+            SimConfig(dt=1e-3, t_final=5.0, initial_states=[[0.3, 0, 0], [-0.2, 0.1, 0]]),
+        )
+    if name == "delayed_dim3":
+        delays = (0.05, 0.123, 0.3, 0.0)
+        a = np.zeros((4, 4))
+        for i in range(4):
+            a[i, (i - 1) % 4] = 0.6
+            a[i, (i + 1) % 4] = 0.3
+        rng = np.random.default_rng(3)
+        return (
+            [DelayedIntegrator(delay=d, dim=3) for d in delays],
+            Reference(
+                build_digraph(a),
+                (0.4, 0.0, 0.0, 0.0),
+                u_bar=(None, lambda t: 0.5, None, lambda t: math.cos(t)),
+                y_bar=lambda t: -0.3 + 0.2 * t,
+            ),
+            SimConfig(
+                dt=0.01,
+                t_final=3.0,
+                record_stride=3,
+                initial_states=rng.normal(size=(4, 3)).tolist(),
+                initial_histories=(lambda t: 0.7, np.sin, None, None),
+            ),
+        )
+    raise KeyError(name)
+
+
 # ---------------------------------------------------------------------------
-# couple_plain
+# plain coupling law
 # ---------------------------------------------------------------------------
 
 class TestCouplePlain:
     def test_bidirectional_pair(self):
         g = build_digraph([[0, 1], [1, 0]])
-        u = couple_plain(g, [np.array([1.0]), np.array([0.0])])
-        assert np.allclose(u, [[-1.0], [1.0]], atol=0)
+        u = inputs_at_outputs(Plain(g), [1.0, 0.0])
+        assert np.array_equal(u, [[-1.0], [1.0]])
 
     def test_consensus_fixed_point(self):
         g = build_digraph([[0, 2, 1], [1, 0, 3], [2, 1, 0]])
-        u = couple_plain(g, [np.array([2.5])] * 3)
-        assert np.allclose(u, 0.0, atol=0)
+        u = inputs_at_outputs(Plain(g), [2.5] * 3)
+        assert np.array_equal(u, np.zeros((3, 1)))
 
     def test_weighted_ring(self):
         a = np.zeros((3, 3))
         for i in range(3):
             a[i, (i - 1) % 3] = 2.0
-        u = couple_plain(build_digraph(a), [np.array([v]) for v in (1.0, 2.0, 3.0)])
-        assert np.allclose(u, [[4.0], [-2.0], [-2.0]], atol=0)
+        u = inputs_at_outputs(Plain(build_digraph(a)), [1.0, 2.0, 3.0])
+        assert np.array_equal(u, [[4.0], [-2.0], [-2.0]])
 
     def test_dimension_mismatch_rejected(self):
         g = build_digraph([[0, 1], [1, 0]])
         with pytest.raises(DimensionMismatch):
-            couple_plain(g, [np.array([1.0])])
+            simulate([integrator()], Plain(g), SimConfig(dt=0.01, t_final=0.02))
 
 
 # ---------------------------------------------------------------------------
-# couple_reference
+# reference coupling law
 # ---------------------------------------------------------------------------
 
 class TestCoupleReference:
     def test_on_reference_fixed_point(self):
         proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=lambda t: 5.0)
-        u = couple_reference(proto, [np.array([5.0]), np.array([5.0])], 0.0)
-        assert np.allclose(u, 0.0, atol=0)
+        u = inputs_at_outputs(proto, [5.0, 5.0])
+        assert np.array_equal(u, np.zeros((2, 1)))
 
     def test_pinned_agent_pulled_toward_reference(self):
         proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=lambda t: 1.0)
-        u = couple_reference(proto, [np.array([0.0]), np.array([0.0])], 0.0)
-        assert np.allclose(u, [[1.0], [0.0]], atol=0)
+        u = inputs_at_outputs(proto, [0.0, 0.0])
+        assert np.array_equal(u, [[1.0], [0.0]])
 
     @given(seed=st.integers(0, 10_000))
     def test_reduces_to_plain_coupling_without_pinning(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         g = build_digraph(random_strongly_connected_adjacency(rng, n))
-        y = [rng.normal(size=2) for _ in range(n)]
-        proto = Reference(g, np.zeros(n), y_bar=lambda t: 3.0)
-        assert np.allclose(couple_reference(proto, y, 1.7), couple_plain(g, y), atol=0)
+        agents = [DelayedIntegrator(dim=2) for _ in range(n)]
+        cfg = SimConfig(dt=0.01, t_final=0.5, initial_states=rng.normal(size=(n, 2)).tolist())
+        pinned = simulate(agents, Reference(g, np.zeros(n), y_bar=lambda t: 3.0), cfg)
+        plain = simulate(agents, Plain(g), cfg)
+        assert np.array_equal(pinned.y, plain.y)
+        assert np.array_equal(pinned.u, plain.u)
 
 
 # ---------------------------------------------------------------------------
-# step_network
+# RK4 steps of the network
 # ---------------------------------------------------------------------------
 
 class TestStepNetwork:
     def test_symmetric_integrator_pair_conserves_the_sum(self):
         agents = [integrator(), integrator()]
         proto = Plain(build_digraph([[0, 1], [1, 0]]))
-        state = NetworkState(0.0, (np.array([1.0]), np.array([0.0])))
-        hist = make_histories(agents, 0.01)
-        for _ in range(100):
-            state, hist = step_network(agents, proto, state, hist, 0.01)
-            assert abs(sum(float(x[0]) for x in state.x) - 1.0) < 1e-13
+        res = simulate(agents, proto, SimConfig(dt=0.01, t_final=1.0, initial_states=[[1.0], [0.0]]))
+        assert res.times.shape[0] == 101
+        assert np.max(np.abs(res.y_scalar().sum(axis=1) - 1.0)) < 1e-13
 
     def test_uncoupled_agent_matches_matrix_exponential(self):
         agent = cubic_lag(2.0, 3.0)
@@ -116,10 +245,9 @@ class TestStepNetwork:
         proto = Plain(build_digraph(np.zeros((1, 1))))
         x0 = np.array([0.4, -0.3, 0.2])
         dt = 0.01
-        state = NetworkState(0.0, (x0.copy(),))
-        state, _ = step_network([agent], proto, state, make_histories([agent], dt), dt)
+        res = simulate([agent], proto, SimConfig(dt=dt, t_final=2 * dt, initial_states=[x0]))
         exact = expm(a_mat * dt) @ x0
-        assert np.max(np.abs(state.x[0] - exact)) < np.max(np.abs(x0)) * dt**4
+        assert np.max(np.abs(res.states[0][1] - exact)) < np.max(np.abs(x0)) * dt**4
 
     def test_delayed_integrator_ramps_after_the_delay_elapses(self):
         c, delay, dt = 1.5, 0.05, 0.01
@@ -127,12 +255,12 @@ class TestStepNetwork:
         proto = Reference(
             build_digraph(np.zeros((1, 1))), (0.0,), u_bar=(lambda t: c,), y_bar=lambda t: 0.0
         )
-        hist = make_histories([agent], dt, initial=[lambda t: c])
-        state = NetworkState(0.0, (np.array([0.0]),))
-        for k in range(20):
-            prev = float(state.x[0][0])
-            state, hist = step_network([agent], proto, state, hist, dt)
-            assert abs((float(state.x[0][0]) - prev) - c * dt) < 1e-12
+        res = simulate(
+            [agent], proto, SimConfig(dt=dt, t_final=20 * dt, initial_histories=[lambda t: c])
+        )
+        steps = np.diff(res.y_scalar()[:, 0])
+        assert steps.shape == (20,)
+        assert np.max(np.abs(steps - c * dt)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +322,13 @@ class TestSimulate:
         assert np.array_equal(r1.y, r2.y)
         assert np.array_equal(r1.u, r2.u)
 
-    def test_generic_and_assembled_engines_agree(self):
-        agents = [cubic_lag(2.0, 3.0), Vehicle3rd(tau=0.1, mu=2.0)]
-        cfg = SimConfig(dt=1e-3, t_final=5.0, initial_states=[[0.3, 0, 0], [-0.2, 0.1, 0]])
-        proto = Plain(build_digraph([[0, 1], [1, 0]]))
-        fast = simulate(agents, proto, cfg, engine="fast")
-        generic = simulate(agents, proto, cfg, engine="generic")
-        assert np.max(np.abs(fast.y - generic.y)) < 1e-12
+    @pytest.mark.parametrize("case", ["plain_pair", "pinned_reference", "delayed_dim3"])
+    def test_assembled_engine_matches_per_agent_oracle(self, case):
+        agents, proto, cfg = oracle_case(case)
+        res = simulate(agents, proto, cfg)
+        expected = rk4_oracle(agents, proto, cfg)
+        assert res.y.shape == expected.shape
+        assert np.max(np.abs(res.y - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +377,10 @@ class TestSyncMetrics:
 
 class TestClosedLoopInvariants:
     def test_plain_coupling_sees_only_output_differences(self):
-        g = build_digraph([[0, 1.5, 0], [0, 0, 2.0], [1.0, 0.5, 0]])
-        y = [np.array([3.0]), np.array([-2.0]), np.array([7.0])]
+        proto = Plain(build_digraph([[0, 1.5, 0], [0, 0, 2.0], [1.0, 0.5, 0]]))
+        y = [3.0, -2.0, 7.0]
         shifted = [yi + 1000.0 for yi in y]
-        assert np.array_equal(couple_plain(g, y), couple_plain(g, shifted))
+        assert np.array_equal(inputs_at_outputs(proto, y), inputs_at_outputs(proto, shifted))
 
     def test_trajectory_translation_invariance(self):
         agents = [cubic_lag(2.0, 3.0), cubic_lag(2.0, 4.0)]
