@@ -16,6 +16,7 @@ counterexample scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadDimensions, CertificateFailed, NotStronglyConnected
-from .graphnet import Digraph, connectivity, degrees, perron_weights
+from .graphnet import Digraph, _perron_vector, connectivity, degrees, perron_weights
 from .passivity import Polynomial, routh_hurwitz
 
 __all__ = [
@@ -70,8 +71,8 @@ def _as_nonnegative_vector(name: str, values, n: int) -> NDArray[np.float64]:
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
         raise BadDimensions(f"{name} must have shape ({n},), got {v.shape}")
-    if np.any(v < 0.0):
-        raise BadDimensions(f"{name} must be non-negative")
+    if not np.all(np.isfinite(v) & (v >= 0.0)):
+        raise BadDimensions(f"{name} must be finite and non-negative")
     return v
 
 
@@ -85,7 +86,7 @@ def _verdict(g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str
         reasons.append("coupling_too_strong")
     kappa = None
     if conn.strongly_connected:
-        kappa = perron_weights(g).p * slack
+        kappa = _perron_vector(g) * slack
         kappa.setflags(write=False)
     slack = slack.copy()
     slack.setflags(write=False)
@@ -153,8 +154,8 @@ class CaccGainSet:
         ):
             if len(seq) != length:
                 raise BadDimensions(f"{name} must have length {length}, got {len(seq)}")
-            if any(x <= 0.0 for x in seq):
-                raise BadDimensions(f"{name} entries must be positive")
+            if not all(math.isfinite(x) and x > 0.0 for x in seq):
+                raise BadDimensions(f"{name} entries must be finite and positive")
 
     @classmethod
     def build(cls, mu, eta, nu, tau) -> "CaccGainSet":

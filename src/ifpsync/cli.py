@@ -39,7 +39,7 @@ from .certify import (
     diffusive_power_identity,
     dissipation_margin,
 )
-from .errors import IfpSyncError, MuTauViolation, NotCertifiable
+from .errors import BadDimensions, IfpSyncError, MuTauViolation, NotCertifiable
 from .graphnet import build_digraph
 from .netsim import (
     AgentModel,
@@ -68,23 +68,30 @@ EXIT_DIVERGED = 4
 # JSON -> objects
 # ---------------------------------------------------------------------------
 
+def _finite(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise BadDimensions(f"{name} must be finite, got {v}")
+    return v
+
+
 def time_fn_from_dict(d) -> Callable[[float], float]:
     """Deserialize a time function: a bare number is a constant; otherwise a
     dict with kind 'constant' {value}, 'ramp' {offset, slope}, or 'sin'
-    {amplitude, omega, phase}."""
+    {amplitude, omega, phase}. Every parameter must be finite."""
     if isinstance(d, (int, float)):
-        return lambda t, c=float(d): c
+        return lambda t, c=_finite("time-function value", d): c
     kind = d["kind"]
     if kind == "constant":
-        return lambda t, c=float(d["value"]): c
+        return lambda t, c=_finite("time-function value", d["value"]): c
     if kind == "ramp":
-        off = float(d.get("offset", 0.0))
-        slope = float(d.get("slope", 0.0))
+        off = _finite("ramp offset", d.get("offset", 0.0))
+        slope = _finite("ramp slope", d.get("slope", 0.0))
         return lambda t, a=off, b=slope: a + b * t
     if kind == "sin":
-        amp = float(d.get("amplitude", 1.0))
-        omega = float(d["omega"])
-        phase = float(d.get("phase", 0.0))
+        amp = _finite("sin amplitude", d.get("amplitude", 1.0))
+        omega = _finite("sin omega", d["omega"])
+        phase = _finite("sin phase", d.get("phase", 0.0))
         return lambda t, a=amp, w=omega, p=phase: a * math.sin(w * t + p)
     raise IfpSyncError(f"unknown time-function kind {kind!r}")
 
@@ -109,7 +116,8 @@ def load_network(d: dict):
     list, each optionally carrying x0), protocol ({'type': 'plain'} or
     {'type': 'reference', b, u_bar, y_bar}), sim (dt, t_final,
     record_stride, tol, blowup), initial_histories (per-agent time function
-    giving the pre-start input of delayed agents).
+    giving the pre-start input of delayed agents). Every number must be
+    finite; BadDimensions names the first that is not.
     """
     g = build_digraph(d["adjacency"])
     agents = [agent_from_dict(a) for a in d["agents"]]
@@ -136,7 +144,8 @@ def load_network(d: dict):
     x0 = None
     if any("x0" in a for a in d["agents"]):
         x0 = [
-            list(map(float, a["x0"])) if "x0" in a else [0.0] * agents[i].state_dim
+            [_finite(f"agent {i} x0", v) for v in a["x0"]]
+            if "x0" in a else [0.0] * agents[i].state_dim
             for i, a in enumerate(d["agents"])
         ]
     hist = None

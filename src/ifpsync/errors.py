@@ -54,7 +54,7 @@ class DimensionMismatch(IfpSyncError):
 # --- certificates -----------------------------------------------------------
 
 class BadDimensions(IfpSyncError):
-    """Gain set has inconsistent lengths or non-positive entries."""
+    """Inconsistent lengths, or a parameter that is non-finite or out of range."""
 
 
 class CertificateFailed(IfpSyncError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NegativeWeight, NotSquare, NotStronglyConnected, SelfLoop
+from .errors import BadDimensions, NegativeWeight, NotSquare, NotStronglyConnected, SelfLoop
 
 __all__ = [
     "Digraph",
@@ -29,7 +29,8 @@ __all__ = [
 #: connectivity (support pattern only; numerics elsewhere use the raw weights)
 SUPPORT_THRESHOLD = 1e-15
 
-#: relative tolerance for the zero singular value of L^T
+#: a solved p counts as a null vector of L^T only if
+#: max|p^T L| <= _NULLSPACE_RTOL * max|L| * max|p|
 _NULLSPACE_RTOL = 1e-9
 
 
@@ -58,10 +59,6 @@ class PerronWeights:
 
     p: NDArray[np.float64]
 
-    def residual(self, g: Digraph) -> float:
-        """Max-norm of p^T L, for diagnostics."""
-        return float(np.abs(self.p @ laplacian(g)).max())
-
 
 def build_digraph(adjacency) -> Digraph:
     """Validate an adjacency matrix and wrap it as a Digraph.
@@ -74,11 +71,14 @@ def build_digraph(adjacency) -> Digraph:
 
     Raises
     ------
-    NotSquare, NegativeWeight, SelfLoop
+    NotSquare, BadDimensions (non-finite entry), NegativeWeight, SelfLoop
     """
     a = np.array(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        j, k = np.argwhere(~np.isfinite(a))[0]
+        raise BadDimensions(f"non-finite weight a[{j},{k}] = {a[j, k]}")
     if np.any(a < 0.0):
         j, k = np.argwhere(a < 0.0)[0]
         raise NegativeWeight(f"negative weight a[{j},{k}] = {a[j, k]}")
@@ -103,9 +103,14 @@ def laplacian(g: Digraph) -> NDArray[np.float64]:
 
 
 def _successor_lists(g: Digraph) -> list[list[int]]:
-    # successors of k are the nodes j with an arc k -> j, i.e. support column k
-    sup = g.support()
-    return [list(np.flatnonzero(sup[:, k])) for k in range(g.n)]
+    # successors of k are the nodes j with an arc k -> j, i.e. support column k;
+    # as plain ints, which Tarjan's list indexing handles far faster than
+    # numpy scalars
+    n = g.n
+    arcs = np.flatnonzero(g.support().T)  # k * n + j per arc k -> j, ascending
+    ends = np.searchsorted(arcs, n * np.arange(1, n + 1)).tolist()
+    heads = (arcs % n).tolist()
+    return [heads[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _tarjan_scc_count(succ: list[list[int]]) -> int:
@@ -190,7 +195,7 @@ def perron_weights(g: Digraph) -> PerronWeights:
     """Left null vector p of the Laplacian: p^T L = 0, p > 0, sum(p) = 1.
 
     Exists with strictly positive entries exactly when the graph is strongly
-    connected; computed from the SVD null space of L^T.
+    connected; computed by one LU solve of L^T bordered with a row of ones.
 
     Raises
     ------
@@ -198,16 +203,43 @@ def perron_weights(g: Digraph) -> PerronWeights:
     """
     if not connectivity(g).strongly_connected:
         raise NotStronglyConnected("Perron weights require a strongly connected digraph")
-    lap_t = laplacian(g).T
-    _, s, vt = np.linalg.svd(lap_t)
-    if g.n > 1 and s[-1] > _NULLSPACE_RTOL * s[0]:
+    return PerronWeights(p=_perron_vector(g))
+
+
+def _perron_vector(g: Digraph) -> NDArray[np.float64]:
+    """Perron weights of a graph already known to be strongly connected.
+
+    L^T has rank n-1 and its rows have the single dependency 1^T L^T = 0
+    (L 1 = 0), so dropping the last row leaves a basis of p^perp; the row of
+    ones is not in p^perp (1.p > 0). Replacing the last row of L^T by ones
+    thus gives a nonsingular M, and M p = e_n yields p with sum(p) = 1.
+
+    Raises
+    ------
+    NotStronglyConnected
+        If the solve is singular or its result is not a positive null vector
+        (NaN included).
+    """
+    a = g.adjacency
+    d_plus = a.sum(axis=1)
+    m = -a.T
+    m[np.diag_indices(g.n)] = d_plus
+    m[-1] = 1.0
+    e_n = np.zeros(g.n)
+    e_n[-1] = 1.0
+    try:
+        p = np.linalg.solve(m, e_n)
+    except np.linalg.LinAlgError as e:
+        raise NotStronglyConnected(f"bordered Laplacian system is singular ({e})") from e
+    # max|L| is the largest in-degree: d_plus[j] >= a[j, k] >= 0
+    res = float(np.abs(d_plus * p - p @ a).max())
+    bound = _NULLSPACE_RTOL * float(d_plus.max()) * float(np.abs(p).max())
+    if not (res <= bound):
         raise NotStronglyConnected(
-            f"L^T has no numerical null vector (smallest sv {s[-1]:.3e})"
+            f"L^T has no numerical null vector (|p^T L| = {res:.3e}, bound {bound:.3e})"
         )
-    p = vt[-1]
-    p = p * np.sign(p[np.abs(p).argmax()])
     if np.any(p <= 0.0):
         raise NotStronglyConnected("null vector of L^T is not strictly positive")
     p = p / p.sum()
     p.setflags(write=False)
-    return PerronWeights(p=p)
+    return p

@@ -117,8 +117,8 @@ class DelayedIntegrator(AgentModel):
     """
 
     def __init__(self, delay: float = 0.0, dim: int = 1):
-        if delay < 0.0:
-            raise BadDimensions(f"delay must be >= 0, got {delay}")
+        if not (math.isfinite(delay) and delay >= 0.0):
+            raise BadDimensions(f"delay must be finite and >= 0, got {delay}")
         if dim < 1:
             raise BadDimensions(f"dim must be >= 1, got {dim}")
         self.delay = float(delay)
@@ -144,8 +144,10 @@ class Vehicle3rd(AgentModel):
     """
 
     def __init__(self, tau: float, mu: float):
-        if tau <= 0.0 or mu <= 0.0:
-            raise BadDimensions(f"tau and mu must be positive, got tau={tau}, mu={mu}")
+        if not all(math.isfinite(x) and x > 0.0 for x in (tau, mu)):
+            raise BadDimensions(
+                f"tau and mu must be finite and positive, got tau={tau}, mu={mu}"
+            )
         self.tau = float(tau)
         self.mu = float(mu)
         self.state_dim = 3
@@ -202,8 +204,8 @@ class Reference:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (self.g.n,):
             raise DimensionMismatch(f"b must have shape ({self.g.n},), got {b.shape}")
-        if np.any(b < 0.0):
-            raise BadDimensions("pinning gains b must be non-negative")
+        if not np.all(np.isfinite(b) & (b >= 0.0)):
+            raise BadDimensions("pinning gains b must be finite and non-negative")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "b", b)

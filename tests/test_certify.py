@@ -52,6 +52,11 @@ class TestWeakCoupling:
         assert not v.passes
         assert np.allclose(v.slack, 0.5 - 8 / 15, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_deficit_rejected(self, bad):
+        with pytest.raises(BadDimensions):
+            check_weak_coupling(build_digraph([[0, 1], [1, 0]]), [bad, 0.1])
+
     def test_not_strongly_connected_fails_even_with_zero_deficit(self):
         v = check_weak_coupling(build_digraph([[0, 1], [0, 0]]), [0.0, 0.0])
         assert not v.passes
@@ -77,6 +82,12 @@ class TestWeakCouplingPinned:
         v = check_weak_coupling_pinned(g, [0.1, 0.1], [1.0, 0.0])
         assert v.passes
         assert np.allclose(v.slack, [0.2, 0.4], atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_pinning_gain_rejected(self, bad):
+        g = build_digraph([[0, 1], [1, 0]])
+        with pytest.raises(BadDimensions):
+            check_weak_coupling_pinned(g, [0.1, 0.1], [bad, 0.1])
 
     def test_no_pinned_agent_rejected(self):
         g = build_digraph([[0, 1], [1, 0]])
@@ -127,6 +138,13 @@ class TestPlatoonGains:
         v = check_platoon_gains(gains)
         assert not v.passes
         assert v.per_vehicle == (False, True)
+
+    @pytest.mark.parametrize("field", ["mu", "eta", "nu", "tau"])
+    def test_non_finite_gain_rejected(self, field):
+        gains = {"mu": [2.0, 2.0], "eta": [0.1, 0.1], "nu": [0.1], "tau": [0.1, 0.1]}
+        gains[field][0] = float("nan")
+        with pytest.raises(BadDimensions):
+            CaccGainSet.build(**gains)
 
     def test_follower_gain_vector_length_checked(self):
         with pytest.raises(BadDimensions):

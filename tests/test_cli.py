@@ -69,6 +69,44 @@ BAD_SIM_SETTINGS = [
     ("blowup", 0.0),
 ]
 
+NAN, INF = float("nan"), float("inf")
+
+# certify inputs with a non-finite number: (name, extra argv, network)
+NON_FINITE_CERTIFY = [
+    ("alpha_nan", (), {"adjacency": [[0, 1], [1, 0]], "alpha": [NAN, 0.1]}),
+    ("adjacency_nan", (), {"adjacency": [[0, NAN], [1, 0]], "alpha": [0.1, 0.1]}),
+    ("adjacency_inf", (), {"adjacency": [[0, INF], [1, 0]], "alpha": [0.1, 0.1]}),
+    ("b_nan", ("--reference",),
+     {"adjacency": [[0, 1], [1, 0]], "alpha": [0.1, 0.1], "b": [NAN, 0.1]}),
+    ("vehicle_tau_nan", (), {
+        "adjacency": [[0, 1], [1, 0]],
+        "agents": [{"type": "vehicle", "tau": NAN, "mu": 2.0},
+                   {"type": "vehicle", "tau": 0.1, "mu": 2.0}],
+    }),
+    ("delay_nan", (), {
+        "adjacency": [[0, 1], [1, 0]],
+        "agents": [{"type": "delayed_integrator", "delay": NAN},
+                   {"type": "delayed_integrator", "delay": 0.1}],
+    }),
+    ("gain_mu_nan", ("--reference",), {
+        "adjacency": [[0, 1], [1, 0]], "alpha": [0.1, 0.1], "b": [0.1, 0.0],
+        "gains": {"mu": [NAN, 2.0], "eta": [0.1, 0.1], "nu": [0.1], "tau": [0.1, 0.1]},
+    }),
+]
+
+# simulate inputs with a non-finite number outside the "sim" block
+NON_FINITE_NETWORK = [
+    ("x0_nan", {**INTEGRATOR_PAIR, "agents": [
+        {**INTEGRATOR_PAIR["agents"][0], "x0": [NAN]}, INTEGRATOR_PAIR["agents"][1]]}),
+    ("adjacency_nan", {**INTEGRATOR_PAIR, "adjacency": [[0.0, NAN], [1.0, 0.0]]}),
+    ("y_bar_inf", {**INTEGRATOR_PAIR,
+                   "protocol": {"type": "reference", "b": [1.0, 0.0], "y_bar": INF}}),
+    ("ramp_slope_nan", {**INTEGRATOR_PAIR, "protocol": {
+        "type": "reference", "b": [1.0, 0.0], "y_bar": {"kind": "ramp", "slope": NAN}}}),
+    ("b_nan", {**INTEGRATOR_PAIR,
+               "protocol": {"type": "reference", "b": [NAN, 0.0], "y_bar": 1.0}}),
+]
+
 
 def write_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -183,6 +221,18 @@ class TestCertifyCommand:
         })
         assert main(["certify", str(f)]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, net", [c[1:] for c in NON_FINITE_CERTIFY], ids=[c[0] for c in NON_FINITE_CERTIFY]
+    )
+    def test_non_finite_input_exits_input_error(self, tmp_path, capsys, extra, net):
+        f = write_json(tmp_path / "net.json", net)
+        code = main(["certify", str(f), *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -261,6 +311,18 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("input error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize(
+        "net", [c[1] for c in NON_FINITE_NETWORK], ids=[c[0] for c in NON_FINITE_NETWORK]
+    )
+    def test_non_finite_network_exits_input_error(self, tmp_path, capsys, net):
+        f = write_json(tmp_path / "bad.json", net)
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:")
+        assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "bad.csv").exists()
 
     def test_initial_histories_must_cover_every_agent(self, tmp_path, capsys):

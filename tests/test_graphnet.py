@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_strongly_connected_adjacency, reachability_closure
 from ifpsync import (
+    BadDimensions,
+    Digraph,
     NegativeWeight,
     NotSquare,
     NotStronglyConnected,
@@ -47,6 +49,11 @@ class TestBuildDigraph:
     def test_non_square_rejected(self):
         with pytest.raises(NotSquare):
             build_digraph([[0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(BadDimensions, match=r"a\[0,1\]"):
+            build_digraph([[0, weight], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +133,25 @@ class TestLaplacian:
 # perron_weights
 # ---------------------------------------------------------------------------
 
+def svd_perron_oracle(a: np.ndarray) -> np.ndarray:
+    """Right singular vector of L^T for its smallest singular value, signed
+    positive and normalized to sum 1: the null vector computed independently
+    of the bordered solve."""
+    lap = np.diag(a.sum(axis=1)) - a
+    _, _, vt = np.linalg.svd(lap.T)
+    p = vt[-1]
+    return p / p.sum()
+
+
+def ring_with_hidden_weight(x: float) -> Digraph:
+    """Directed 3-ring plus a[2, 0] = -x. The negative entry is not an arc of
+    the support, so the graph counts as strongly connected, but it shifts the
+    null vector of L^T to [1 - x, 1, 1]. Built without build_digraph, which
+    would reject the negative weight."""
+    a = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-x, 1.0, 0.0]])
+    return Digraph(n=3, adjacency=a)
+
+
 class TestPerronWeights:
     def test_symmetric_graph_gives_uniform_weights(self):
         a = np.array([[0, 1, 0.5], [1, 0, 2], [0.5, 2, 0]])
@@ -150,6 +176,32 @@ class TestPerronWeights:
         with pytest.raises(NotStronglyConnected):
             perron_weights(build_digraph([[0, 1], [0, 0]]))
 
+    def test_single_node(self):
+        assert np.array_equal(perron_weights(build_digraph([[0.0]])).p, [1.0])
+
+    def test_matches_svd_oracle_at_n_300(self):
+        rng = np.random.default_rng(300)
+        a = random_strongly_connected_adjacency(rng, 300)
+        p = perron_weights(build_digraph(a)).p
+        q = svd_perron_oracle(a)
+        assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
+
+    def test_rejects_singular_bordered_system(self):
+        # null vector [-2, 1, 1] sums to zero, so the ones row is dependent
+        with pytest.raises(NotStronglyConnected, match="singular"):
+            perron_weights(ring_with_hidden_weight(3.0))
+
+    @pytest.mark.parametrize("x", [1.0, 2.0])
+    def test_rejects_non_positive_null_vector(self, x):
+        with pytest.raises(NotStronglyConnected, match="not strictly positive"):
+            perron_weights(ring_with_hidden_weight(x))
+
+    def test_rejects_nan_solution_by_residual(self):
+        a = np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
+                perron_weights(Digraph(n=3, adjacency=a))
+
 
 # ---------------------------------------------------------------------------
 # randomized invariants
@@ -171,6 +223,25 @@ def test_perron_weights_positive_with_small_residual(seed, n):
     assert np.min(w.p) > 0
     assert abs(np.sum(w.p) - 1.0) < 1e-12
     assert np.max(np.abs(w.p @ laplacian(g))) < 1e-10
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
+def test_perron_weights_match_svd_oracle(seed, n):
+    rng = np.random.default_rng(seed)
+    a = random_strongly_connected_adjacency(rng, n)
+    p = perron_weights(build_digraph(a)).p
+    q = svd_perron_oracle(a)
+    assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
+def test_perron_weights_invariant_under_weight_scaling(seed, n):
+    rng = np.random.default_rng(seed)
+    a = random_strongly_connected_adjacency(rng, n)
+    p = perron_weights(build_digraph(a)).p
+    for scale in (1e-12, 1e-6, 1e6, 1e12):
+        ps = perron_weights(build_digraph(a * scale)).p
+        assert np.max(np.abs(ps - p)) <= 1e-12 * np.max(p), scale
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6), density=st.floats(0.0, 1.0))

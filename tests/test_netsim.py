@@ -18,6 +18,7 @@ from scipy.linalg import expm
 
 from conftest import random_strongly_connected_adjacency
 from ifpsync import (
+    BadDimensions,
     DelayedIntegrator,
     DimensionMismatch,
     EmptyTrajectory,
@@ -261,6 +262,33 @@ class TestStepNetwork:
         steps = np.diff(res.y_scalar()[:, 0])
         assert steps.shape == (20,)
         assert np.max(np.abs(steps - c * dt)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# agent and protocol parameters
+# ---------------------------------------------------------------------------
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_vehicle_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(BadDimensions):
+            Vehicle3rd(tau=bad, mu=2.0)
+        with pytest.raises(BadDimensions):
+            Vehicle3rd(tau=0.1, mu=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_delayed_integrator_rejects_non_finite_delay(self, bad):
+        with pytest.raises(BadDimensions):
+            DelayedIntegrator(delay=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_reference_rejects_non_finite_pinning_gain(self, bad):
+        g = build_digraph([[0, 1], [1, 0]])
+        with pytest.raises(BadDimensions):
+            Reference(g, (bad, 0.0), y_bar=lambda t: 1.0)
 
 
 # ---------------------------------------------------------------------------
