@@ -76,7 +76,11 @@ def _as_nonnegative_vector(name: str, values, n: int) -> NDArray[np.float64]:
     return v
 
 
-def _verdict(g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str] = ()) -> WeakCouplingVerdict:
+def _verdict(
+    g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str] = ()
+) -> tuple[WeakCouplingVerdict, Optional[NDArray[np.float64]]]:
+    """The verdict for per-node slacks, and the Perron weights it used (None
+    on a graph that is not strongly connected)."""
     conn = connectivity(g)
     reasons = list(extra_reasons)
     offending = tuple(int(j) for j in np.flatnonzero(slack <= 0.0))
@@ -84,13 +88,14 @@ def _verdict(g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str
         reasons.append("not_strongly_connected")
     if offending:
         reasons.append("coupling_too_strong")
-    kappa = None
+    p = kappa = None
     if conn.strongly_connected:
-        kappa = _perron_vector(g) * slack
+        p = _perron_vector(g)
+        kappa = p * slack
         kappa.setflags(write=False)
     slack = slack.copy()
     slack.setflags(write=False)
-    return WeakCouplingVerdict(
+    verdict = WeakCouplingVerdict(
         passes=not reasons,
         slack=slack,
         kappa=kappa,
@@ -98,6 +103,13 @@ def _verdict(g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str
         reasons=tuple(reasons),
         offending=offending,
     )
+    return verdict, p
+
+
+def _plain_slack(g: Digraph, alphas) -> NDArray[np.float64]:
+    alphas = _as_nonnegative_vector("alphas", alphas, g.n)
+    d_plus, _ = degrees(g)
+    return 0.5 - alphas * d_plus
 
 
 def check_weak_coupling(g: Digraph, alphas) -> WeakCouplingVerdict:
@@ -110,10 +122,7 @@ def check_weak_coupling(g: Digraph, alphas) -> WeakCouplingVerdict:
     alphas : array_like
         Per-agent IFP indices, non-negative, length g.n.
     """
-    alphas = _as_nonnegative_vector("alphas", alphas, g.n)
-    d_plus, _ = degrees(g)
-    slack = 0.5 - alphas * d_plus
-    return _verdict(g, slack)
+    return _verdict(g, _plain_slack(g, alphas))[0]
 
 
 def check_weak_coupling_pinned(g: Digraph, alphas, b) -> WeakCouplingVerdict:
@@ -125,7 +134,7 @@ def check_weak_coupling_pinned(g: Digraph, alphas, b) -> WeakCouplingVerdict:
     d_plus, _ = degrees(g)
     slack = 0.5 - alphas * (d_plus + 2.0 * b)
     extra = () if b.sum() > 0.0 else ("no_pinned_agent",)
-    return _verdict(g, slack, extra)
+    return _verdict(g, slack, extra)[0]
 
 
 @dataclass(frozen=True)
@@ -278,7 +287,7 @@ def dissipation_margin(g: Digraph, alphas, y) -> float:
     CertificateFailed
         If the weak-coupling certificate does not hold for (g, alphas).
     """
-    verdict = check_weak_coupling(g, alphas)
+    verdict, p = _verdict(g, _plain_slack(g, alphas))
     if not verdict.passes:
         raise CertificateFailed(
             f"weak-coupling certificate fails: {', '.join(verdict.reasons)}"
@@ -287,7 +296,6 @@ def dissipation_margin(g: Digraph, alphas, y) -> float:
     if y.shape[0] != g.n:
         raise BadDimensions(f"need {g.n} output vectors, got {y.shape[0]}")
     alphas = np.asarray(alphas, dtype=float)
-    p = perron_weights(g).p
     u = _coupling_inputs(g, y)
     lhs = float(
         np.sum(p * (np.einsum("ik,ik->i", y, u) + alphas * np.einsum("ik,ik->i", u, u)))

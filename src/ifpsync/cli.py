@@ -169,10 +169,6 @@ def load_network(d: dict):
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _columns(prefix: str, n: int, m: int) -> list[str]:
     if m == 1:
         return [f"{prefix}_{i}" for i in range(1, n + 1)]
@@ -185,10 +181,12 @@ def write_csv(path: Path, result: SimResult) -> None:
     sample, floats in shortest round-trip form, LF endings."""
     n_rec, n, m = result.y.shape
     header = ["t"] + _columns("y", n, m) + _columns("u", n, m)
+    # tolist() gives Python floats, whose repr is the shortest round-trip form
+    table = np.concatenate(
+        [result.times[:, None], result.y.reshape(n_rec, -1), result.u.reshape(n_rec, -1)], axis=1
+    ).tolist()
     lines = [",".join(header)]
-    for r in range(n_rec):
-        vals = [result.times[r], *result.y[r].ravel(), *result.u[r].ravel()]
-        lines.append(",".join(_fmt(v) for v in vals))
+    lines.extend(",".join(map(repr, row)) for row in table)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -5,10 +5,14 @@ functions, integrators with input delay, or third-order vehicle models —
 coupled over a weighted digraph, optionally with reference pinning. Every
 run takes one path: the agents' state-space realizations are assembled into
 one closed-loop system (coupling K ⊗ I_m on the stacked outputs) and
-integrated with classical RK4 at a fixed step. Input delays are read from a
-ring buffer of the stacked input signal with linear interpolation at the RK4
-stage times. Runs report trajectories plus synchronization metrics (pairwise
-tail supremum and trapezoidal L2 disagreement integrals).
+integrated with classical RK4 at a fixed step. Delayed inputs are read from a
+ring buffer of the stacked input signal, linearly interpolated at the RK4
+stage times: the step is fixed, so the ring offsets and weights of every
+(stage, delayed column) pair are computed once and each step makes one
+gather for all three stages. Reads before t = 0 come from a prehistory table
+of the initial-history functions, filled before the step loop. Runs report
+trajectories plus synchronization metrics (pairwise tail supremum and
+trapezoidal L2 disagreement integrals).
 """
 
 from __future__ import annotations
@@ -374,11 +378,18 @@ def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, t
     t_end = times[-1]
     tail_start = t_end - 0.1 * (t_end - times[0])
     tail = y[times >= tail_start - 1e-12]
-    sup_tail = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = tail[:, i, :] - tail[:, j, :]
-            sup_tail = max(sup_tail, float(np.sqrt((d * d).sum(axis=1)).max()))
+    # largest |y_i - y_j|, each distance computed as sqrt(d.d)
+    if y.shape[2] == 1:
+        # the largest scalar gap of a row is max - min; sqrt(g*g) is monotone
+        # in g, so applying it to the largest gap gives the same value
+        # (under- and overflow of g*g included) as taking it over all pairs
+        gap = tail.max(axis=1)[:, 0] - tail.min(axis=1)[:, 0]
+        sup_tail = float(np.sqrt(gap * gap).max())
+    else:
+        sup_tail = 0.0
+        for i in range(n - 1):
+            d = tail[:, i : i + 1, :] - tail[:, i + 1 :, :]
+            sup_tail = max(sup_tail, float(np.sqrt((d * d).sum(axis=2)).max()))
 
     l2_ref = None
     if y_bar is not None:
@@ -503,16 +514,98 @@ def _record_times(n_steps: int, stride: int, dt: float) -> NDArray[np.float64]:
     return ks * dt
 
 
+class _DelayedInputs:
+    """Delayed columns of the stacked input at the three RK4 stage times of
+    each step, read by one gather.
+
+    A ring buffer holds the stacked input at the last few step times (row
+    j % cap holds u(j*dt)). At stage time t0 + c*dt of step k (c = 0, 1/2,
+    1), an agent with delay d reads u(t0 + c*dt - d), which lies on ring row
+    k + base, or between rows k + base and k + base + 1 with weight frac on
+    the later one. The step is fixed, so base and frac depend only on (c, d)
+    and one array of flat ring offsets serves every step. Reads that land on
+    a row are copied ("exact" set); the others are interpolated as
+    (1 - frac)*u_j + frac*u_{j+1}. Keeping the sets apart means a copied
+    value keeps its sign of zero and never picks up a NaN from the next row.
+    Reads before t = 0 (the first few steps) come from a prehistory table:
+    the initial-history functions evaluated, before the step loop, at the
+    stage times the reads ask for.
+    """
+
+    def __init__(self, agents, histories, dt, m, n_steps):
+        nm = len(agents) * m
+        col_delay = np.repeat([a.input_delay for a in agents], m)
+        lookback = int(math.ceil(col_delay.max() / dt - _GRID_SNAP)) + 1
+        self.ring = np.zeros((lookback + 4, nm))
+        self.flat = self.ring.reshape(-1)
+        self.nm = nm
+
+        # one read per (stage, delayed column), at ring row k + base
+        cols = np.flatnonzero(col_delay > 0.0)
+        stage = np.repeat(np.arange(3), cols.size)
+        col = np.tile(cols, 3)
+        d = col_delay[col]
+        q = np.array([0.0, 0.5, 1.0])[stage] - d / dt
+        base = np.floor(q + _GRID_SNAP)
+        frac = q - base
+        up = frac > 1.0 - _GRID_SNAP
+        base[up] += 1.0
+        frac[up | (frac < _GRID_SNAP)] = 0.0
+        base = base.astype(np.intp)
+        target = stage * nm + col
+        src = base * nm + col
+        exact = frac == 0.0
+        self.exact_t, self.interp_t = target[exact], target[~exact]
+        self.src = np.concatenate([src[exact], src[~exact], src[~exact] + nm])
+        self.w_hi = frac[~exact]
+        self.w_lo = 1.0 - self.w_hi
+        n_exact, n_interp = self.exact_t.size, self.interp_t.size
+        self.exact_v = slice(0, n_exact)
+        self.lo_v = slice(n_exact, n_exact + n_interp)
+        self.hi_v = slice(n_exact + n_interp, None)
+
+        # step k reads before t = 0 where k + base < 0; an agent without an
+        # initial history reads zeros there
+        k_pre = min(n_steps, -int(base.min()))
+        self.pre_mask = np.zeros((k_pre, 3 * nm), dtype=bool)
+        self.pre_mask[:, target] = np.arange(k_pre)[:, None] + base < 0
+        self.pre_val = np.zeros((k_pre, 3 * nm))
+        half = 0.5 * dt
+        for r in range(target.size):
+            fn = None if histories is None else histories[col[r] // m]
+            if fn is None:
+                continue
+            for k in range(min(k_pre, -base[r])):
+                t0 = k * dt
+                t_s = (t0, t0 + half, t0 + dt)[stage[r]]
+                self.pre_val[k, target[r]] = float(np.asarray(fn(t_s - d[r])).reshape(()))
+
+    def stage_inputs(self, k: int, u_now: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Record u(k*dt) = u_now, then return the stacked inputs at the three
+        stage times of step k as one (3*n*m,) vector, stage-major, with zeros
+        in the undelayed columns."""
+        ring = self.ring
+        ring[k % ring.shape[0]] = u_now
+        v = self.flat.take((k * self.nm + self.src) % self.flat.size)
+        w = np.zeros(3 * self.nm)
+        w[self.exact_t] = v[self.exact_v]
+        w[self.interp_t] = self.w_lo * v[self.lo_v] + self.w_hi * v[self.hi_v]
+        if k < self.pre_val.shape[0]:
+            np.copyto(w, self.pre_val[k], where=self.pre_mask[k])
+        return w
+
+
 def _integrate(agents, protocol, config, x0, n_steps, stride, m):
     """RK4 of the assembled closed loop of n agents with m-dimensional
     inputs and outputs.
 
     The stacked input has n*m columns, agent-major, and the coupling acts on
     it as K ⊗ I_m. The zero-delay part of the input is folded into a
-    closed-loop matrix M; delayed inputs are read from a shared ring buffer
-    of the stacked input signal, with interpolation offsets precomputed per
-    RK4 stage time (the step is fixed, so each (delay, stage) pair touches
-    the same relative slots with the same weights every step).
+    closed-loop matrix M. The rest of the input at the three stage times
+    (t0, t0 + dt/2, t0 + dt) of a step is one stage-major vector: delayed
+    columns come from `_DelayedInputs` (one gather from a ring buffer of
+    the stacked input, or the prehistory table before t = 0), undelayed
+    columns from the reference offset.
     """
     n = len(agents)
     nm = n * m
@@ -534,51 +627,15 @@ def _integrate(agents, protocol, config, x0, n_steps, stride, m):
     kc = k_c @ c_blk
     delays = np.repeat([a.input_delay for a in agents], m)
     zero_idx = np.flatnonzero(delays == 0.0)
+    zero_t = [s * nm + zero_idx for s in range(3)]
     m_mat = a_blk - b_blk[:, zero_idx] @ kc[zero_idx, :]
 
     offset_fn = None
     if isinstance(protocol, Reference) and _has_offset(protocol):
         offset_fn = lambda t: _reference_offset(protocol, t, m).reshape(-1)
-
-    groups: dict[float, NDArray[np.int_]] = {}
-    for d in sorted(set(delays[delays > 0.0])):
-        groups[d] = np.flatnonzero(delays == d)
-
-    # ring buffer of the stacked input signal, one row per step time
-    ring = None
-    plan = None
-    prehist = None
-    if groups:
-        theta_max = max(groups)
-        lookback = int(math.ceil(theta_max / dt - _GRID_SNAP)) + 1
-        cap = lookback + 4
-        ring = np.zeros((cap, nm))
-        init = config.initial_histories
-
-        def prehist(c: int, t: float) -> float:
-            """Prescribed input of stacked column c (agent c // m) at t < 0."""
-            fn = None if init is None else init[c // m]
-            if fn is None:
-                return 0.0
-            return float(np.asarray(fn(t)).reshape(()))
-
-        # per (stage time offset, delay group): base slot shift and weight;
-        # queries with base slot < 0 fall in the prescribed prehistory and are
-        # answered by the initial-history functions instead of the ring
-        plan = []
-        for c_off in (0.0, 0.5, 1.0):
-            entries = []
-            for d, cols in groups.items():
-                q = c_off - d / dt
-                base = math.floor(q + _GRID_SNAP)
-                frac = q - base
-                if frac < _GRID_SNAP:
-                    frac = 0.0
-                elif frac > 1.0 - _GRID_SNAP:
-                    base += 1
-                    frac = 0.0
-                entries.append((cols, base, frac, d))
-            plan.append(entries)
+    delayed = None
+    if np.any(delays > 0.0):
+        delayed = _DelayedInputs(agents, config.initial_histories, dt, m, n_steps)
 
     n_rec = n_steps // stride + 1
     x_rec = np.empty((n_rec, nx))
@@ -588,27 +645,6 @@ def _integrate(agents, protocol, config, x0, n_steps, stride, m):
     t_div = None
     half = 0.5 * dt
     sixth = dt / 6.0
-    cap = ring.shape[0] if ring is not None else 0
-
-    def stage_extra(k_step: int, stage_i: int, t_s: float) -> Optional[NDArray]:
-        """Stacked input rows that do not come from the current stage state."""
-        w = None
-        if plan is not None:
-            w = np.zeros(nm)
-            for cols, base, frac, d in plan[stage_i]:
-                j = k_step + base
-                if j < 0:
-                    for c in cols:
-                        w[c] = prehist(c, t_s - d)
-                elif frac == 0.0:
-                    w[cols] = ring[j % cap][cols]
-                else:
-                    w[cols] = (1.0 - frac) * ring[j % cap][cols] + frac * ring[(j + 1) % cap][cols]
-        if offset_fn is not None:
-            if w is None:
-                w = np.zeros(nm)
-            w[zero_idx] += offset_fn(t_s)[zero_idx]
-        return w
 
     for k in range(n_steps + 1):
         if k % stride == 0:
@@ -617,17 +653,25 @@ def _integrate(agents, protocol, config, x0, n_steps, stride, m):
         if k == n_steps:
             break
         t0 = k * dt
-        if ring is not None:
+        if offset_fn is not None:
+            offsets = [offset_fn(t) for t in (t0, t0 + half, t0 + dt)]
+        w = None
+        if delayed is not None:
             u_now = -(kc @ x)
             if offset_fn is not None:
-                u_now += offset_fn(t0)
-            ring[k % cap] = u_now
-        w0 = stage_extra(k, 0, t0)
-        wm = stage_extra(k, 1, t0 + half)
-        w1 = stage_extra(k, 2, t0 + dt)
-        r0 = b_blk @ w0 if w0 is not None else 0.0
-        rm = b_blk @ wm if wm is not None else 0.0
-        r1 = b_blk @ w1 if w1 is not None else 0.0
+                u_now += offsets[0]
+            w = delayed.stage_inputs(k, u_now)
+        if offset_fn is not None:
+            if w is None:
+                w = np.zeros(3 * nm)
+            for t_idx, off in zip(zero_t, offsets):
+                w[t_idx] += off[zero_idx]
+        if w is None:
+            r0 = rm = r1 = 0.0
+        else:
+            r0 = b_blk @ w[:nm]
+            rm = b_blk @ w[nm : 2 * nm]
+            r1 = b_blk @ w[2 * nm :]
         k1 = m_mat @ x + r0
         k2 = m_mat @ (x + half * k1) + rm
         k3 = m_mat @ (x + half * k2) + rm

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ifpsync.certify as certify
+import ifpsync.graphnet as graphnet
 from conftest import random_strongly_connected_adjacency
 from ifpsync import (
     BadDimensions,
@@ -239,6 +241,19 @@ class TestDissipationMargin:
         g = build_digraph([[0, 3], [3, 0]])
         with pytest.raises(CertificateFailed):
             dissipation_margin(g, [0.2, 0.2], [np.ones(1)] * 2)
+
+    def test_runs_connectivity_and_perron_solve_once(self, monkeypatch):
+        # wrapped where certify calls them and where graphnet.perron_weights does
+        calls = {"connectivity": 0, "_perron_vector": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(graphnet, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(certify, name, counted)
+            monkeypatch.setattr(graphnet, name, counted)
+        g = build_digraph([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        dissipation_margin(g, [0.2, 0.2, 0.2], [np.array([1.0]), np.zeros(1), -np.ones(1)])
+        assert calls == {"connectivity": 1, "_perron_vector": 1}
 
     def test_non_negative_on_certified_random_instances(self):
         rng = np.random.default_rng(13)

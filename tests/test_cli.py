@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifpsync.cli import main
+from ifpsync.cli import main, write_csv
+from ifpsync.netsim import SimResult, sync_metrics
 
 CUBIC_TF = {"num": [1.0], "den": [0.0, 3.0, 2.0, 1.0]}
 
@@ -294,6 +295,21 @@ class TestSimulateCommand:
         lines = (tmp_path / "trio.csv").read_text(encoding="utf-8").splitlines()
         full = int(150.0 / (0.005 * 20)) + 1
         assert 1 < len(lines) - 1 < full
+
+    def test_csv_values_are_per_value_float_reprs(self, tmp_path):
+        times = np.array([0.0, 0.5, 1.0])
+        y = np.array([[[-0.0], [5e-324]], [[3.0], [-7.0]], [[0.1], [1e-300]]])
+        u = np.array([[[1e300], [-1e300]], [[2.0], [-0.0]], [[1.0 / 3.0], [123456789.0]]])
+        states = (y[:, 0, :].copy(), y[:, 1, :].copy())
+        result = SimResult(times=times, y=y, u=u, states=states, metrics=sync_metrics((times, y)))
+        write_csv(tmp_path / "x.csv", result)
+        rows = [
+            ",".join(repr(float(v)) for v in [times[r], *y[r].ravel(), *u[r].ravel()])
+            for r in range(3)
+        ]
+        expected = "t,y_1,y_2,u_1,u_2\n" + "\n".join(rows) + "\n"
+        assert (tmp_path / "x.csv").read_bytes() == expected.encode("utf-8")
+        assert "-0.0,5e-324,1e+300,-1e+300" in expected and ",3.0,-7.0,2.0," in expected
 
     def test_vector_outputs_flattened_with_dimension_suffix(self, tmp_path, capsys):
         f = write_json(tmp_path / "vec.json", VECTOR_PAIR)

@@ -3,7 +3,8 @@
 Coupling laws are checked through `simulate`: with integrator agents the
 recorded input `SimResult.u[0]` is the protocol applied to the initial
 outputs. The assembled engine is cross-checked against `rk4_oracle`, an
-independent per-agent RK4 of the same closed loop.
+independent per-agent RK4 of the same closed loop, on fixed cases and on
+random delayed networks.
 """
 
 from __future__ import annotations
@@ -358,6 +359,50 @@ class TestSimulate:
         assert res.y.shape == expected.shape
         assert np.max(np.abs(res.y - expected)) < 1e-12
 
+    @given(data=st.data())
+    def test_delayed_inputs_match_per_agent_oracle(self, data):
+        # agents share off-grid delay levels, the step equals the smallest
+        # delay, and the horizon runs past the steps that read the prehistory
+        n = data.draw(st.integers(2, 6), label="n")
+        m = data.draw(st.sampled_from([1, 2]), label="m")
+        levels = data.draw(
+            st.lists(st.floats(0.01, 0.08), min_size=1, max_size=3, unique=True), label="levels"
+        )
+        which = data.draw(
+            st.lists(st.integers(-1, len(levels) - 1), min_size=n - 1, max_size=n - 1),
+            label="level of agents 2..n (-1: undelayed)",
+        )
+        delays = [levels[0]] + [0.0 if j < 0 else levels[j] for j in which]
+        dt = min(d for d in delays if d > 0.0)
+        lookback = math.ceil(max(delays) / dt) + 1
+        steps = data.draw(st.integers(lookback + 1, 3 * lookback + 2), label="steps")
+        histories = data.draw(
+            st.lists(
+                st.one_of(
+                    st.none(),
+                    st.just(np.sin),
+                    st.floats(-2.0, 2.0).map(lambda c: lambda t: c),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            label="histories",
+        )
+        x0 = data.draw(
+            st.lists(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m), min_size=n, max_size=n),
+            label="x0",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000), label="graph seed"))
+        agents = [DelayedIntegrator(delay=d, dim=m) for d in delays]
+        proto = Plain(build_digraph(random_strongly_connected_adjacency(rng, n)))
+        cfg = SimConfig(
+            dt=dt, t_final=steps * dt, initial_states=x0, initial_histories=tuple(histories)
+        )
+        res = simulate(agents, proto, cfg)
+        expected = rk4_oracle(agents, proto, cfg)
+        assert res.y.shape == expected.shape
+        assert np.max(np.abs(res.y - expected)) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # sync_metrics
@@ -391,6 +436,29 @@ class TestSyncMetrics:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(EmptyTrajectory):
             sync_metrics((np.array([]), np.zeros((0, 2, 1))))
+
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 3),
+        rows=st.integers(1, 12),
+        exponent=st.sampled_from([-170, 0, 160]),
+        seed=st.integers(0, 1000),
+    )
+    def test_sup_tail_equals_the_pairwise_formula(self, n, m, rows, exponent, seed):
+        # bit-equal to the largest sqrt(d.d) over all pairs, including where
+        # d.d under- or overflows
+        rng = np.random.default_rng(seed)
+        t = np.arange(rows, dtype=float)
+        y = rng.normal(size=(rows, n, m)) * 10.0**exponent
+        tail = y[t >= t[-1] - 0.1 * t[-1] - 1e-12]
+        expected = 0.0
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d = tail[:, i, :] - tail[:, j, :]
+                    expected = max(expected, float(np.sqrt((d * d).sum(axis=1)).max()))
+            got = sync_metrics((t, y)).pairwise_sup_tail
+        assert got == expected
 
     def test_reference_error_integral(self):
         t = np.linspace(0.0, 10.0, 1001)
