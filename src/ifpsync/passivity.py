@@ -6,9 +6,12 @@ residues is IFP(alpha) for
 
     alpha = max(0, -inf_w Re W(iw)),
 
-i.e. W shifted by the feedforward alpha*u is passive. ``ifp_index`` computes
-the infimum by a logarithmic frequency sweep with golden-section refinement;
-``prl_conditions`` reports the underlying positive-real-lemma conditions.
+i.e. W shifted by the feedforward alpha*u is passive. On the axis
+Re W(iw) = R(w^2)/Q(w^2) with polynomials R and Q, so ``ifp_index`` takes
+the infimum exactly over w = 0, the imaginary-axis poles, the positive roots
+of R'Q - RQ', and w -> infinity; ``prl_conditions`` reports the underlying
+positive-real-lemma conditions with the same infimum. Rescaling by the
+largest pole magnitude makes results and tolerances free of the time unit.
 
 Pole and residue classification works on the num/den pair as given; callers
 are expected to supply transfer functions in lowest terms (common factors
@@ -25,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadDimensions,
     BOutOfRange,
     DimensionMismatch,
     IfpSyncError,
@@ -50,17 +54,12 @@ __all__ = [
 #: |den(iw)| below this fraction of sum_k |den_k| |w|^k counts as a pole hit
 _POLE_RTOL = 1e-14
 
-#: pole classification: |Re| <= _AXIS_RTOL*(1+|Im|) is "on the imaginary axis"
+#: unit-scaled pole classification: |Re| <= _AXIS_RTOL*(1+|Im|) is "on the
+#: imaginary axis"; a deflated |den|^2 this small against its scale is zero
 _AXIS_RTOL = 1e-9
 
-#: minimum distance between imaginary-axis poles to count as simple
+#: minimum distance between unit-scaled imaginary-axis poles to count as simple
 _SIMPLE_TOL = 1e-6
-
-#: grid for the frequency sweep
-_GRID_LO, _GRID_HI, _GRID_POINTS = 1e-6, 1e6, 2000
-
-#: relative tolerance (in omega) of the golden-section refinement
-_REFINE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,17 @@ class Polynomial:
     """Real polynomial with ascending coefficients, c[k] * x^k.
 
     High-order zero coefficients are trimmed on construction, so the leading
-    coefficient is nonzero unless the polynomial is identically zero.
+    coefficient is nonzero unless the polynomial is identically zero. Every
+    coefficient must be finite (BadDimensions otherwise).
     """
 
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Sequence[float]):
         c = [float(x) for x in coeffs]
+        for k, x in enumerate(c):
+            if not math.isfinite(x):
+                raise BadDimensions(f"coefficient of x^{k} must be finite, got {x}")
         while len(c) > 1 and c[-1] == 0.0:
             c.pop()
         if not c:
@@ -150,7 +153,7 @@ class IfpCertificate:
 
     alpha: float
     omega_star: float
-    method: str  # "grid_refined" | "closed_form"
+    method: str  # "closed_form": the exact infimum over finitely many candidates
     raw_infimum: float
 
     def to_json_dict(self) -> dict:
@@ -245,20 +248,26 @@ def routh_hurwitz(p: Polynomial) -> bool:
     return True
 
 
-def _classify_poles(tf: RationalTF):
-    """Denominator roots plus index lists of unstable / imaginary-axis ones."""
+def _unit_scaled(tf: RationalTF) -> tuple[RationalTF, float, np.ndarray]:
+    """(W(rho*s), rho, poles of W(rho*s)), rho the power of two nearest the
+    largest pole magnitude (1 if all poles are at the origin), with both
+    polynomials divided by the power of two nearest the largest rescaled den
+    coefficient. Powers of two scale exactly, and combining the exponents
+    first keeps every coefficient finite."""
     roots = tf.poles()
-    unstable_idx = [
-        i for i, r in enumerate(roots) if r.real > _AXIS_RTOL * (1.0 + abs(r.imag))
-    ]
-    imaginary_idx = [
-        i for i, r in enumerate(roots) if abs(r.real) <= _AXIS_RTOL * (1.0 + abs(r.imag))
-    ]
-    return unstable_idx, imaginary_idx, roots
+    rho = float(np.abs(roots).max(initial=0.0))
+    e = round(math.log2(rho)) if rho > 0.0 else 0
+    den = np.array(tf.den.coeffs)
+    ek = e * np.arange(len(den))
+    shift = ek - (np.frexp(den)[1] + ek)[den != 0.0].max()
+    num = np.ldexp(np.array(tf.num.coeffs), shift[: len(tf.num.coeffs)])
+    scaled = RationalTF(Polynomial(num), Polynomial(np.ldexp(den, shift)))
+    return scaled, 2.0**e, roots / 2.0**e
 
 
-def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray) -> bool:
-    """Simple imaginary pole with (numerically) real non-negative residue."""
+def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray, rho: float) -> bool:
+    """Simple imaginary pole of the unit-scaled W(rho*s) whose residue in W,
+    rho times the one in W(rho*s), is (numerically) real non-negative."""
     pole = roots[idx]
     others = np.delete(roots, idx)
     if len(others) and np.abs(others - pole).min() <= _SIMPLE_TOL:
@@ -271,94 +280,92 @@ def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray) -> bool:
         return tf.num(lam) / tf.den(lam) * (lam - lam0)
 
     h = 1e-6 * (1.0 + abs(w0))
-    res = 2.0 * shifted(h / 2.0) - shifted(h)  # one Richardson step
+    res = rho * (2.0 * shifted(h / 2.0) - shifted(h))  # one Richardson step
     tol = 1e-6 * (1.0 + abs(res))
     return res.real >= -tol and abs(res.imag) <= tol
 
 
-def _freq_samples(tf: RationalTF):
-    """Sampled Re W(iw) on the certification grid.
+def _at_iw(p: Polynomial) -> np.ndarray:
+    """Coefficients of p(iw) as a polynomial in w."""
+    return np.array(p.coeffs) * np.resize([1.0, 1j, -1.0, -1j], len(p.coeffs))
 
-    Returns (omegas, values, limit) where the grid drops samples that land on
-    (or numerically graze) a pole, omega = 0 is included when den(0) != 0, and
-    limit is Re W(i*inf).
+
+def _divide(p: np.ndarray, c: float) -> np.ndarray:
+    """Quotient of p(x) by (x - c), remainder dropped (ascending coefficients)."""
+    q = np.zeros(max(len(p) - 1, 1))
+    acc = 0.0
+    for k in range(len(p) - 1, 0, -1):
+        acc = p[k] + c * acc
+        q[k - 1] = acc
+    return q
+
+
+def _axis_infimum(tf: RationalTF, axis_poles: np.ndarray) -> tuple[float, float]:
+    """(inf, argmin) of Re W(iw) over finite w >= 0, given W's axis poles.
+
+    Re W(iw) = R(x)/Q(x) in x = w^2 with Q = |den(iw)|^2, once each distinct
+    axis pole is divided out of R and Q: x at the origin, (x - w0^2)^2 for
+    +-i w0. Candidates are x = 0, the poles (where the deflated R/Q continues
+    Re W) and the positive real parts of the roots of R'Q - RQ' (num/den
+    there; a complex root only adds a value of Re W). Where the deflated Q
+    still vanishes (a repeated pole) the infimum is -inf if R < 0, and the
+    point is skipped otherwise. Ties keep the first candidate.
     """
-    omegas = np.logspace(
-        math.log10(_GRID_LO), math.log10(_GRID_HI), _GRID_POINTS
-    )
-    s = 1j * omegas
-    num_v = np.polyval(tf.num.descending(), s)
-    den_v = np.polyval(tf.den.descending(), s)
-    scale = np.polyval(np.abs(tf.den.descending()), omegas)
-    keep = np.abs(den_v) > 1e-12 * scale
-    omegas = omegas[keep]
-    vals = (num_v[keep] / den_v[keep]).real
-    if tf.den.coeffs[0] != 0.0:
-        omegas = np.concatenate(([0.0], omegas))
-        vals = np.concatenate(([tf.num.coeffs[0] / tf.den.coeffs[0]], vals))
-    if tf.num.degree == tf.den.degree:
-        limit = tf.num.coeffs[-1] / tf.den.coeffs[-1]
-    else:
-        limit = 0.0
-    return omegas, vals, float(limit)
-
-
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] to absolute x-tolerance tol."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    n_iw, d_iw = _at_iw(tf.num), _at_iw(tf.den)
+    r = np.convolve(n_iw, d_iw.conj()).real[::2]  # Re num(iw) conj(den(iw))
+    q = np.convolve(d_iw, d_iw.conj()).real[::2]
+    pole_x: list[float] = []
+    last = None
+    for p in sorted(axis_poles[axis_poles.imag >= 0.0], key=lambda z: z.imag):
+        if last is None or abs(p - last) > _SIMPLE_TOL:  # else the same pole
+            last = p
+            c = float(p.imag) ** 2 if p.imag > _SIMPLE_TOL else 0.0
+            for _ in range(2 if c else 1):
+                r, q = _divide(r, c), _divide(q, c)
+            pole_x.append(c)
+    # R'Q - RQ' = sum_ij (i - j) r_i q_j x^(i+j-1): the weight cancels the top
+    # terms exactly; a rounded leftover would wreck np.roots' companion matrix
+    i, j = np.arange(len(r))[:, None], np.arange(len(q))
+    crit = np.bincount((i + j).ravel(), ((i - j) * np.outer(r, q)).ravel())
+    z = np.roots(crit[:0:-1])
+    r_p, q_p = Polynomial(r), Polynomial(q)
+    best, best_w = math.inf, 0.0
+    for x, at_pole in [(0.0, False), *((c, True) for c in pole_x),
+                       *((float(c), False) for c in z.real[z.real > 0.0])]:
+        w = math.sqrt(x)
+        if not at_pole and abs(d := tf.den(1j * w)) > _POLE_RTOL * tf.den.magnitude_at(w):
+            v = (tf.num(1j * w) / d).real
+        elif abs(q_p(x)) > _AXIS_RTOL * q_p.magnitude_at(x):
+            v = r_p(x) / q_p(x)
+        elif r_p(x) < 0.0:
+            v = -math.inf
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            continue
+        if v < best:
+            best, best_w = v, w
+    return best, best_w
 
 
-def _refine_minimum(tf: RationalTF, omegas: np.ndarray, vals: np.ndarray):
-    """Golden-section refinement around the grid argmin (log scale in omega)."""
-
-    def re_w(w: float) -> float:
-        sw = 1j * w
-        return (tf.num(sw) / tf.den(sw)).real
-
-    k = int(np.argmin(vals))
-    if omegas[k] == 0.0:
-        # boundary at omega = 0: refine linearly toward the first grid point
-        hi = omegas[k + 1] if k + 1 < len(omegas) else _GRID_LO
-        w, v = _golden_min(re_w, 0.0, hi, _REFINE_RTOL * max(hi, 1.0))
-        probe0 = vals[k]
-        return (0.0, probe0) if probe0 <= v else (w, v)
-    lo = omegas[k - 1] if k > 0 and omegas[k - 1] > 0.0 else omegas[k] / 100.0
-    hi = omegas[k + 1] if k + 1 < len(omegas) else omegas[k] * 100.0
-    ulo, uhi = math.log(lo), math.log(hi)
-    w_log, v = _golden_min(lambda u: re_w(math.exp(u)), ulo, uhi, _REFINE_RTOL)
-    w = math.exp(w_log)
-    if vals[k] <= v:
-        return float(omegas[k]), float(vals[k])
-    return w, v
-
-
-def _check_pole_conditions(tf: RationalTF) -> tuple[bool, bool]:
-    unstable_idx, imaginary_idx, roots = _classify_poles(tf)
-    no_unstable = not unstable_idx
-    imag_ok = all(_imaginary_pole_ok(tf, i, roots) for i in imaginary_idx)
-    return no_unstable, imag_ok
+def _analyse(tf: RationalTF) -> tuple[bool, bool, float, float]:
+    """(no unstable poles, imaginary-axis poles ok, inf_w Re W(iw), argmin);
+    argmin math.inf is the w -> infinity limit, which loses ties."""
+    scaled, rho, roots = _unit_scaled(tf)
+    margin = _AXIS_RTOL * (1.0 + np.abs(roots.imag))
+    on_axis = np.abs(roots.real) <= margin
+    no_unstable = not np.any(roots.real > margin)
+    imag_ok = all(_imaginary_pole_ok(scaled, i, roots, rho) for i in np.flatnonzero(on_axis))
+    infimum, w = _axis_infimum(scaled, roots[on_axis])
+    limit = tf.num.coeffs[-1] / tf.den.coeffs[-1] if tf.num.degree == tf.den.degree else 0.0
+    if limit < infimum:
+        return no_unstable, imag_ok, limit, math.inf
+    return no_unstable, imag_ok, infimum, rho * w
 
 
 def ifp_index(tf: RationalTF) -> IfpCertificate:
     """IFP index alpha = max(0, -inf_w Re W(iw)) of a certifiable W.
 
-    The infimum is located on a 2000-point log grid over [1e-6, 1e6] rad/s
-    (plus omega = 0 when finite and the w -> inf limit) and refined by
-    golden section to 1e-10 relative tolerance in omega.
+    The infimum is exact up to rounding (see the module docstring): alpha
+    does not depend on the time unit, and omega_star scales with it.
 
     Raises
     ------
@@ -366,24 +373,17 @@ def ifp_index(tf: RationalTF) -> IfpCertificate:
         If W has a pole with positive real part, or an imaginary-axis pole
         that is repeated or has a residue that is not non-negative real.
     """
-    no_unstable, imag_ok = _check_pole_conditions(tf)
+    no_unstable, imag_ok, infimum, omega_star = _analyse(tf)
     if not no_unstable:
         raise NotCertifiable("transfer function has a pole with positive real part")
     if not imag_ok:
         raise NotCertifiable(
             "imaginary-axis pole is repeated or has a non-real/negative residue"
         )
-    omegas, vals, limit = _freq_samples(tf)
-    w_min, v_min = _refine_minimum(tf, omegas, vals)
-    omega_star: float = w_min
-    infimum = v_min
-    if limit < infimum:
-        infimum = limit
-        omega_star = math.inf
     return IfpCertificate(
         alpha=max(0.0, -infimum),
         omega_star=omega_star,
-        method="grid_refined",
+        method="closed_form",
         raw_infimum=infimum,
     )
 
@@ -392,17 +392,15 @@ def prl_conditions(tf: RationalTF, alpha: float) -> PrlReport:
     """Positive-real-lemma conditions for W(s) + alpha.
 
     (1) no poles with positive real part; (2) imaginary-axis poles simple
-    with non-negative real residues; (3) Re W(iw) + alpha >= -1e-9 on the
-    certification grid.
+    with non-negative real residues; (3) Re W(iw) + alpha >= -1e-9 for all
+    w, taking the exact infimum of ifp_index (-inf where a repeated
+    imaginary-axis pole drives Re W(iw) to -inf).
     """
-    no_unstable, imag_ok = _check_pole_conditions(tf)
-    omegas, vals, limit = _freq_samples(tf)
-    lowest = min(float(vals.min()) if len(vals) else math.inf, limit)
-    freq_ok = lowest + float(alpha) >= -1e-9
+    no_unstable, imag_ok, infimum, _ = _analyse(tf)
     return PrlReport(
         no_unstable_poles=no_unstable,
         imaginary_poles_ok=imag_ok,
-        freq_condition_ok=freq_ok,
+        freq_condition_ok=infimum + float(alpha) >= -1e-9,
     )
 
 

@@ -92,6 +92,9 @@ class TrafficSpec:
             raise DimensionMismatch(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
         if d.shape != (self.n,) or v.shape != (self.n,):
             raise DimensionMismatch("delays and v_init must have length n")
+        for name, value in (("delays", d), ("v_init", v), ("v0", self.v0)):
+            if not np.all(np.isfinite(value)):
+                raise BadDimensions(f"{name} must be finite, got {value}")
         if np.any(d < 0.0):
             raise BadDimensions("delays must be non-negative")
         if self.topology_preset not in _PRESETS:
@@ -258,6 +261,9 @@ class PlatoonSpec:
                 raise DimensionMismatch(f"{name} must have length {n}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name in ("s", "v0", "q0_init", "q_init", "v_init", "a_init"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise BadDimensions(f"{name} must be finite, got {getattr(self, name)}")
         if np.any(self.s <= 0.0):
             raise BadDimensions("desired gaps s must be positive")
 
@@ -458,10 +464,12 @@ def harmonic_counterexample(
     solution family member with unit complex amplitude: agent 2 plays
     cos(omega2 t) while agent 1's position is Re[W(i omega2) e^{i omega2 t}].
     """
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise BadDimensions(f"omega1 and omega2 must be finite, got {omega1}, {omega2}")
     if omega1 == omega2:
         raise BadDimensions("the two natural frequencies must differ")
-    if k <= 0.0:
-        raise BadDimensions("coupling gain k must be positive")
+    if not (math.isfinite(k) and k > 0.0):
+        raise BadDimensions(f"coupling gain k must be finite and positive, got {k}")
     w_tf = RationalTF.from_coeffs([0.0, k], [omega1**2, k, 1.0])
     w_at = eval_freq(w_tf, omega2)
     ratio = abs(w_at)
@@ -543,8 +551,8 @@ def all_to_all_counterexample(
     config: Optional[SimConfig] = None,
 ) -> AllToAllRun:
     """Compare the published all-to-all threshold against simulation."""
-    if p <= 0.0 or q <= 0.0 or kappa <= 0.0:
-        raise BadDimensions("p, q, kappa must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (p, q, kappa)):
+        raise BadDimensions(f"p, q, kappa must be finite and positive, got {p}, {q}, {kappa}")
     predicted = all_to_all_bound(p, q, n_agents, kappa)
     a = kappa * (np.ones((n_agents, n_agents)) - np.eye(n_agents))
     g = build_digraph(a)

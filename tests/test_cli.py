@@ -93,6 +93,11 @@ NON_FINITE_CERTIFY = [
         "adjacency": [[0, 1], [1, 0]], "alpha": [0.1, 0.1], "b": [0.1, 0.0],
         "gains": {"mu": [NAN, 2.0], "eta": [0.1, 0.1], "nu": [0.1], "tau": [0.1, 0.1]},
     }),
+    ("lti_den_nan", (), {
+        "adjacency": [[0, 1], [1, 0]],
+        "agents": [{"type": "lti", "num": [1.0], "den": [0.0, NAN, 1.0]},
+                   {"type": "lti", "num": [1.0], "den": [0.0, 1.0]}],
+    }),
 ]
 
 # simulate inputs with a non-finite number outside the "sim" block
@@ -106,6 +111,43 @@ NON_FINITE_NETWORK = [
         "type": "reference", "b": [1.0, 0.0], "y_bar": {"kind": "ramp", "slope": NAN}}}),
     ("b_nan", {**INTEGRATOR_PAIR,
                "protocol": {"type": "reference", "b": [NAN, 0.0], "y_bar": 1.0}}),
+    ("lti_den_nan", {**INTEGRATOR_PAIR, "agents": [
+        {**INTEGRATOR_PAIR["agents"][0], "den": [NAN, 1.0]}, INTEGRATOR_PAIR["agents"][1]]}),
+]
+
+TRAFFIC_CHAIN_TINY = {
+    "scenario_type": "traffic", "topology_preset": "classic_chain", "n": 2, "K": 1.0,
+    "delays": [0.4, 0.4], "v_init": [0.3, -0.2], "v0": 1.0,
+    "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10},
+}
+
+PLATOON_TINY = {
+    "scenario_type": "platoon",
+    "gains": {"mu": [2.0, 2.0], "eta": [0.4, 0.5], "nu": [0.5], "tau": [0.1, 0.1]},
+    "s": [20.0, 20.0], "v0": 15.0, "q0_init": 0.0, "q_init": [-22.0, -42.0],
+    "v_init": [15.0, 15.0], "a_init": [0.0, 0.0],
+    "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10},
+}
+
+REMARK1_TINY = {**REMARK1_DIVERGENT, "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10}}
+
+# scenario files with one non-finite field: (name, base scenario, field, value)
+NON_FINITE_SCENARIO = [
+    ("traffic_v_init_nan", TRAFFIC_CHAIN_TINY, "v_init", [NAN, -0.2]),
+    ("traffic_delays_inf", TRAFFIC_CHAIN_TINY, "delays", [0.4, INF]),
+    ("traffic_v0_nan", TRAFFIC_CHAIN_TINY, "v0", NAN),
+    ("platoon_s_nan", PLATOON_TINY, "s", [NAN, 20.0]),
+    ("platoon_v0_inf", PLATOON_TINY, "v0", INF),
+    ("platoon_q0_init_nan", PLATOON_TINY, "q0_init", NAN),
+    ("platoon_q_init_inf", PLATOON_TINY, "q_init", [-22.0, -INF]),
+    ("platoon_v_init_nan", PLATOON_TINY, "v_init", [15.0, NAN]),
+    ("platoon_a_init_inf", PLATOON_TINY, "a_init", [INF, 0.0]),
+    ("harmonic_omega1_inf", HARMONIC_TINY, "omega1", INF),
+    ("harmonic_omega2_nan", HARMONIC_TINY, "omega2", NAN),
+    ("harmonic_k_nan", HARMONIC_TINY, "k", NAN),
+    ("remark1_p_nan", REMARK1_TINY, "p", NAN),
+    ("remark1_q_inf", REMARK1_TINY, "q", INF),
+    ("remark1_kappa_nan", REMARK1_TINY, "kappa", NAN),
 ]
 
 
@@ -152,6 +194,25 @@ class TestIfpCommand:
 
     def test_missing_file_exits_input_error(self, tmp_path):
         assert main(["ifp", str(tmp_path / "absent.json")]) == 1
+
+    def test_non_finite_coefficient_exits_input_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "tf.json", {"num": [1.0], "den": [0.0, INF, 1.0]})
+        code = main(["ifp", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("input error:") and "x^1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_deficit_does_not_depend_on_the_time_unit(self, tmp_path, capsys):
+        # 1/(s(s^2+s+1)) with s -> s/1e9; a log grid over [1e-6, 1e6] rad/s read 1.01
+        f = write_json(tmp_path / "tf.json", {"num": [1e27], "den": [0.0, 1e18, 1e9, 1.0]})
+        code, out = run_cli(capsys, "ifp", str(f))
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["alpha"] - 4.0 / 3.0) <= 1e-12 * 4.0 / 3.0
+        assert report["method"] == "closed_form"
+        assert abs(report["omega_star"] - 1e9 / np.sqrt(2.0)) <= 1e-9 * 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +468,20 @@ class TestScenarioCommand:
     def test_list_without_sweep_flag_rejected(self, tmp_path, capsys):
         f = write_json(tmp_path / "batch.json", [HARMONIC_TINY])
         assert main(["scenario", str(f), "--output-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "base, field, value", [c[1:] for c in NON_FINITE_SCENARIO],
+        ids=[c[0] for c in NON_FINITE_SCENARIO],
+    )
+    def test_non_finite_field_exits_input_error(self, tmp_path, capsys, base, field, value):
+        f = write_json(tmp_path / "bad.json", {**base, field: value})
+        code = main(["scenario", str(f), "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("input error:") and field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "bad.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ifpsync import (
+    BadDimensions,
     BOutOfRange,
     NotCertifiable,
     PoleOnAxis,
@@ -26,6 +29,81 @@ from ifpsync import (
 def cubic_lag(p: float, q: float) -> RationalTF:
     """1 / (lambda * (lambda^2 + p*lambda + q))"""
     return RationalTF.from_coeffs([1.0], [0.0, q, p, 1.0])
+
+
+def re_w_on(tf: RationalTF, w: np.ndarray) -> np.ndarray:
+    """Re W(iw) on an array of frequencies."""
+    return (np.polyval(tf.num.descending(), 1j * w) / np.polyval(tf.den.descending(), 1j * w)).real
+
+
+def golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of f on [lo, hi] to absolute x-tolerance tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def grid_infimum(tf: RationalTF, lo: float = 1e-9, hi: float = 1e9, points: int = 6000) -> float:
+    """Dense-grid oracle for inf_w Re W(iw): a log grid over [lo, hi] rad/s,
+    w = 0 when den(0) != 0, and the w -> inf limit, with every interior local
+    minimum of the samples refined by golden section in log w. Every value it
+    returns is a value of Re W, so it can only overestimate the infimum; a dip
+    narrower than the grid spacing is missed."""
+    w = np.logspace(math.log10(lo), math.log10(hi), points)
+    vals = re_w_on(tf, w)
+    best = float(vals.min())
+    if tf.den.coeffs[0] != 0.0:
+        best = min(best, tf.num.coeffs[0] / tf.den.coeffs[0])
+    if tf.num.degree == tf.den.degree:
+        best = min(best, tf.num.coeffs[-1] / tf.den.coeffs[-1])
+    else:
+        best = min(best, 0.0)
+
+    def re_w(u: float) -> float:
+        s = 1j * math.exp(u)
+        return (tf.num(s) / tf.den(s)).real
+
+    for k in np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1:
+        best = min(best, golden_min(re_w, math.log(w[k - 1]), math.log(w[k + 1]), 1e-12)[1])
+    return best
+
+
+def random_stable_tf(rng: np.random.Generator, unit: float) -> RationalTF:
+    """Degree 1-6 denominator with pole magnitudes log-uniform in
+    [1e-3, 1e3] * unit and, one time in four, a simple pole at the origin;
+    numerator from random zeros of either half plane and a normal gain,
+    signed so that an origin pole has a positive residue. Complex pairs have
+    damping ratios in [0.05, 1], so that every dip of Re W is wider than the
+    oracle's grid spacing."""
+    deg = int(rng.integers(1, 7))
+    poles = [0.0] if rng.random() < 0.25 else []
+    while len(poles) < deg:
+        mag = unit * 10.0 ** rng.uniform(-3.0, 3.0)
+        if deg - len(poles) >= 2 and rng.random() < 0.5:
+            zeta = rng.uniform(0.05, 1.0)
+            p = complex(-zeta * mag, mag * math.sqrt(1.0 - zeta * zeta))
+            poles += [p, p.conjugate()]
+        else:
+            poles.append(-mag)
+    zeros = -unit * 10.0 ** rng.uniform(-3.0, 3.0, int(rng.integers(0, deg + 1)))
+    zeros *= rng.choice([-1.0, 1.0], len(zeros))
+    den = np.poly(poles).real[::-1]
+    num = rng.normal() * np.atleast_1d(np.poly(zeros)).real[::-1]
+    if poles[0] == 0.0 and num[0] / den[1] < 0.0:
+        num = -num
+    return RationalTF.from_coeffs(num, den)
 
 
 def cubic_lag_index(p: float, q: float) -> float:
@@ -123,6 +201,52 @@ class TestIfpIndex:
         scaled = ifp_index(RationalTF.from_coeffs([c], [0.0, q, p, 1.0])).alpha
         assert abs(scaled - c * base) <= 1e-6 * c * base
 
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_index_does_not_depend_on_the_time_unit(self, k):
+        # 1/(s(s^2+s+1)) with s -> s/w0: alpha = 4/3 at w = w0/sqrt(2)
+        w0 = 10.0**k
+        cert = ifp_index(RationalTF.from_coeffs([w0**3], [0.0, w0**2, w0, 1.0]))
+        assert abs(cert.alpha - 4.0 / 3.0) <= 1e-12 * 4.0 / 3.0
+        assert abs(cert.omega_star - w0 / math.sqrt(2.0)) <= 1e-9 * w0
+        assert cert.method == "closed_form"
+
+    @given(seed=st.integers(0, 2**32 - 1), log_unit=st.sampled_from([0.0, -6.0, -3.5, 2.5, 6.0]))
+    def test_never_above_and_matches_a_dense_grid_oracle(self, seed, log_unit):
+        # the oracle's values are values of Re W, so alpha bounds them for any
+        # time unit; with every pole in [1e-3, 1e3], six decades inside the
+        # oracle's grid, the two must also agree
+        tf = random_stable_tf(np.random.default_rng(seed), 10.0**log_unit)
+        alpha = ifp_index(tf).alpha
+        oracle = max(0.0, -grid_infimum(tf))
+        assert alpha >= oracle - 1e-12 * max(1.0, alpha)
+        if log_unit == 0.0:
+            assert abs(alpha - oracle) <= 1e-9 * max(1.0, alpha)
+
+    def test_narrow_resonance_between_grid_points_is_found(self):
+        # biproper, with resonances of damping 0.006 and 0.026 near 1.8 rad/s;
+        # deg R = deg Q, so an inexact cancellation of the leading terms of
+        # R'Q - RQ' would move the deepest stationary point off the real line
+        tf = RationalTF.from_coeffs(
+            [0.2543881165176173, 1.2246469675357323, -0.2975268443704732, -0.8108145832375699,
+             0.7522438271795928, 0.25344651620814146, 0.8958830707775604],
+            [1063.8524926149175, 326.68760942097396, 706.9174590858747, 196.10181043907744,
+             122.90440103466214, 29.348908912144317, 1.9455063092674563],
+        )
+        cert = ifp_index(tf)
+        w = np.linspace(1.7, 2.0, 600_001)
+        dense = re_w_on(tf, w)
+        assert abs(cert.alpha + dense.min()) <= 1e-9 * cert.alpha
+        assert abs(cert.omega_star - w[dense.argmin()]) <= 1e-6
+
+    def test_finite_frequency_wins_a_tie_with_the_limit(self):
+        # Re W(iw) = 0 for every w, including the w -> inf limit
+        assert ifp_index(RationalTF.from_coeffs([1.0], [0.0, 1.0])).omega_star == 0.0
+        assert ifp_index(RationalTF.from_coeffs([2.0], [3.0])).omega_star == 0.0
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(BadDimensions, match="x\\^2"):
+            Polynomial([1.0, 0.0, float("nan")])
+
 
 # ---------------------------------------------------------------------------
 # prl_conditions
@@ -154,6 +278,20 @@ class TestPrlConditions:
     def test_certified_index_satisfies_frequency_condition(self, tf):
         cert = ifp_index(tf)
         assert prl_conditions(tf, cert.alpha).freq_condition_ok
+
+    @pytest.mark.parametrize(
+        "num, den, expected",
+        [
+            ([1.0], [0.0, 0.0, 1.0], (False, False)),  # 1/s^2: Re W -> -inf at 0
+            ([1.0], [1.0, 0.0, 2.0, 0.0, 1.0], (False, True)),  # 1/(s^2+1)^2
+            ([1.0], [0.0, 0.0, 0.0, 1.0], (False, True)),  # 1/s^3: Re W = 0
+            ([1.0, 1.0], [0.0, 0.0, 1.0], (False, False)),  # (1+s)/s^2
+            ([1.0], [-1.0, 1.0], (True, False)),  # 1/(s-1): Re W(0) = -1
+        ],
+    )
+    def test_repeated_and_unstable_poles(self, num, den, expected):
+        rep = prl_conditions(RationalTF.from_coeffs(num, den), 0.5)
+        assert (rep.imaginary_poles_ok, rep.freq_condition_ok) == expected
 
 
 # ---------------------------------------------------------------------------
