@@ -54,9 +54,13 @@ __all__ = [
 #: |den(iw)| below this fraction of sum_k |den_k| |w|^k counts as a pole hit
 _POLE_RTOL = 1e-14
 
-#: unit-scaled pole classification: |Re| <= _AXIS_RTOL*(1+|Im|) is "on the
-#: imaginary axis"; a deflated |den|^2 this small against its scale is zero
+#: unit-scaled pole classification: a pole with |Re| <= _AXIS_RTOL*(1+|Im|)
+#: at which |den(i Im)| is this small against its scale is "on the imaginary
+#: axis"; a deflated |den|^2 this small against its scale is zero
 _AXIS_RTOL = 1e-9
+
+#: relative tolerance on the imaginary part and sign of an axis-pole residue
+_RESIDUE_RTOL = 1e-6
 
 #: minimum distance between unit-scaled imaginary-axis poles to count as simple
 _SIMPLE_TOL = 1e-6
@@ -174,10 +178,6 @@ class PrlReport:
     imaginary_poles_ok: bool
     freq_condition_ok: bool
 
-    @property
-    def all_ok(self) -> bool:
-        return self.no_unstable_poles and self.imaginary_poles_ok and self.freq_condition_ok
-
     def to_json_dict(self) -> dict:
         return {
             "no_unstable_poles": self.no_unstable_poles,
@@ -267,21 +267,15 @@ def _unit_scaled(tf: RationalTF) -> tuple[RationalTF, float, np.ndarray]:
 
 def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray, rho: float) -> bool:
     """Simple imaginary pole of the unit-scaled W(rho*s) whose residue in W,
-    rho times the one in W(rho*s), is (numerically) real non-negative."""
+    rho*num/den' there, is (numerically) real non-negative."""
     pole = roots[idx]
     others = np.delete(roots, idx)
     if len(others) and np.abs(others - pole).min() <= _SIMPLE_TOL:
         return False
-    w0 = pole.imag
-    lam0 = 1j * w0
-
-    def shifted(h: float) -> complex:
-        lam = lam0 + h
-        return tf.num(lam) / tf.den(lam) * (lam - lam0)
-
-    h = 1e-6 * (1.0 + abs(w0))
-    res = rho * (2.0 * shifted(h / 2.0) - shifted(h))  # one Richardson step
-    tol = 1e-6 * (1.0 + abs(res))
+    lam0 = 1j * pole.imag
+    slope = Polynomial([k * c for k, c in enumerate(tf.den.coeffs)][1:])(lam0)
+    res = rho * tf.num(lam0) / slope
+    tol = _RESIDUE_RTOL * (1.0 + abs(res))
     return res.real >= -tol and abs(res.imag) <= tol
 
 
@@ -300,27 +294,32 @@ def _divide(p: np.ndarray, c: float) -> np.ndarray:
     return q
 
 
-def _axis_infimum(tf: RationalTF, axis_poles: np.ndarray) -> tuple[float, float]:
+def _axis_infimum(tf: RationalTF, poles: np.ndarray, real_residues: bool) -> tuple[float, float]:
     """(inf, argmin) of Re W(iw) over finite w >= 0, given W's axis poles.
 
     Re W(iw) = R(x)/Q(x) in x = w^2 with Q = |den(iw)|^2, once each distinct
     axis pole is divided out of R and Q: x at the origin, (x - w0^2)^2 for
-    +-i w0. Candidates are x = 0, the poles (where the deflated R/Q continues
-    Re W) and the positive real parts of the roots of R'Q - RQ' (num/den
-    there; a complex root only adds a value of Re W). Where the deflated Q
-    still vanishes (a repeated pole) the infimum is -inf if R < 0, and the
-    point is skipped otherwise. Ties keep the first candidate.
+    +-i w0, where a non-real residue (never if real_residues) leaves R a
+    remainder at the second factor and makes the infimum -inf. Candidates are
+    x = 0, the poles (where the deflated R/Q continues Re W) and the positive
+    real parts of the roots of R'Q - RQ' (num/den there; a complex root only
+    adds a value of Re W). Where the deflated Q still vanishes (a repeated
+    pole) the infimum is -inf if R < 0, and the point is skipped otherwise.
+    Ties keep the first candidate.
     """
     n_iw, d_iw = _at_iw(tf.num), _at_iw(tf.den)
     r = np.convolve(n_iw, d_iw.conj()).real[::2]  # Re num(iw) conj(den(iw))
     q = np.convolve(d_iw, d_iw.conj()).real[::2]
     pole_x: list[float] = []
     last = None
-    for p in sorted(axis_poles[axis_poles.imag >= 0.0], key=lambda z: z.imag):
+    for p in sorted(poles[poles.imag >= 0.0], key=lambda z: z.imag):
         if last is None or abs(p - last) > _SIMPLE_TOL:  # else the same pole
             last = p
             c = float(p.imag) ** 2 if p.imag > _SIMPLE_TOL else 0.0
-            for _ in range(2 if c else 1):
+            for k in range(2 if c else 1):
+                r_c = Polynomial(r)
+                if k and not real_residues and abs(r_c(c)) > _RESIDUE_RTOL * r_c.magnitude_at(c):
+                    return -math.inf, math.sqrt(c)
                 r, q = _divide(r, c), _divide(q, c)
             pole_x.append(c)
     # R'Q - RQ' = sum_ij (i - j) r_i q_j x^(i+j-1): the weight cancels the top
@@ -350,11 +349,13 @@ def _analyse(tf: RationalTF) -> tuple[bool, bool, float, float]:
     """(no unstable poles, imaginary-axis poles ok, inf_w Re W(iw), argmin);
     argmin math.inf is the w -> infinity limit, which loses ties."""
     scaled, rho, roots = _unit_scaled(tf)
-    margin = _AXIS_RTOL * (1.0 + np.abs(roots.imag))
-    on_axis = np.abs(roots.real) <= margin
-    no_unstable = not np.any(roots.real > margin)
+    w0, den = np.abs(roots.imag), scaled.den
+    # den must vanish on the axis too, so a slowly unstable pole stays unstable
+    on_axis = (np.abs(roots.real) <= _AXIS_RTOL * (1.0 + w0)) & (
+        np.abs(den(1j * w0)) <= _AXIS_RTOL * Polynomial(np.abs(den.coeffs))(w0))
+    no_unstable = not np.any((roots.real > 0.0) & ~on_axis)
     imag_ok = all(_imaginary_pole_ok(scaled, i, roots, rho) for i in np.flatnonzero(on_axis))
-    infimum, w = _axis_infimum(scaled, roots[on_axis])
+    infimum, w = _axis_infimum(scaled, roots[on_axis], imag_ok)
     limit = tf.num.coeffs[-1] / tf.den.coeffs[-1] if tf.num.degree == tf.den.degree else 0.0
     if limit < infimum:
         return no_unstable, imag_ok, limit, math.inf

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -478,7 +479,8 @@ class TestScenarioCommand:
         code = main(["scenario", str(f), "--output-dir", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("input error:") and field in captured.err
+        assert captured.err.startswith("input error:")
+        assert re.search(rf"\b{field}\b[^\n]* must be finite", captured.err)
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "bad.csv").exists()

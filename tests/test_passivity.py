@@ -243,6 +243,25 @@ class TestIfpIndex:
         assert ifp_index(RationalTF.from_coeffs([1.0], [0.0, 1.0])).omega_star == 0.0
         assert ifp_index(RationalTF.from_coeffs([2.0], [3.0])).omega_star == 0.0
 
+    @pytest.mark.parametrize("k", [-6, 0, 6])
+    @pytest.mark.parametrize("poles", [[1e-8, -100.0], [1e-8 + 1j, 1e-8 - 1j, -100.0]])
+    def test_slowly_unstable_pole_is_not_on_the_axis(self, k, poles):
+        # the real part 1e-8 is below 1e-9 of the largest pole magnitude once
+        # rescaled, but den does not vanish on the axis, so the pole is unstable
+        u = 10.0**k
+        tf = RationalTF.from_coeffs([u ** len(poles)], np.poly(np.multiply(poles, u)).real[::-1])
+        with pytest.raises(NotCertifiable, match="positive real part"):
+            ifp_index(tf)
+        assert not prl_conditions(tf, 0.5).no_unstable_poles
+
+    @pytest.mark.parametrize("k", [-6, 0, 6])
+    def test_slowly_stable_pole_matches_the_grid_oracle(self, k):
+        # the stable mirror of the case above keeps its Re W(0) = 1e6 peak
+        u = 10.0**k
+        tf = RationalTF.from_coeffs([u * u], np.poly([-1e-8 * u, -100.0 * u]).real[::-1])
+        cert = ifp_index(tf)
+        assert abs(cert.alpha + grid_infimum(tf, 1e-9 * u, 1e9 * u)) <= 1e-9 * cert.alpha
+
     def test_non_finite_coefficient_rejected(self):
         with pytest.raises(BadDimensions, match="x\\^2"):
             Polynomial([1.0, 0.0, float("nan")])
@@ -287,6 +306,8 @@ class TestPrlConditions:
             ([1.0], [0.0, 0.0, 0.0, 1.0], (False, True)),  # 1/s^3: Re W = 0
             ([1.0, 1.0], [0.0, 0.0, 1.0], (False, False)),  # (1+s)/s^2
             ([1.0], [-1.0, 1.0], (True, False)),  # 1/(s-1): Re W(0) = -1
+            ([1.0], [1.0, 0.0, 1.0], (False, False)),  # 1/(s^2+1) = 1/(1-w^2) on the axis
+            ([1.0], [1.0, 1.0, 1.0, 1.0], (False, False)),  # 1/((s^2+1)(s+1)): residue (1-i)/4
         ],
     )
     def test_repeated_and_unstable_poles(self, num, den, expected):
