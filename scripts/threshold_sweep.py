@@ -7,7 +7,8 @@ coupling kappa, the published threshold tests the polynomial with the
 complete graph counted as kappa*(n-1); the disagreement dynamics actually
 carry the complete-graph Laplacian eigenvalue kappa*n. This script makes the
 band between the two visible: points with pq/n < kappa < pq/(n-1) are
-predicted to synchronize but diverge.
+predicted to synchronize but diverge. All points share one batch key, so
+they are integrated as one batch.
 
 Example:
     python3 scripts/threshold_sweep.py --p 1 --q 1 --n 3 \
@@ -23,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ifpsync.netsim import SimConfig
-from ifpsync.scenarios import all_to_all_counterexample
+from ifpsync.scenarios import run_scenarios
 
 
 def main() -> int:
@@ -46,14 +47,18 @@ def main() -> int:
           f"disagreement-dynamics threshold kappa < {lo_true:.6g}")
     print(f"{'kappa':>10} {'predicted':>10} {'observed':>10} {'agree':>6}  sup_tail")
 
+    config = SimConfig(dt=args.dt, t_final=args.t_final, record_stride=20)
+    kappas = [
+        args.kappa_min + (args.kappa_max - args.kappa_min) * i / max(args.points - 1, 1)
+        for i in range(args.points)
+    ]
+    runs = run_scenarios([
+        ("remark1", {"p": args.p, "q": args.q, "n_agents": args.n, "kappa": kappa}, config)
+        for kappa in kappas
+    ])
     rows = ["kappa,predicted,observed,agree,sup_tail,diverged"]
     disagreements = 0
-    for i in range(args.points):
-        kappa = args.kappa_min + (args.kappa_max - args.kappa_min) * i / max(args.points - 1, 1)
-        run = all_to_all_counterexample(
-            args.p, args.q, args.n, kappa,
-            SimConfig(dt=args.dt, t_final=args.t_final, record_stride=20),
-        )
+    for kappa, run in zip(kappas, runs):
         sup = run.sim.metrics.pairwise_sup_tail
         mark = ""
         if not run.agree:

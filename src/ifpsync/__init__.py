@@ -63,7 +63,9 @@ from .netsim import (
     SimResult,
     SyncMetrics,
     Vehicle3rd,
+    batch_key,
     simulate,
+    simulate_batch,
     sync_metrics,
 )
 from .scenarios import (
@@ -82,6 +84,7 @@ from .scenarios import (
     run_platoon,
     run_platoon_transformed,
     run_scenario,
+    run_scenarios,
     run_traffic,
     scenario_from_dict,
 )
@@ -109,11 +112,11 @@ __all__ = [
     # simulation
     "AgentModel", "LtiSiso", "DelayedIntegrator", "Vehicle3rd", "Plain",
     "Reference", "SimConfig", "SimResult", "SyncMetrics", "simulate",
-    "sync_metrics",
+    "simulate_batch", "batch_key", "sync_metrics",
     # scenarios
     "TrafficSpec", "TrafficCertificate", "TrafficRun", "build_traffic",
     "run_traffic", "PlatoonSpec", "PlatoonCertificate", "PlatoonRun",
     "build_platoon", "run_platoon", "run_platoon_transformed", "HarmonicRun",
     "harmonic_counterexample", "AllToAllRun", "all_to_all_counterexample",
-    "scenario_from_dict", "run_scenario",
+    "scenario_from_dict", "run_scenario", "run_scenarios",
 ]

@@ -7,8 +7,9 @@ Commands
 - ``ifp-syncnet simulate <net.json> [--plot] [--dt X] [--t-final X] [--tol X]
   [--force]`` — run a network, write CSV + metrics JSON (+ SVG).
 - ``ifp-syncnet scenario <scn.json> [--plot] [--sweep]`` — prebuilt
-  experiments; ``--sweep`` treats the file as a JSON list and runs its
-  entries concurrently with deterministic output names.
+  experiments; ``--sweep`` treats the file as a JSON list, integrates
+  entries that share a batch key as one batch, and writes each entry's
+  artifacts under a deterministic indexed name.
 
 Exit codes: 0 success/pass, 1 input error, 2 not certifiable, 3 certificate
 fail, 4 divergence. Artifacts land in --output-dir, else $IFPSYNC_OUTPUT_DIR,
@@ -24,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -53,7 +53,7 @@ from .netsim import (
     simulate,
 )
 from .passivity import RationalTF, ifp_index, ifp_shift_identity_check, prl_conditions
-from .scenarios import run_scenario, scenario_from_dict
+from .scenarios import run_scenario, run_scenarios, scenario_from_dict
 
 __all__ = ["main", "write_csv", "write_svg", "metrics_json_dict", "load_network"]
 
@@ -422,10 +422,12 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 
 
-def _run_one_scenario(d: dict, args, stem: str) -> tuple[int, dict]:
+def _scenario_entry(d: dict, args) -> tuple:
     kind, spec, config = scenario_from_dict(d)
-    config = _apply_overrides(config, args)
-    run = run_scenario(kind, spec, config)
+    return kind, spec, _apply_overrides(config, args)
+
+
+def _scenario_artifacts(run, args, stem: str) -> tuple[int, dict]:
     result = run.sim
     out_dir = _output_dir(args)
     err, artifacts = _sim_artifacts(result, out_dir, stem, args.plot, args.force)
@@ -445,42 +447,23 @@ def _run_one_scenario(d: dict, args, stem: str) -> tuple[int, dict]:
     return (EXIT_DIVERGED if result.diverged else EXIT_OK), report
 
 
-def _sweep_worker(payload) -> tuple[int, int, dict]:
-    index, d, ns_dict = payload
-    args = argparse.Namespace(**ns_dict)
-    code, report = _run_one_scenario(d, args, ns_dict["_stem"] + f"_{index:03d}")
-    return index, code, report
-
-
 def cmd_scenario(args) -> int:
     in_path = Path(args.input)
     data = json.loads(in_path.read_text(encoding="utf-8"))
     if args.sweep:
         if not isinstance(data, list):
             raise IfpSyncError("--sweep expects the input file to hold a JSON list of scenarios")
-        ns = {
-            "output_dir": args.output_dir,
-            "plot": args.plot,
-            "force": args.force,
-            "dt": args.dt,
-            "t_final": args.t_final,
-            "tol": args.tol,
-            "_stem": in_path.stem,
-        }
-        payloads = [(i, d, ns) for i, d in enumerate(data)]
-        results: list[Optional[tuple[int, dict]]] = [None] * len(payloads)
-        if payloads:
-            workers = min(len(payloads), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for index, code, report in pool.map(_sweep_worker, payloads):
-                    results[index] = (code, report)
-        reports = [r[1] for r in results if r is not None]
-        codes = [r[0] for r in results if r is not None]
-        print(json.dumps(reports, indent=2, sort_keys=True))
-        return max(codes, default=EXIT_OK)
+        runs = run_scenarios([_scenario_entry(d, args) for d in data])
+        results = [
+            _scenario_artifacts(run, args, f"{in_path.stem}_{i:03d}")
+            for i, run in enumerate(runs)
+        ]
+        print(json.dumps([report for _, report in results], indent=2, sort_keys=True))
+        return max((code for code, _ in results), default=EXIT_OK)
     if isinstance(data, list):
         raise IfpSyncError("input holds a scenario list; pass --sweep to run it")
-    code, report = _run_one_scenario(data, args, in_path.stem)
+    run = run_scenario(*_scenario_entry(data, args))
+    code, report = _scenario_artifacts(run, args, in_path.stem)
     if report:
         print(json.dumps(report, indent=2, sort_keys=True))
     return code
@@ -592,7 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run a prebuilt scenario JSON (or a --sweep list)")
     p.add_argument("input", help="scenario JSON file")
     p.add_argument("--sweep", action="store_true",
-                   help="treat the input as a JSON list and run entries concurrently")
+                   help="treat the input as a JSON list and run its entries, "
+                        "batched by group")
     _add_output_flags(p)
     p.set_defaults(func=cmd_scenario)
 

@@ -4,15 +4,35 @@ Agents are linear blocks with m-dimensional input and output — LTI transfer
 functions, integrators with input delay, or third-order vehicle models —
 coupled over a weighted digraph, optionally with reference pinning. Every
 run takes one path: the agents' state-space realizations are assembled into
-one closed-loop system (coupling K ⊗ I_m on the stacked outputs) and
-integrated with classical RK4 at a fixed step. Delayed inputs are read from a
-ring buffer of the stacked input signal, linearly interpolated at the RK4
-stage times: the step is fixed, so the ring offsets and weights of every
-(stage, delayed column) pair are computed once and each step makes one
-gather for all three stages. Reads before t = 0 come from a prehistory table
-of the initial-history functions, filled before the step loop. Runs report
-trajectories plus synchronization metrics (pairwise tail supremum and
-trapezoidal L2 disagreement integrals).
+one closed-loop system dx/dt = M x + B w(t) (coupling K ⊗ I_m on the stacked
+outputs, undelayed feedback folded into M) and integrated with classical RK4
+at a fixed step h. One such step is exactly the affine map
+
+    x⁺ = Φ x + Γ₀ w₀ + Γ½ w½ + Γ₁ w₁,
+    Φ  = I + hM + (hM)²/2 + (hM)³/6 + (hM)⁴/24   (the RK4 stability function),
+    Γ₀ = (h/6)(I + hM + (hM)²/2 + (hM)³/4) B,
+    Γ½ = (h/6)(4I + 2hM + (hM)²/2) B,
+    Γ₁ = (h/6) B,
+
+where w₀, w½, w₁ is the forcing at the stage times t0, t0 + h/2, t0 + h:
+the delayed input columns and the reference offsets of the undelayed ones.
+Φ and Γ are built once per run, so a step is one matrix product with
+[Φ Γ] against [x; w] (with Φ alone for a run with neither delays nor
+offsets). Delayed inputs are read from a ring buffer of the stacked input
+signal, linearly interpolated at the stage times: the step is fixed, so the
+ring offsets and weights of every (stage, delayed column) pair are computed
+once and each step makes one gather for all three stages. Reads before
+t = 0 come from a prehistory table of the initial-history functions, filled
+before the step loop.
+
+`simulate_batch` integrates several runs that share a group key
+(`batch_key`: per-agent state dimension and input delay, m, h, the step
+count and the record stride) as one batch: stacked Φ and Γ, one ring with a
+column block per run, and one stacked matrix product per step. Each run keeps
+its own matrices, offsets, initial states and histories, tolerance and
+divergence threshold, and its result is bitwise equal to its own `simulate`,
+which is the one-run batch. Runs report trajectories plus synchronization
+metrics (pairwise tail supremum and trapezoidal L2 disagreement integrals).
 """
 
 from __future__ import annotations
@@ -39,7 +59,9 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SyncMetrics",
+    "batch_key",
     "simulate",
+    "simulate_batch",
     "sync_metrics",
 ]
 
@@ -360,20 +382,18 @@ def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, t
     if n_rec == 0 or n == 0:
         raise EmptyTrajectory("no recorded samples")
 
-    # l2_pairwise via the Gram trick: integral of |y_i - y_j|^2 equals
-    # q_i + q_j - 2*Q_ij with Q the trapezoidal integral of y y^T.
+    # l2_pairwise[i, j]: trapezoidal integral of |y_i - y_j|^2, formed from
+    # the differences themselves so that outputs far from zero do not cancel
+    l2_pairwise = np.zeros((n, n))
     if n_rec >= 2:
         w = np.zeros(n_rec)
         dts = np.diff(times)
         w[:-1] += 0.5 * dts
         w[1:] += 0.5 * dts
-        gram = np.einsum("r,rim,rjm->ij", w, y, y)
-    else:
-        gram = np.zeros((n, n))
-    quad = np.diag(gram)
-    l2_pairwise = quad[:, None] + quad[None, :] - 2.0 * gram
-    np.fill_diagonal(l2_pairwise, 0.0)
-    l2_pairwise = np.maximum(l2_pairwise, 0.0)
+        for i in range(n - 1):
+            d = y[:, i : i + 1, :] - y[:, i + 1 :, :]
+            l2_pairwise[i, i + 1 :] = w @ (d * d).sum(axis=2)
+        l2_pairwise += l2_pairwise.T
 
     t_end = times[-1]
     tail_start = t_end - 0.1 * (t_end - times[0])
@@ -416,6 +436,9 @@ def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, t
 # simulate
 # ---------------------------------------------------------------------------
 
+Member = tuple[Sequence[AgentModel], Protocol, SimConfig]
+
+
 def simulate(
     agents: Sequence[AgentModel],
     protocol: Protocol,
@@ -424,43 +447,80 @@ def simulate(
     """Integrate the coupled network over [0, t_final] and report metrics.
 
     Divergence (any |state| > config.blowup, or non-finite values) truncates
-    the run, flags the result, and forces synchronized = False.
+    the run, flags the result, and forces synchronized = False. This is the
+    one-member case of `simulate_batch`.
     """
-    agents = list(agents)
+    return simulate_batch([(agents, protocol, config)])[0]
+
+
+def batch_key(agents: Sequence[AgentModel], config: SimConfig) -> tuple:
+    """Group key of a run: per-agent (state_dim, input_delay), the signal
+    dimension m, dt, the step count and record_stride. Runs with equal keys
+    can be integrated together by `simulate_batch`."""
+    n_steps = int(math.floor(config.t_final / config.dt + _GRID_SNAP))
+    return (
+        tuple((a.state_dim, a.input_delay) for a in agents),
+        agents[0].output_dim if agents else 0,
+        float(config.dt),
+        n_steps,
+        config.record_stride,
+    )
+
+
+def simulate_batch(members: Sequence[Member]) -> list[SimResult]:
+    """Integrate several networks as one batch; one SimResult per member, in
+    order, each bitwise equal to the member's own `simulate` run.
+
+    Members are (agents, protocol, config) triples with one `batch_key`
+    (DimensionMismatch otherwise). Each keeps its own realizations, coupling,
+    pinning gains and offsets, initial states and histories, tol and blowup.
+    A member that diverges is frozen at its last finite state and keeps its
+    own record count and t_diverged; the others run on.
+    """
+    members = [(list(agents), protocol, config) for agents, protocol, config in members]
+    if not members:
+        return []
+    for agents, protocol, config in members:
+        _check_member(agents, protocol, config)
+    key = batch_key(members[0][0], members[0][2])
+    if any(batch_key(agents, config) != key for agents, _, config in members[1:]):
+        raise DimensionMismatch(
+            "batch members must share agent state dimensions and delays, m, dt, "
+            "step count and record_stride"
+        )
+    shapes, m, dt, n_steps, stride = key
+    pos_delays = [d for _, d in shapes if d > 0.0]
+    if pos_delays and dt > min(pos_delays) * (1.0 + _GRID_SNAP):
+        raise BadDimensions(f"dt={dt} exceeds the smallest positive delay {min(pos_delays)}")
+    x0 = [_initial_states(agents, config.initial_states) for agents, _, config in members]
+    runs = _integrate(members, x0, n_steps, stride, m)
+    return [
+        _result(agents, protocol, config, *run)
+        for (agents, protocol, config), run in zip(members, runs)
+    ]
+
+
+def _check_member(agents, protocol, config) -> None:
     n = len(agents)
     if n == 0:
         raise BadDimensions("need at least one agent")
     if protocol.g.n != n:
         raise DimensionMismatch(f"graph has {protocol.g.n} nodes but {n} agents given")
-    m = agents[0].output_dim
-    if any(a.output_dim != m for a in agents):
+    if any(a.output_dim != agents[0].output_dim for a in agents):
         raise DimensionMismatch("all agents must share one output dimension")
-    dt = float(config.dt)
-    delays = [a.input_delay for a in agents]
-    pos_delays = [d for d in delays if d > 0.0]
-    if pos_delays and dt > min(pos_delays) + 1e-15:
-        raise BadDimensions(
-            f"dt={dt} exceeds the smallest positive delay {min(pos_delays)}"
-        )
     if config.initial_histories is not None and len(config.initial_histories) != n:
         raise DimensionMismatch(f"initial_histories must have {n} entries")
-    x0 = _initial_states(agents, config.initial_states)
-    n_steps = int(math.floor(config.t_final / dt + _GRID_SNAP))
-    stride = config.record_stride
 
-    times, states, diverged, t_div = _integrate(agents, protocol, config, x0, n_steps, stride, m)
+
+def _result(agents, protocol, config, times, states, diverged, t_div) -> SimResult:
     y = _outputs_from_states(agents, states)
     u = _inputs_from_outputs(protocol, times, y)
-
     y_bar = protocol.y_bar if isinstance(protocol, Reference) else None
     metrics = sync_metrics((times, y), y_bar=y_bar, tol=config.tol)
     if diverged and metrics.synchronized:
         metrics = replace(metrics, synchronized=False)
-    times.setflags(write=False)
-    y.setflags(write=False)
-    u.setflags(write=False)
-    for s in states:
-        s.setflags(write=False)
+    for arr in (times, y, u, *states):
+        arr.setflags(write=False)
     return SimResult(
         times=times,
         y=y,
@@ -515,30 +575,33 @@ def _record_times(n_steps: int, stride: int, dt: float) -> NDArray[np.float64]:
 
 
 class _DelayedInputs:
-    """Delayed columns of the stacked input at the three RK4 stage times of
-    each step, read by one gather.
+    """Delayed columns of the stacked inputs of B batch members at the three
+    RK4 stage times of each step, read by one gather.
 
-    A ring buffer holds the stacked input at the last few step times (row
-    j % cap holds u(j*dt)). At stage time t0 + c*dt of step k (c = 0, 1/2,
-    1), an agent with delay d reads u(t0 + c*dt - d), which lies on ring row
-    k + base, or between rows k + base and k + base + 1 with weight frac on
-    the later one. The step is fixed, so base and frac depend only on (c, d)
-    and one array of flat ring offsets serves every step. Reads that land on
-    a row are copied ("exact" set); the others are interpolated as
+    A ring buffer holds the stacked inputs of all members at the last few
+    step times (row j % cap holds u(j*dt), member-major). At stage time t0 +
+    c*dt of step k (c = 0, 1/2, 1), an agent with delay d reads u(t0 + c*dt -
+    d), which lies on ring row k + base, or between rows k + base and k +
+    base + 1 with weight frac on the later one. The step is fixed and the
+    members share their delays, so base and frac depend only on (c, d) and
+    one array of flat ring offsets serves every step and member. Reads that
+    land on a row are copied ("exact" set); the others are interpolated as
     (1 - frac)*u_j + frac*u_{j+1}. Keeping the sets apart means a copied
     value keeps its sign of zero and never picks up a NaN from the next row.
     Reads before t = 0 (the first few steps) come from a prehistory table:
-    the initial-history functions evaluated, before the step loop, at the
-    stage times the reads ask for.
+    each member's initial-history functions evaluated, before the step loop,
+    at the stage times the reads ask for.
     """
 
     def __init__(self, agents, histories, dt, m, n_steps):
         nm = len(agents) * m
+        n_b = len(histories)
         col_delay = np.repeat([a.input_delay for a in agents], m)
         lookback = int(math.ceil(col_delay.max() / dt - _GRID_SNAP)) + 1
-        self.ring = np.zeros((lookback + 4, nm))
+        row = n_b * nm
+        self.ring = np.zeros((lookback + 4, row))
         self.flat = self.ring.reshape(-1)
-        self.nm = nm
+        self.row, self.nm = row, nm
 
         # one read per (stage, delayed column), at ring row k + base
         cols = np.flatnonzero(col_delay > 0.0)
@@ -553,10 +616,11 @@ class _DelayedInputs:
         frac[up | (frac < _GRID_SNAP)] = 0.0
         base = base.astype(np.intp)
         target = stage * nm + col
-        src = base * nm + col
+        src = base * row + col
         exact = frac == 0.0
         self.exact_t, self.interp_t = target[exact], target[~exact]
-        self.src = np.concatenate([src[exact], src[~exact], src[~exact] + nm])
+        src = np.concatenate([src[exact], src[~exact], src[~exact] + row])
+        self.src = (np.arange(n_b)[:, None] * nm + src).reshape(-1)
         self.w_hi = frac[~exact]
         self.w_lo = 1.0 - self.w_hi
         n_exact, n_interp = self.exact_t.size, self.interp_t.size
@@ -569,82 +633,119 @@ class _DelayedInputs:
         k_pre = min(n_steps, -int(base.min()))
         self.pre_mask = np.zeros((k_pre, 3 * nm), dtype=bool)
         self.pre_mask[:, target] = np.arange(k_pre)[:, None] + base < 0
-        self.pre_val = np.zeros((k_pre, 3 * nm))
-        half = 0.5 * dt
-        for r in range(target.size):
-            fn = None if histories is None else histories[col[r] // m]
-            if fn is None:
-                continue
-            for k in range(min(k_pre, -base[r])):
-                t0 = k * dt
-                t_s = (t0, t0 + half, t0 + dt)[stage[r]]
-                self.pre_val[k, target[r]] = float(np.asarray(fn(t_s - d[r])).reshape(()))
+        self.pre_val = np.zeros((k_pre, n_b, 3 * nm))
+        for b, hist in enumerate(histories):
+            for r in range(target.size):
+                fn = None if hist is None else hist[col[r] // m]
+                if fn is None:
+                    continue
+                for k in range(min(k_pre, -base[r])):
+                    t0 = k * dt
+                    t_s = (t0, t0 + 0.5 * dt, t0 + dt)[stage[r]]
+                    self.pre_val[k, b, target[r]] = float(np.asarray(fn(t_s - d[r])).reshape(()))
 
     def stage_inputs(self, k: int, u_now: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Record u(k*dt) = u_now, then return the stacked inputs at the three
-        stage times of step k as one (3*n*m,) vector, stage-major, with zeros
-        in the undelayed columns."""
+        """Record u(k*dt) = u_now, shaped (B, n*m), then return the stacked
+        inputs at the three stage times of step k as a (B, 3*n*m) array,
+        stage-major per member, with zeros in the undelayed columns."""
         ring = self.ring
-        ring[k % ring.shape[0]] = u_now
-        v = self.flat.take((k * self.nm + self.src) % self.flat.size)
-        w = np.zeros(3 * self.nm)
-        w[self.exact_t] = v[self.exact_v]
-        w[self.interp_t] = self.w_lo * v[self.lo_v] + self.w_hi * v[self.hi_v]
+        ring[k % ring.shape[0]] = u_now.reshape(-1)
+        n_b = u_now.shape[0]
+        v = self.flat.take((k * self.row + self.src) % self.flat.size).reshape(n_b, -1)
+        w = np.zeros((n_b, 3 * self.nm))
+        w[:, self.exact_t] = v[:, self.exact_v]
+        w[:, self.interp_t] = self.w_lo * v[:, self.lo_v] + self.w_hi * v[:, self.hi_v]
         if k < self.pre_val.shape[0]:
             np.copyto(w, self.pre_val[k], where=self.pre_mask[k])
         return w
 
 
-def _integrate(agents, protocol, config, x0, n_steps, stride, m):
-    """RK4 of the assembled closed loop of n agents with m-dimensional
-    inputs and outputs.
+def _step_operators(members, m, offs, undelayed):
+    """Per member, the closed-loop matrix M (the feedback of the undelayed
+    input columns folded in), the stacked input matrix B and the
+    output-to-input map K C, stacked into (B, nx, nx), (B, nx, n*m) and
+    (B, n*m, nx) arrays."""
+    nm, nx = len(members[0][0]) * m, int(offs[-1])
+    m_mat = np.zeros((len(members), nx, nx))
+    b_blk = np.zeros((len(members), nx, nm))
+    kc = np.empty((len(members), nm, nx))
+    for j, (agents, protocol, _) in enumerate(members):
+        c_blk = np.zeros((nm, nx))
+        for i, a in enumerate(agents):
+            ai, bi, ci = a.linear_realization()
+            s = slice(offs[i], offs[i + 1])
+            io = slice(i * m, (i + 1) * m)
+            m_mat[j, s, s] = ai
+            b_blk[j, s, io] = bi
+            c_blk[io, s] = ci
+        kc[j] = np.kron(_coupling_matrix(protocol), np.eye(m)) @ c_blk
+        m_mat[j] -= b_blk[j][:, undelayed] @ kc[j][undelayed, :]
+    return m_mat, b_blk, kc
 
-    The stacked input has n*m columns, agent-major, and the coupling acts on
-    it as K ⊗ I_m. The zero-delay part of the input is folded into a
-    closed-loop matrix M. The rest of the input at the three stage times
-    (t0, t0 + dt/2, t0 + dt) of a step is one stage-major vector: delayed
-    columns come from `_DelayedInputs` (one gather from a ring buffer of
-    the stacked input, or the prehistory table before t = 0), undelayed
-    columns from the reference offset.
+
+def _integrate(members, x0, n_steps, stride, m):
+    """RK4 of the assembled closed loops of a batch, as one affine map per
+    step; returns (times, states, diverged, t_diverged) per member.
+
+    A member has n agents with m-dimensional inputs and outputs; its stacked
+    input has n*m columns, agent-major, and the coupling acts on it as
+    K ⊗ I_m. The undelayed part of the input is folded into M. What remains
+    at the stage times (t0, t0 + dt/2, t0 + dt) of a step is one stage-major
+    forcing vector w = (w0, w½, w1): delayed columns from `_DelayedInputs`,
+    undelayed columns from the reference offset. RK4 on dx/dt = M x + B w(t)
+    is then exactly x⁺ = Φ x + Γ w (see the module docstring). Forced members
+    (any delay or offset) come first and step with [Φ Γ] against [x; w], the
+    others with Φ alone.
     """
-    n = len(agents)
+    agents0 = members[0][0]
+    n_b, n = len(members), len(agents0)
     nm = n * m
-    dt = config.dt
-    dims = [a.state_dim for a in agents]
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    dt = members[0][2].dt
+    offs = np.concatenate([[0], np.cumsum([a.state_dim for a in agents0])]).astype(int)
     nx = int(offs[-1])
-    a_blk = np.zeros((nx, nx))
-    b_blk = np.zeros((nx, nm))
-    c_blk = np.zeros((nm, nx))
-    for i, a in enumerate(agents):
-        ai, bi, ci = a.linear_realization()
-        s = slice(offs[i], offs[i + 1])
-        io = slice(i * m, (i + 1) * m)
-        a_blk[s, s] = ai
-        b_blk[s, io] = bi
-        c_blk[io, s] = ci
-    k_c = np.kron(_coupling_matrix(protocol), np.eye(m))
-    kc = k_c @ c_blk
-    delays = np.repeat([a.input_delay for a in agents], m)
-    zero_idx = np.flatnonzero(delays == 0.0)
-    zero_t = [s * nm + zero_idx for s in range(3)]
-    m_mat = a_blk - b_blk[:, zero_idx] @ kc[zero_idx, :]
+    col_delay = np.repeat([a.input_delay for a in agents0], m)
+    undelayed = np.flatnonzero(col_delay == 0.0)
+    has_delay = bool(np.any(col_delay > 0.0))
 
-    offset_fn = None
-    if isinstance(protocol, Reference) and _has_offset(protocol):
-        offset_fn = lambda t: _reference_offset(protocol, t, m).reshape(-1)
+    offset = [isinstance(p, Reference) and _has_offset(p) for _, p, _ in members]
+    forced = [has_delay or o for o in offset]
+    order = sorted(range(n_b), key=lambda j: not forced[j])
+    n_forced = sum(forced)
+    members = [members[j] for j in order]
+    offset_protocols = [members[j][1] if offset[order[j]] else None for j in range(n_forced)]
+
+    m_mat, b_blk, kc = _step_operators(members, m, offs, undelayed)
+    hm = dt * m_mat
+    eye = np.eye(nx)
+    phi = eye + hm / 4.0
+    phi = eye + (hm / 3.0) @ phi
+    phi = eye + (hm / 2.0) @ phi
+    phi = eye + hm @ phi
+    if n_forced:
+        b_f, hm_f = b_blk[:n_forced], hm[:n_forced]
+        mb1 = hm_f @ b_f
+        mb2 = hm_f @ mb1
+        mb3 = hm_f @ mb2
+        gamma = [
+            b_f + mb1 + mb2 / 2.0 + mb3 / 4.0,
+            4.0 * b_f + 2.0 * mb1 + mb2 / 2.0,
+            b_f,
+        ]
+        phi_gamma = np.concatenate([phi[:n_forced], *((dt / 6.0) * g for g in gamma)], axis=2)
+    phi_free = phi[n_forced:]
     delayed = None
-    if np.any(delays > 0.0):
-        delayed = _DelayedInputs(agents, config.initial_histories, dt, m, n_steps)
+    if has_delay:
+        histories = [config.initial_histories for _, _, config in members]
+        delayed = _DelayedInputs(agents0, histories, dt, m, n_steps)
 
     n_rec = n_steps // stride + 1
-    x_rec = np.empty((n_rec, nx))
-    x = np.concatenate(x0)
+    x_rec = np.empty((n_rec, n_b, nx))
+    x = np.stack([np.concatenate(x0[j]) for j in order])
+    blowup = np.array([config.blowup for _, _, config in members])
+    live = np.ones(n_b, dtype=bool)
+    frozen = None
+    ends: list[Optional[tuple[int, float]]] = [None] * n_b  # (rows, t_diverged)
     rows = 0
-    diverged = False
-    t_div = None
-    half = 0.5 * dt
-    sixth = dt / 6.0
 
     for k in range(n_steps + 1):
         if k % stride == 0:
@@ -652,38 +753,49 @@ def _integrate(agents, protocol, config, x0, n_steps, stride, m):
             rows += 1
         if k == n_steps:
             break
-        t0 = k * dt
-        if offset_fn is not None:
-            offsets = [offset_fn(t) for t in (t0, t0 + half, t0 + dt)]
-        w = None
-        if delayed is not None:
-            u_now = -(kc @ x)
-            if offset_fn is not None:
-                u_now += offsets[0]
-            w = delayed.stage_inputs(k, u_now)
-        if offset_fn is not None:
-            if w is None:
-                w = np.zeros(3 * nm)
-            for t_idx, off in zip(zero_t, offsets):
-                w[t_idx] += off[zero_idx]
-        if w is None:
-            r0 = rm = r1 = 0.0
-        else:
-            r0 = b_blk @ w[:nm]
-            rm = b_blk @ w[nm : 2 * nm]
-            r1 = b_blk @ w[2 * nm :]
-        k1 = m_mat @ x + r0
-        k2 = m_mat @ (x + half * k1) + rm
-        k3 = m_mat @ (x + half * k2) + rm
-        k4 = m_mat @ (x + dt * k3) + r1
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        mx = np.abs(x).max()
-        if not np.isfinite(mx) or mx > config.blowup:
-            diverged = True
-            t_div = (k + 1) * dt
-            break
+        parts = []
+        if n_forced:
+            x_f = x[:n_forced]
+            t0 = k * dt
+            offsets = [
+                None if p is None else np.stack(
+                    [_reference_offset(p, t, m).reshape(-1) for t in (t0, t0 + 0.5 * dt, t0 + dt)]
+                )
+                for p in offset_protocols
+            ]
+            if delayed is not None:
+                u_now = -np.matmul(kc, x_f[:, :, None])[:, :, 0]
+                for j, off in enumerate(offsets):
+                    if off is not None:
+                        u_now[j] += off[0]
+                w = delayed.stage_inputs(k, u_now)
+            else:
+                w = np.zeros((n_forced, 3 * nm))
+            for j, off in enumerate(offsets):
+                if off is not None:
+                    w[j].reshape(3, nm)[:, undelayed] += off[:, undelayed]
+            z = np.concatenate([x_f, w], axis=1)
+            parts.append(np.matmul(phi_gamma, z[:, :, None])[:, :, 0])
+        if n_forced < n_b:
+            parts.append(np.matmul(phi_free, x[n_forced:, :, None])[:, :, 0])
+        x_next = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        mx = np.abs(x_next).max(axis=1)
+        new = live & ~(mx <= blowup)  # NaN compares False
+        if new.any():
+            for j in np.flatnonzero(new):
+                ends[j] = (rows, (k + 1) * dt)
+            live &= ~new
+            if not live.any():
+                break
+            frozen = ~live
+        if frozen is not None:
+            x_next[frozen] = x[frozen]
+        x = x_next
 
-    times = _record_times(n_steps, stride, dt)[:rows]
-    x_rec = x_rec[:rows]
-    states = tuple(x_rec[:, offs[i] : offs[i + 1]].copy() for i in range(n))
-    return times, states, diverged, t_div
+    all_times = _record_times(n_steps, stride, dt)
+    runs: list = [None] * n_b
+    for j, orig in enumerate(order):
+        r, t_div = ends[j] or (rows, None)
+        states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
+        runs[orig] = (all_times[:r].copy(), states, t_div is not None, t_div)
+    return runs

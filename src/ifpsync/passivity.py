@@ -267,7 +267,12 @@ def _unit_scaled(tf: RationalTF) -> tuple[RationalTF, float, np.ndarray]:
 
 def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray, rho: float) -> bool:
     """Simple imaginary pole of the unit-scaled W(rho*s) whose residue in W,
-    rho*num/den' there, is (numerically) real non-negative."""
+    rho*num/den' there, is (numerically) real non-negative.
+
+    The tolerance is relative to the rounding scale of the residue,
+    rho*sum_k |num_k| |lam0|^k / |den'(lam0)|, so the verdict does not change
+    with a gain on W, and an exact pole-zero cancellation (residue 0)
+    passes."""
     pole = roots[idx]
     others = np.delete(roots, idx)
     if len(others) and np.abs(others - pole).min() <= _SIMPLE_TOL:
@@ -275,7 +280,7 @@ def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray, rho: float) 
     lam0 = 1j * pole.imag
     slope = Polynomial([k * c for k, c in enumerate(tf.den.coeffs)][1:])(lam0)
     res = rho * tf.num(lam0) / slope
-    tol = _RESIDUE_RTOL * (1.0 + abs(res))
+    tol = _RESIDUE_RTOL * rho * tf.num.magnitude_at(pole.imag) / abs(slope)
     return res.real >= -tol and abs(res.imag) <= tol
 
 

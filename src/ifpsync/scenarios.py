@@ -2,17 +2,21 @@
 counterexamples that probe the limits of the weak-coupling certificates.
 
 Each scenario pairs a certificate check with a simulation so reports can show
-"certified vs. observed" side by side. Specs are plain dataclasses and can be
-loaded from JSON dictionaries with a `scenario_type` discriminator
-("traffic" | "platoon" | "remark1" | "harmonic" — the remark1 tag names the
-all-to-all counterexample for compatibility with existing config files).
+"certified vs. observed" side by side. A runner is split around its
+simulation: a build step returns the (agents, protocol, config) triple and a
+finish step turns the SimResult into the run object, so `run_scenarios` can
+integrate the entries that share a `batch_key` as one `simulate_batch`.
+Specs are plain dataclasses and can be loaded from JSON dictionaries with a
+`scenario_type` discriminator ("traffic" | "platoon" | "remark1" |
+"harmonic" — the remark1 tag names the all-to-all counterexample for
+compatibility with existing config files).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,7 +41,9 @@ from .netsim import (
     SimResult,
     SyncMetrics,
     Vehicle3rd,
+    batch_key,
     simulate,
+    simulate_batch,
     sync_metrics,
 )
 from .passivity import RationalTF, eval_freq
@@ -60,9 +66,22 @@ __all__ = [
     "all_to_all_counterexample",
     "scenario_from_dict",
     "run_scenario",
+    "run_scenarios",
 ]
 
 _PRESETS = ("classic_chain", "unidirectional_ring", "bidirectional_ring", "custom")
+
+
+@dataclass(frozen=True, eq=False)
+class _Job:
+    """A scenario split around its simulation: the (agents, protocol,
+    config) triple to integrate, and finish(SimResult) -> the run object."""
+
+    member: tuple
+    finish: Callable[[SimResult], object]
+
+    def run(self):
+        return self.finish(simulate(*self.member))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +245,18 @@ class TrafficRun:
 def run_traffic(spec: TrafficSpec, config: SimConfig) -> TrafficRun:
     """Simulate a traffic spec; initial velocities come from the spec (the
     config's initial_states field is ignored)."""
+    return _traffic_job(spec, config).run()
+
+
+def _traffic_job(spec: TrafficSpec, config: SimConfig) -> _Job:
     agents, protocol, cert = build_traffic(spec)
     x0 = [[v] for v in spec.v_init]
     if spec.topology_preset == "classic_chain":
         x0 = [[spec.v0]] + x0
-    sim = simulate(agents, protocol, replace(config, initial_states=x0))
-    return TrafficRun(spec=spec, certificate=cert, sim=sim)
+    return _Job(
+        (agents, protocol, replace(config, initial_states=x0)),
+        lambda sim: TrafficRun(spec=spec, certificate=cert, sim=sim),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +412,29 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
     shifted network of build_platoon is algebraically identical and is
     cross-checked against this run by run_platoon_transformed.
     """
+    return _platoon_job(spec, config).run()
+
+
+def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
     agents = [Vehicle3rd(tau=t, mu=m) for t, m in zip(spec.gains.tau, spec.gains.mu)]
     _, _, cert = build_platoon(spec)
     protocol = _physical_protocol(spec)
     x0 = [[q, v, a] for q, v, a in zip(spec.q_init, spec.v_init, spec.a_init)]
-    sim = simulate(agents, protocol, replace(config, initial_states=x0))
+    return _Job(
+        (agents, protocol, replace(config, initial_states=x0)),
+        lambda sim: _finish_platoon(spec, cert, config.tol, sim),
+    )
 
+
+def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, tol: float,
+                    sim: SimResult) -> PlatoonRun:
     q = sim.y_scalar()
     leader = np.array([spec.leader_position(t) for t in sim.times])
     pred = np.concatenate([leader[:, None], q[:, :-1]], axis=1)
     spacing = pred - q - spec.s[None, :]
     vel = np.stack([sim.states[i][:, 1] for i in range(spec.n)], axis=1) - spec.v0
     shifted = q + spec.goal_offsets()[None, :]
-    metrics = sync_metrics((sim.times, shifted), y_bar=spec.leader_position, tol=config.tol)
+    metrics = sync_metrics((sim.times, shifted), y_bar=spec.leader_position, tol=tol)
     if sim.diverged and metrics.synchronized:
         metrics = replace(metrics, synchronized=False)
     spacing.setflags(write=False)
@@ -464,6 +499,10 @@ def harmonic_counterexample(
     solution family member with unit complex amplitude: agent 2 plays
     cos(omega2 t) while agent 1's position is Re[W(i omega2) e^{i omega2 t}].
     """
+    return _harmonic_job(omega1, omega2, k, config).run()
+
+
+def _harmonic_job(omega1: float, omega2: float, k: float, config: Optional[SimConfig]) -> _Job:
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise BadDimensions(f"omega1 and omega2 must be finite, got {omega1}, {omega2}")
     if omega1 == omega2:
@@ -485,20 +524,22 @@ def harmonic_counterexample(
     ]
     if config is None:
         config = SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1)
-    sim = simulate(agents, Plain(g), replace(config, initial_states=x0))
 
-    v = sim.y_scalar()
-    tail = v[sim.times >= sim.times[-1] - 0.25 * (sim.times[-1] - sim.times[0])]
-    amp = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
-    observed = float(amp[0] / amp[1]) if amp[1] > 0 else math.inf
-    return HarmonicRun(
-        omega1=float(omega1),
-        omega2=float(omega2),
-        k=float(k),
-        amplitude_ratio=float(ratio),
-        observed_ratio=observed,
-        sim=sim,
-    )
+    def finish(sim: SimResult) -> HarmonicRun:
+        v = sim.y_scalar()
+        tail = v[sim.times >= sim.times[-1] - 0.25 * (sim.times[-1] - sim.times[0])]
+        amp = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
+        observed = float(amp[0] / amp[1]) if amp[1] > 0 else math.inf
+        return HarmonicRun(
+            omega1=float(omega1),
+            omega2=float(omega2),
+            k=float(k),
+            amplitude_ratio=float(ratio),
+            observed_ratio=observed,
+            sim=sim,
+        )
+
+    return _Job((agents, Plain(g), replace(config, initial_states=x0)), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +592,11 @@ def all_to_all_counterexample(
     config: Optional[SimConfig] = None,
 ) -> AllToAllRun:
     """Compare the published all-to-all threshold against simulation."""
+    return _all_to_all_job(p, q, n_agents, kappa, config).run()
+
+
+def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float,
+                    config: Optional[SimConfig]) -> _Job:
     if not all(math.isfinite(x) and x > 0.0 for x in (p, q, kappa)):
         raise BadDimensions(f"p, q, kappa must be finite and positive, got {p}, {q}, {kappa}")
     predicted = all_to_all_bound(p, q, n_agents, kappa)
@@ -563,8 +609,6 @@ def all_to_all_counterexample(
     x0 = rng.normal(0.0, 0.5, size=(n_agents, 3)).tolist()
     if config is None:
         config = SimConfig(dt=5e-3, t_final=150.0, record_stride=20)
-    sim = simulate(agents, Plain(g), replace(config, initial_states=x0))
-    observed = bool(sim.metrics.synchronized)
     note = None
     if q * p / n_agents < kappa < q * p / (n_agents - 1):
         note = (
@@ -572,15 +616,18 @@ def all_to_all_counterexample(
             "synchronization but the complete-graph eigenvalue kappa*n is "
             "beyond the Hurwitz limit"
         )
-    return AllToAllRun(
-        p=float(p),
-        q=float(q),
-        n_agents=int(n_agents),
-        kappa=float(kappa),
-        predicted=bool(predicted),
-        observed=observed,
-        sim=sim,
-        note=note,
+    return _Job(
+        (agents, Plain(g), replace(config, initial_states=x0)),
+        lambda sim: AllToAllRun(
+            p=float(p),
+            q=float(q),
+            n_agents=int(n_agents),
+            kappa=float(kappa),
+            predicted=bool(predicted),
+            observed=bool(sim.metrics.synchronized),
+            sim=sim,
+            note=note,
+        ),
     )
 
 
@@ -665,12 +712,37 @@ def scenario_from_dict(d: dict):
 
 def run_scenario(kind: str, spec, config: SimConfig):
     """Dispatch to the matching runner; returns the scenario's run object."""
+    return run_scenarios([(kind, spec, config)])[0]
+
+
+def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
+    """Run (kind, spec, config) entries as `scenario_from_dict` returns them;
+    one run object per entry, in order.
+
+    Every entry is built (and its certificate checked) before any is
+    simulated, so a bad entry raises before any work is done. Entries whose
+    simulations share a `batch_key` are integrated by one `simulate_batch`
+    call; each result equals the entry's own run bit for bit.
+    """
+    jobs = [_job(kind, spec, config) for kind, spec, config in entries]
+    groups: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        agents, _, config = job.member
+        groups.setdefault(batch_key(agents, config), []).append(i)
+    runs: list = [None] * len(jobs)
+    for idx in groups.values():
+        for i, sim in zip(idx, simulate_batch([jobs[i].member for i in idx])):
+            runs[i] = jobs[i].finish(sim)
+    return runs
+
+
+def _job(kind: str, spec, config: SimConfig) -> _Job:
     if kind == "traffic":
-        return run_traffic(spec, config)
+        return _traffic_job(spec, config)
     if kind == "platoon":
-        return run_platoon(spec, config)
+        return _platoon_job(spec, config)
     if kind == "remark1":
-        return all_to_all_counterexample(config=config, **spec)
+        return _all_to_all_job(config=config, **spec)
     if kind == "harmonic":
-        return harmonic_counterexample(config=config, **spec)
+        return _harmonic_job(config=config, **spec)
     raise BadDimensions(f"unknown scenario_type {kind!r}")

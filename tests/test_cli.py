@@ -466,6 +466,53 @@ class TestScenarioCommand:
         assert (tmp_path / "batch_000.csv").exists()
         assert (tmp_path / "batch_001.report.json").exists()
 
+    def test_sweep_equals_per_entry_runs_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        # two batch groups (the traffic pair and the remark1 pair) interleaved
+        # with single entries; one traffic entry diverges
+        ring = {**TRAFFIC_RING, "sim": {"dt": 0.01, "t_final": 20.0, "record_stride": 10}}
+        remark1 = {**REMARK1_DIVERGENT, "sim": {"t_final": 5.0}}
+        entries = [
+            ring,
+            remark1,
+            HARMONIC_TINY,
+            {**ring, "K": 20.0},
+            {**remark1, "kappa": 0.2},
+            {**ring, "delays": [0.1, 0.1, 0.1]},
+        ]
+        sweep_dir, single_dir = tmp_path / "sweep", tmp_path / "single"
+        sweep_dir.mkdir()
+        single_dir.mkdir()
+
+        monkeypatch.chdir(sweep_dir)
+        write_json(sweep_dir / "mix.json", entries)
+        code, out = run_cli(capsys, "scenario", "mix.json", "--sweep", "--plot",
+                            "--output-dir", "out")
+
+        monkeypatch.chdir(single_dir)
+        codes, reports = [], []
+        for i, entry in enumerate(entries):
+            write_json(single_dir / f"mix_{i:03d}.json", entry)
+            c, o = run_cli(capsys, "scenario", f"mix_{i:03d}.json", "--plot",
+                           "--output-dir", "out")
+            codes.append(c)
+            reports.append(json.loads(o))
+
+        assert codes[3] == 4 and code == max(codes) == 4
+        assert out == json.dumps(reports, indent=2, sort_keys=True) + "\n"
+        names = sorted(p.name for p in (sweep_dir / "out").iterdir())
+        assert names == sorted(p.name for p in (single_dir / "out").iterdir())
+        assert len(names) == 4 * len(entries)
+        for name in names:
+            assert (sweep_dir / "out" / name).read_bytes() == (single_dir / "out" / name).read_bytes()
+
+    def test_bad_sweep_entry_writes_no_artifacts(self, tmp_path, capsys):
+        bad = {**HARMONIC_TINY, "omega2": 1.0}  # equal frequencies
+        f = write_json(tmp_path / "batch.json", [HARMONIC_TINY, bad])
+        assert main(["scenario", str(f), "--sweep", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_list_without_sweep_flag_rejected(self, tmp_path, capsys):
         f = write_json(tmp_path / "batch.json", [HARMONIC_TINY])
         assert main(["scenario", str(f), "--output-dir", str(tmp_path)]) == 1

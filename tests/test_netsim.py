@@ -10,6 +10,7 @@ random delayed networks.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ifpsync import (
     check_weak_coupling,
     check_weak_coupling_pinned,
     simulate,
+    simulate_batch,
     sync_metrics,
 )
 
@@ -405,6 +407,151 @@ class TestSimulate:
 
 
 # ---------------------------------------------------------------------------
+# simulate_batch
+# ---------------------------------------------------------------------------
+
+def random_member(data, rng, delays, m, n_steps, stride, dt):
+    """(agents, protocol, config) of one batch member with the given delays:
+    Plain or Reference coupling, and for m = 1 undelayed slots either an
+    integrator or a first-order lag 1/(s + a) that may be unstable. A small
+    blowup makes some members diverge mid-run."""
+    n = len(delays)
+    agents = []
+    for d in delays:
+        if m == 1 and d == 0.0 and rng.random() < 0.5:
+            agents.append(LtiSiso.from_coeffs([rng.uniform(0.5, 2.0)], [rng.uniform(-4.0, 1.0), 1.0]))
+        else:
+            agents.append(DelayedIntegrator(delay=d, dim=m))
+    g = build_digraph(random_strongly_connected_adjacency(rng, n))
+    kind = data.draw(st.sampled_from(["plain", "reference", "unforced reference"]), label="protocol")
+    if kind == "plain":
+        proto = Plain(g)
+    elif kind == "unforced reference":
+        proto = Reference(g, np.zeros(n), y_bar=lambda t: 3.0)
+    else:
+        c = rng.uniform(-2.0, 2.0)
+        proto = Reference(
+            g,
+            np.where(rng.random(n) < 0.5, rng.uniform(0.1, 1.0, n), 0.0),
+            u_bar=tuple(None if rng.random() < 0.5 else (lambda t, c=c: c) for _ in range(n)),
+            y_bar=lambda t, c=c: c + 0.5 * t,
+        )
+    histories = tuple(
+        data.draw(st.sampled_from([None, np.sin, lambda t: 0.7]), label="history")
+        for _ in range(n)
+    )
+    config = SimConfig(
+        dt=dt,
+        t_final=n_steps * dt,
+        record_stride=stride,
+        initial_states=[rng.normal(size=a.state_dim).tolist() for a in agents],
+        initial_histories=histories,
+        blowup=data.draw(st.sampled_from([1e12, 3.0, 10.0]), label="blowup"),
+    )
+    return agents, proto, config
+
+
+class TestSimulateBatch:
+    @given(data=st.data())
+    def test_every_member_equals_its_own_run(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        m = data.draw(st.sampled_from([1, 2]), label="m")
+        # undelayed groups mix forced (offset) and unforced members
+        delays = [0.0] * n
+        if data.draw(st.booleans(), label="delayed"):
+            delays = data.draw(
+                st.lists(st.sampled_from([0.0, 0.05, 0.08, 0.12]), min_size=n, max_size=n),
+                label="delays",
+            )
+        n_steps = data.draw(st.integers(2, 80), label="steps")
+        stride = data.draw(st.integers(1, 3), label="stride")
+        size = data.draw(st.integers(2, 5), label="batch size")
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+        members = [random_member(data, rng, delays, m, n_steps, stride, 0.05) for _ in range(size)]
+        batch = simulate_batch(members)
+        assert len(batch) == size
+        for member, got in zip(members, batch):
+            own = simulate(*member)
+            assert np.array_equal(got.times, own.times)
+            assert np.array_equal(got.y, own.y)
+            assert np.array_equal(got.u, own.u)
+            assert all(np.array_equal(a, b) for a, b in zip(got.states, own.states))
+            assert got.metrics.to_json_dict() == own.metrics.to_json_dict()
+            assert (got.diverged, got.t_diverged) == (own.diverged, own.t_diverged)
+
+    def test_a_diverging_member_leaves_the_others_running(self):
+        agents = [LtiSiso.from_coeffs([1.0], [-1.0, 1.0])]  # 1/(s - 1)
+        proto = Plain(build_digraph([[0.0]]))
+        cfg = SimConfig(dt=0.01, t_final=5.0, initial_states=[[1.0]])
+        small = replace(cfg, blowup=10.0)
+        stable, diverged = simulate_batch([(agents, proto, cfg), (agents, proto, small)])
+        assert not stable.diverged and stable.times.shape[0] == 501
+        assert diverged.diverged
+        assert abs(diverged.t_diverged - math.log(10.0)) < 0.01
+        assert diverged.times.shape[0] == round(diverged.t_diverged / 0.01)
+        assert np.array_equal(stable.y[: diverged.y.shape[0]], diverged.y)
+
+    def test_a_diverged_member_is_frozen_before_it_overflows(self):
+        # the second member crosses blowup at once; stepping it on would
+        # overflow to inf and interpolate inf - inf in the delay ring
+        agents = [DelayedIntegrator(0.05), DelayedIntegrator(0.05)]
+        cfg = SimConfig(dt=0.01, t_final=20.0, initial_states=[[1.0], [0.0]])
+        huge = replace(cfg, initial_states=[[1e100], [-1e100]])
+        members = [
+            (agents, Plain(build_digraph([[0, 1], [1, 0]])), cfg),
+            (agents, Plain(build_digraph([[0, 1e4], [1e4, 0]])), huge),
+        ]
+        with np.errstate(all="raise"):
+            live, diverged = simulate_batch(members)
+        assert not live.diverged and live.metrics.synchronized
+        assert diverged.diverged and diverged.t_diverged == 0.01
+        assert diverged.times.shape == (1,)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda a, c: ([DelayedIntegrator(0.05)] + a[1:], c),  # an input delay
+            lambda a, c: ([DelayedIntegrator(dim=2)] + a[1:], c),  # a state dimension
+            lambda a, c: (a, replace(c, dt=0.02)),
+            lambda a, c: (a, replace(c, t_final=0.6)),  # the step count
+            lambda a, c: (a, replace(c, record_stride=2)),
+        ],
+        ids=["delay", "state_dim", "dt", "steps", "stride"],
+    )
+    def test_mismatched_group_keys_rejected(self, change):
+        agents = [DelayedIntegrator(0.02), DelayedIntegrator(0.0)]
+        proto = Plain(build_digraph([[0, 1], [1, 0]]))
+        cfg = SimConfig(dt=0.01, t_final=0.5)
+        other_agents, other_cfg = change(agents, cfg)
+        if other_agents[0].output_dim == 2:
+            other_agents = [DelayedIntegrator(dim=2), DelayedIntegrator(dim=2)]
+        with pytest.raises(DimensionMismatch):
+            simulate_batch([(agents, proto, cfg), (other_agents, proto, other_cfg)])
+
+    def test_empty_batch(self):
+        assert simulate_batch([]) == []
+
+    @pytest.mark.parametrize("k", range(-16, 7))
+    def test_step_above_the_smallest_delay_rejected_at_every_scale(self, k):
+        # delays, step and horizon in a time unit of s, gains in 1/s
+        s = 10.0**k
+        agents = [DelayedIntegrator(0.2 * s), DelayedIntegrator(0.2 * s)]
+        proto = Plain(build_digraph([[0, 1.0 / s], [1.0 / s, 0]]))
+        x0 = [[1.0], [0.0]]
+        with pytest.raises(BadDimensions, match="exceeds the smallest positive delay"):
+            simulate(agents, proto, SimConfig(dt=s, t_final=10.0 * s, initial_states=x0))
+        # a step equal to the delay is accepted, and the run does not depend on the unit
+        res = simulate(agents, proto, SimConfig(dt=0.2 * s, t_final=2.0 * s, initial_states=x0))
+        ref = simulate(
+            [DelayedIntegrator(0.2), DelayedIntegrator(0.2)],
+            Plain(build_digraph([[0, 1.0], [1.0, 0]])),
+            SimConfig(dt=0.2, t_final=2.0, initial_states=x0),
+        )
+        assert res.y.shape == ref.y.shape
+        assert np.allclose(res.y, ref.y, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # sync_metrics
 # ---------------------------------------------------------------------------
 
@@ -459,6 +606,36 @@ class TestSyncMetrics:
                     expected = max(expected, float(np.sqrt((d * d).sum(axis=1)).max()))
             got = sync_metrics((t, y)).pairwise_sup_tail
         assert got == expected
+
+    @given(
+        c=st.sampled_from([0.0, 15.0, 1e3, 1e6]),
+        n=st.integers(2, 5),
+        m=st.integers(1, 2),
+        seed=st.integers(0, 1000),
+    )
+    def test_l2_pairwise_matches_explicit_differences(self, c, n, m, seed):
+        # small gaps on a large common offset: the integral of |y_i - y_j|^2
+        # must not lose the gaps to cancellation against c^2
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 100.0, 1001)
+        amp = rng.uniform(1e-7, 1e-5, size=(1, n, m))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=(1, n, m))
+        y = c + amp * np.sin(t[:, None, None] + phase)
+        got = sync_metrics((t, y)).l2_pairwise
+        for i in range(n):
+            for j in range(n):
+                d = y[:, i, :] - y[:, j, :]
+                expected = np.trapezoid((d * d).sum(axis=1), t)
+                assert abs(got[i, j] - expected) <= 1e-12 * expected
+
+    def test_l2_pairwise_of_a_small_gap_far_from_zero(self):
+        t = np.linspace(0.0, 100.0, 10001)
+        for c in (0.0, 15.0, 1e3):
+            y = np.stack([c + 1e-6 * np.sin(t), np.full_like(t, c)], axis=1)
+            d = y[:, 0] - y[:, 1]
+            expected = np.trapezoid(d * d, t)
+            assert abs(expected - 5.02e-11) < 0.01e-11
+            assert abs(sync_metrics((t, y)).l2_pairwise[0, 1] - expected) <= 1e-12 * expected
 
     def test_reference_error_integral(self):
         t = np.linspace(0.0, 10.0, 1001)

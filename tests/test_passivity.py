@@ -316,6 +316,38 @@ class TestPrlConditions:
 
 
 # ---------------------------------------------------------------------------
+# residue sign at imaginary-axis poles
+# ---------------------------------------------------------------------------
+
+RESIDUE_CASES = [
+    ([-0.5, 1.0], [0.0, 1.0, 1.0], False),  # (s - 0.5)/(s(s+1)): origin residue -0.5
+    ([0.5, 1.0], [0.0, 1.0, 1.0], True),  # (s + 0.5)/(s(s+1)): origin residue 0.5
+    ([0.0, 1.0], [1.0, 0.0, 1.0], True),  # s/(s^2+1): residue 1/2 at +-i
+    ([1.0], [1.0, 1.0, 1.0, 1.0], False),  # 1/((s^2+1)(s+1)): residue (1-i)/4 at i
+    ([0.0, 1.0], [0.0, 2.0, 1.0], True),  # s/(s(s+2)): cancelled origin pole, residue 0
+]
+
+
+class TestResidueSign:
+    @pytest.mark.parametrize("k", range(-12, 13))
+    @pytest.mark.parametrize("num, den, certifiable", RESIDUE_CASES)
+    def test_verdict_does_not_depend_on_a_gain(self, num, den, certifiable, k):
+        tf = RationalTF.from_coeffs([10.0**k * c for c in num], den)
+        rep = prl_conditions(tf, 0.5)
+        assert rep.imaginary_poles_ok == certifiable
+        if certifiable:
+            assert ifp_index(tf).alpha >= 0.0
+        else:
+            with pytest.raises(NotCertifiable):
+                ifp_index(tf)
+
+    def test_small_negative_residue_refused(self):
+        # origin residue -5e-7: small against W's scale, but not rounding
+        with pytest.raises(NotCertifiable):
+            ifp_index(RationalTF.from_coeffs([-5e-7, 1.0], [0.0, 1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
 # ifp_shift
 # ---------------------------------------------------------------------------
 

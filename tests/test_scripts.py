@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,3 +36,32 @@ def test_platoon_demo_runs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "platoon.csv", "platoon.metrics.json", "platoon.svg",
     ]
+
+
+def test_artifact_digest_against_itself_finds_no_difference(tmp_path):
+    proc = run_script("artifact_digest.py", "--against", str(SCRIPTS.parent), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 artifacts differ, 0 flagged\n"
+
+
+def test_artifact_digest_reports_number_changes_and_flags_the_rest():
+    spec = importlib.util.spec_from_file_location("artifact_digest", SCRIPTS / "artifact_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    def changes(name, old, new):
+        pairs, flags = digest._changes(name, old.encode(), new.encode())
+        return digest._largest_change(pairs)[:2], flags
+
+    old = {"synchronized": True, "diverged": False, "t_diverged": None, "sup": 2.0}
+    (max_abs, max_rel), flags = changes("a.json", json.dumps(old), json.dumps({**old, "sup": 2.5}))
+    assert (max_abs, max_rel, flags) == (0.5, 0.2, [])
+    _, flags = changes("a.json", json.dumps(old), json.dumps({**old, "synchronized": False}))
+    assert flags == ["/synchronized: true -> false"]
+    _, flags = changes("a.json", json.dumps({**old, "t_diverged": 1.5}),
+                       json.dumps({**old, "t_diverged": 1.25}))
+    assert flags == ["/t_diverged: 1.5 -> 1.25"]
+    (max_abs, max_rel), flags = changes("a.csv", "t,y_1\n0.0,1.0\n", "t,y_1\n0.0,1.25\n")
+    assert (max_abs, max_rel, flags) == (0.25, 0.2, [])
+    _, flags = changes("a.csv", "t,y_1\n0.0,1.0\n", "t,y_2\n0.0,1.0\n")
+    assert flags == ["CSV header differs"]
