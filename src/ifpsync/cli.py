@@ -39,7 +39,7 @@ from .certify import (
     diffusive_power_identity,
     dissipation_margin,
 )
-from .errors import BadDimensions, IfpSyncError, MuTauViolation, NotCertifiable
+from .errors import BadDimensions, IfpSyncError, MuTauViolation, NotCertifiable, integer
 from .graphnet import build_digraph
 from .netsim import (
     AgentModel,
@@ -103,7 +103,9 @@ def agent_from_dict(d: dict) -> AgentModel:
     if kind == "lti":
         return LtiSiso.from_coeffs(d["num"], d["den"])
     if kind == "delayed_integrator":
-        return DelayedIntegrator(delay=float(d.get("delay", 0.0)), dim=int(d.get("dim", 1)))
+        return DelayedIntegrator(
+            delay=float(d.get("delay", 0.0)), dim=integer("dim", d.get("dim", 1))
+        )
     if kind == "vehicle":
         return Vehicle3rd(tau=float(d["tau"]), mu=float(d["mu"]))
     raise IfpSyncError(f"unknown agent type {kind!r}")
@@ -158,7 +160,7 @@ def load_network(d: dict):
         t_final=float(sim_d.get("t_final", 100.0)),
         initial_states=x0,
         initial_histories=hist,
-        record_stride=int(sim_d.get("record_stride", 1)),
+        record_stride=integer("record_stride", sim_d.get("record_stride", 1)),
         tol=float(sim_d.get("tol", 1e-3)),
         blowup=float(sim_d.get("blowup", 1e12)),
     )

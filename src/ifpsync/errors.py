@@ -1,10 +1,13 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto its exit codes, so every error a caller may want to
-branch on lives here rather than as bare ValueErrors.
+branch on lives here rather than as bare ValueErrors. `integer` reads an
+integer input field for every loader, raising BadDimensions when it cannot.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class IfpSyncError(ValueError):
@@ -69,3 +72,12 @@ class MuTauViolation(IfpSyncError):
 
 class EmptyTrajectory(IfpSyncError):
     """Metrics requested for an empty trajectory."""
+
+
+def integer(name: str, value) -> int:
+    """An integer field read from input; an integral float such as 10.0 is
+    accepted. BadDimensions for a non-finite or non-integral value, which a
+    bare int() would overflow on or truncate."""
+    if isinstance(value, float) and not (math.isfinite(value) and value.is_integer()):
+        raise BadDimensions(f"{name} must be finite and integral, got {value}")
+    return int(value)

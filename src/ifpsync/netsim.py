@@ -23,7 +23,11 @@ signal, linearly interpolated at the stage times: the step is fixed, so the
 ring offsets and weights of every (stage, delayed column) pair are computed
 once and each step makes one gather for all three stages. Reads before
 t = 0 come from a prehistory table of the initial-history functions, filled
-before the step loop.
+before the step loop. The reference offsets b_i y_bar(t) + u_bar_i(t) come
+from an offset table of the stage times of the next `_CHUNK` steps, filled
+ahead of the state a block at a time, so its memory does not grow with the
+horizon. Both tables sample their time functions through one helper,
+`_sample`, which is the only place a time function is called.
 
 `simulate_batch` integrates several runs that share a group key
 (`batch_key`: per-agent state dimension and input delay, m, h, the step
@@ -66,6 +70,7 @@ __all__ = [
 ]
 
 _GRID_SNAP = 1e-9  # fractional tolerance for treating a time as a grid point
+_CHUNK = 1024  # steps per block of the reference-offset table
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +224,11 @@ class Reference:
 
     b_i > 0 marks agent i as pinned; y_bar is required whenever any b_i > 0.
     u_bar entries may be None (treated as zero).
+
+    y_bar and the u_bar entries are scalar, pure functions of t; each value
+    is broadcast across the m output dimensions. A run samples them in
+    blocks of steps computed ahead of the state, and again at the recorded
+    times for u and the metrics, never one call per integration step.
     """
 
     g: Digraph
@@ -244,16 +254,22 @@ class Reference:
 Protocol = Plain | Reference
 
 
-def _reference_offset(proto: Reference, t: float, m: int) -> NDArray[np.float64]:
-    """b_i * y_bar(t) + u_bar_i(t) as an (n, m) array."""
-    n = proto.g.n
-    off = np.zeros((n, m))
+def _sample(fn: Callable[[float], float], ts: NDArray[np.float64]) -> NDArray[np.float64]:
+    """fn at each time of ts, as a float array. Every time function of a run
+    (y_bar, u_bar_i, the initial histories) is evaluated through here."""
+    return np.fromiter(map(fn, ts.tolist()), float, len(ts))
+
+
+def _reference_offsets(proto: Reference, ts: NDArray[np.float64], m: int) -> NDArray[np.float64]:
+    """b_i * y_bar(t) + u_bar_i(t) at each time of ts, as a (len(ts), n, m)
+    array; each scalar time function is broadcast across the m dimensions."""
+    off = np.zeros((len(ts), proto.g.n, m))
     if proto.y_bar is not None:
-        off += proto.b[:, None] * np.broadcast_to(np.atleast_1d(proto.y_bar(t)), (m,))
+        off += _sample(proto.y_bar, ts)[:, None, None] * proto.b[:, None]
     if proto.u_bar is not None:
         for i, fn in enumerate(proto.u_bar):
             if fn is not None:
-                off[i] += np.atleast_1d(fn(t))
+                off[:, i] += _sample(fn, ts)[:, None]
     return off
 
 
@@ -282,6 +298,11 @@ class SimConfig:
     """Run settings: fixed step dt, horizon t_final, per-agent initial states
     (default zero) and input prehistories (default zero), recording stride,
     synchronization tolerance, and the state norm treated as divergence.
+
+    An initial history gives agent i's input u_i(t) for t < 0. Like the
+    Reference time functions it is a scalar, pure function of t, broadcast
+    across the m input dimensions, and sampled once per run, before the
+    first step, at every time the delayed reads ask for.
 
     Raises BadDimensions unless dt, tol and blowup are finite and positive,
     t_final is finite and exceeds dt, and record_stride >= 1."""
@@ -413,8 +434,7 @@ def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, t
 
     l2_ref = None
     if y_bar is not None:
-        ref = np.array([np.broadcast_to(np.atleast_1d(y_bar(t)), (y.shape[2],)) for t in times])
-        dev = y - ref[:, None, :]
+        dev = y - _sample(y_bar, times)[:, None, None]
         sq = (dev * dev).sum(axis=2)
         l2_ref = np.array(
             [np.trapezoid(sq[:, i], times) if n_rec >= 2 else 0.0 for i in range(n)]
@@ -560,12 +580,9 @@ def _outputs_from_states(agents, states) -> NDArray[np.float64]:
 
 
 def _inputs_from_outputs(protocol, times, y) -> NDArray[np.float64]:
-    n_rec, n, m = y.shape
-    k = _coupling_matrix(protocol)
-    u = -np.einsum("ij,rjm->rim", k, y)
+    u = -np.einsum("ij,rjm->rim", _coupling_matrix(protocol), y)
     if isinstance(protocol, Reference):
-        for r in range(n_rec):
-            u[r] += _reference_offset(protocol, float(times[r]), m)
+        u += _reference_offsets(protocol, times, y.shape[2])
     return u
 
 
@@ -631,18 +648,18 @@ class _DelayedInputs:
         # step k reads before t = 0 where k + base < 0; an agent without an
         # initial history reads zeros there
         k_pre = min(n_steps, -int(base.min()))
+        pre_read = np.arange(k_pre)[:, None] + base < 0
         self.pre_mask = np.zeros((k_pre, 3 * nm), dtype=bool)
-        self.pre_mask[:, target] = np.arange(k_pre)[:, None] + base < 0
+        self.pre_mask[:, target] = pre_read
         self.pre_val = np.zeros((k_pre, n_b, 3 * nm))
+        pre_t = np.arange(k_pre)[:, None] * dt + np.array([0.0, 0.5 * dt, dt])[stage] - d
         for b, hist in enumerate(histories):
-            for r in range(target.size):
-                fn = None if hist is None else hist[col[r] // m]
+            for c in cols:
+                fn = None if hist is None else hist[c // m]
                 if fn is None:
                     continue
-                for k in range(min(k_pre, -base[r])):
-                    t0 = k * dt
-                    t_s = (t0, t0 + 0.5 * dt, t0 + dt)[stage[r]]
-                    self.pre_val[k, b, target[r]] = float(np.asarray(fn(t_s - d[r])).reshape(()))
+                ks, rs = np.nonzero(pre_read & (col == c))
+                self.pre_val[ks, b, target[rs]] = _sample(fn, pre_t[ks, rs])
 
     def stage_inputs(self, k: int, u_now: NDArray[np.float64]) -> NDArray[np.float64]:
         """Record u(k*dt) = u_now, shaped (B, n*m), then return the stacked
@@ -693,9 +710,11 @@ def _integrate(members, x0, n_steps, stride, m):
     at the stage times (t0, t0 + dt/2, t0 + dt) of a step is one stage-major
     forcing vector w = (w0, w½, w1): delayed columns from `_DelayedInputs`,
     undelayed columns from the reference offset. RK4 on dx/dt = M x + B w(t)
-    is then exactly x⁺ = Φ x + Γ w (see the module docstring). Forced members
-    (any delay or offset) come first and step with [Φ Γ] against [x; w], the
-    others with Φ alone.
+    is then exactly x⁺ = Φ x + Γ w (see the module docstring). Members with
+    offsets come first, then the other forced members (any delay); these
+    step with [Φ Γ] against [x; w], the rest with Φ alone. The offsets of
+    the first n_off members are read from a table of the next `_CHUNK`
+    steps, rebuilt at each block boundary.
     """
     agents0 = members[0][0]
     n_b, n = len(members), len(agents0)
@@ -709,10 +728,9 @@ def _integrate(members, x0, n_steps, stride, m):
 
     offset = [isinstance(p, Reference) and _has_offset(p) for _, p, _ in members]
     forced = [has_delay or o for o in offset]
-    order = sorted(range(n_b), key=lambda j: not forced[j])
-    n_forced = sum(forced)
+    order = sorted(range(n_b), key=lambda j: (not offset[j], not forced[j]))
+    n_off, n_forced = sum(offset), sum(forced)
     members = [members[j] for j in order]
-    offset_protocols = [members[j][1] if offset[order[j]] else None for j in range(n_forced)]
 
     m_mat, b_blk, kc = _step_operators(members, m, offs, undelayed)
     hm = dt * m_mat
@@ -755,25 +773,29 @@ def _integrate(members, x0, n_steps, stride, m):
             break
         parts = []
         if n_forced:
-            x_f = x[:n_forced]
-            t0 = k * dt
-            offsets = [
-                None if p is None else np.stack(
-                    [_reference_offset(p, t, m).reshape(-1) for t in (t0, t0 + 0.5 * dt, t0 + dt)]
+            if n_off and k % _CHUNK == 0:
+                # offsets of the next _CHUNK steps at their stage times,
+                # shaped (steps, n_off, 3, n*m)
+                t0 = np.arange(k, min(k + _CHUNK, n_steps)) * dt
+                ts = np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1).reshape(-1)
+                table = np.stack(
+                    [
+                        _reference_offsets(p, ts, m).reshape(t0.size, 3, nm)
+                        for _, p, _ in members[:n_off]
+                    ],
+                    axis=1,
                 )
-                for p in offset_protocols
-            ]
+            x_f = x[:n_forced]
             if delayed is not None:
                 u_now = -np.matmul(kc, x_f[:, :, None])[:, :, 0]
-                for j, off in enumerate(offsets):
-                    if off is not None:
-                        u_now[j] += off[0]
+                if n_off:
+                    u_now[:n_off] += table[k % _CHUNK, :, 0]
                 w = delayed.stage_inputs(k, u_now)
             else:
                 w = np.zeros((n_forced, 3 * nm))
-            for j, off in enumerate(offsets):
-                if off is not None:
-                    w[j].reshape(3, nm)[:, undelayed] += off[:, undelayed]
+            if n_off:
+                w_off = w[:n_off].reshape(n_off, 3, nm)
+                w_off[:, :, undelayed] += table[k % _CHUNK][:, :, undelayed]
             z = np.concatenate([x_f, w], axis=1)
             parts.append(np.matmul(phi_gamma, z[:, :, None])[:, :, 0])
         if n_forced < n_b:

@@ -30,7 +30,7 @@ from .certify import (
     check_weak_coupling,
     check_weak_coupling_pinned,
 )
-from .errors import BadDimensions, DimensionMismatch
+from .errors import BadDimensions, DimensionMismatch, integer
 from .graphnet import Digraph, build_digraph
 from .netsim import (
     DelayedIntegrator,
@@ -41,6 +41,7 @@ from .netsim import (
     SimResult,
     SyncMetrics,
     Vehicle3rd,
+    _sample,
     batch_key,
     simulate,
     simulate_batch,
@@ -429,7 +430,7 @@ def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
 def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, tol: float,
                     sim: SimResult) -> PlatoonRun:
     q = sim.y_scalar()
-    leader = np.array([spec.leader_position(t) for t in sim.times])
+    leader = _sample(spec.leader_position, sim.times)
     pred = np.concatenate([leader[:, None], q[:, :-1]], axis=1)
     spacing = pred - q - spec.s[None, :]
     vel = np.stack([sim.states[i][:, 1] for i in range(spec.n)], axis=1) - spec.v0
@@ -649,7 +650,7 @@ def _sim_config(kind: str, d: dict) -> SimConfig:
         k: d[k] for k in ("dt", "t_final", "record_stride", "tol") if k in d
     }
     if "record_stride" in overrides:
-        overrides["record_stride"] = int(overrides["record_stride"])
+        overrides["record_stride"] = integer("record_stride", overrides["record_stride"])
     return replace(cfg, **overrides)
 
 
@@ -665,7 +666,7 @@ def scenario_from_dict(d: dict):
     sim_cfg = _sim_config(kind, d.get("sim", {})) if kind in _SIM_DEFAULTS else None
     if kind == "traffic":
         preset = d.get("topology_preset", "custom")
-        n = int(d["n"]) if "n" in d else len(d.get("v_init", ()))
+        n = integer("n", d["n"]) if "n" in d else len(d.get("v_init", ()))
         if preset == "classic_chain":
             spec = TrafficSpec.classic_chain(
                 n, float(d["K"]), d["delays"], d["v_init"], float(d.get("v0", 0.0))
@@ -696,7 +697,7 @@ def scenario_from_dict(d: dict):
         spec = {
             "p": float(d["p"]),
             "q": float(d["q"]),
-            "n_agents": int(d["n_agents"]),
+            "n_agents": integer("n_agents", d["n_agents"]),
             "kappa": float(d["kappa"]),
         }
         return kind, spec, sim_cfg

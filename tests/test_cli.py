@@ -62,13 +62,15 @@ TRAFFIC_RING = {
 
 REMARK1_DIVERGENT = {"scenario_type": "remark1", "p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 1.0}
 
-# "sim" entries that SimConfig rejects; Infinity and NaN are the literals
+# "sim" entries that are rejected; Infinity and NaN are the literals
 # Python's json module reads and writes outside the JSON grammar
 BAD_SIM_SETTINGS = [
     ("t_final", float("inf")),
     ("dt", float("nan")),
     ("tol", -1.0),
     ("blowup", 0.0),
+    ("record_stride", float("inf")),
+    ("record_stride", 2.5),
 ]
 
 NAN, INF = float("nan"), float("inf")
@@ -114,6 +116,8 @@ NON_FINITE_NETWORK = [
                "protocol": {"type": "reference", "b": [NAN, 0.0], "y_bar": 1.0}}),
     ("lti_den_nan", {**INTEGRATOR_PAIR, "agents": [
         {**INTEGRATOR_PAIR["agents"][0], "den": [NAN, 1.0]}, INTEGRATOR_PAIR["agents"][1]]}),
+    ("dim_inf", {**VECTOR_PAIR, "agents": [
+        {**VECTOR_PAIR["agents"][0], "dim": INF}, VECTOR_PAIR["agents"][1]]}),
 ]
 
 TRAFFIC_CHAIN_TINY = {
@@ -149,6 +153,8 @@ NON_FINITE_SCENARIO = [
     ("remark1_p_nan", REMARK1_TINY, "p", NAN),
     ("remark1_q_inf", REMARK1_TINY, "q", INF),
     ("remark1_kappa_nan", REMARK1_TINY, "kappa", NAN),
+    ("remark1_n_agents_inf", REMARK1_TINY, "n_agents", INF),
+    ("traffic_n_inf", TRAFFIC_CHAIN_TINY, "n", INF),
 ]
 
 
@@ -390,6 +396,16 @@ class TestSimulateCommand:
         assert err.startswith("input error:")
         assert "Traceback" not in err
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_integral_float_record_stride_runs_as_the_integer(self, tmp_path, capsys):
+        csv = []
+        for stride in (10, 10.0):
+            out = tmp_path / repr(stride)
+            net = {**VECTOR_PAIR, "sim": {**VECTOR_PAIR["sim"], "record_stride": stride}}
+            f = write_json(tmp_path / "vec.json", net)
+            assert main(["simulate", str(f), "--output-dir", str(out)]) == 0
+            csv.append((out / "vec.csv").read_bytes())
+        assert csv[0] == csv[1]
 
     @pytest.mark.parametrize(
         "net", [c[1] for c in NON_FINITE_NETWORK], ids=[c[0] for c in NON_FINITE_NETWORK]

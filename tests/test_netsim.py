@@ -32,10 +32,12 @@ from ifpsync import (
     build_digraph,
     check_weak_coupling,
     check_weak_coupling_pinned,
+    laplacian,
     simulate,
     simulate_batch,
     sync_metrics,
 )
+from ifpsync.netsim import _CHUNK
 
 
 def integrator() -> LtiSiso:
@@ -230,6 +232,34 @@ class TestCoupleReference:
         assert np.array_equal(pinned.y, plain.y)
         assert np.array_equal(pinned.u, plain.u)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_recorded_input_equals_the_protocol_row_by_row(self, m):
+        # u = -K y, then the offset of each recorded row formed as zeros,
+        # += b*y_bar(t), += u_bar_i(t): equal bit for bit
+        def y_bar(t):
+            return 1.0 + 0.1 * t
+
+        g = build_digraph([[0, 0.5, 0], [0.3, 0, 0.7], [0, 1.2, 0]])
+        b = np.array([0.6, 0.0, 0.25])
+        u_bar = (None, math.sin, lambda t: -0.4 + 0.3 * t)
+        rng = np.random.default_rng(5)
+        res = simulate(
+            [DelayedIntegrator(dim=m) for _ in range(3)],
+            Reference(g, b, u_bar=u_bar, y_bar=y_bar),
+            SimConfig(dt=0.01, t_final=3.0, record_stride=7,
+                      initial_states=rng.normal(size=(3, m)).tolist()),
+        )
+        k = laplacian(g) + np.diag(b)
+        expected = -np.einsum("ij,rjm->rim", k, res.y)
+        for r, t in enumerate(res.times.tolist()):
+            off = np.zeros((3, m))
+            off += b[:, None] * y_bar(t)
+            for i, fn in enumerate(u_bar):
+                if fn is not None:
+                    off[i] += fn(t)
+            expected[r] += off
+        assert np.array_equal(res.u, expected)
+
 
 # ---------------------------------------------------------------------------
 # RK4 steps of the network
@@ -410,11 +440,15 @@ class TestSimulate:
 # simulate_batch
 # ---------------------------------------------------------------------------
 
-def random_member(data, rng, delays, m, n_steps, stride, dt):
+MEMBER_KINDS = ("plain", "reference", "unforced reference")
+
+
+def random_member(data, rng, delays, m, n_steps, stride, dt, kinds=MEMBER_KINDS):
     """(agents, protocol, config) of one batch member with the given delays:
-    Plain or Reference coupling, and for m = 1 undelayed slots either an
-    integrator or a first-order lag 1/(s + a) that may be unstable. A small
-    blowup makes some members diverge mid-run."""
+    Plain or Reference coupling (of one of `kinds`), and for m = 1 undelayed
+    slots either an integrator or a first-order lag 1/(s + a) that may be
+    unstable. A small blowup makes some members diverge mid-run. A
+    "reference" member pins agent 0 to a ramp, so it has offsets."""
     n = len(delays)
     agents = []
     for d in delays:
@@ -423,16 +457,18 @@ def random_member(data, rng, delays, m, n_steps, stride, dt):
         else:
             agents.append(DelayedIntegrator(delay=d, dim=m))
     g = build_digraph(random_strongly_connected_adjacency(rng, n))
-    kind = data.draw(st.sampled_from(["plain", "reference", "unforced reference"]), label="protocol")
+    kind = data.draw(st.sampled_from(kinds), label="protocol")
     if kind == "plain":
         proto = Plain(g)
     elif kind == "unforced reference":
         proto = Reference(g, np.zeros(n), y_bar=lambda t: 3.0)
     else:
         c = rng.uniform(-2.0, 2.0)
+        pinned = rng.random(n) < 0.5
+        pinned[0] = True
         proto = Reference(
             g,
-            np.where(rng.random(n) < 0.5, rng.uniform(0.1, 1.0, n), 0.0),
+            np.where(pinned, rng.uniform(0.1, 1.0, n), 0.0),
             u_bar=tuple(None if rng.random() < 0.5 else (lambda t, c=c: c) for _ in range(n)),
             y_bar=lambda t, c=c: c + 0.5 * t,
         )
@@ -456,18 +492,30 @@ class TestSimulateBatch:
     def test_every_member_equals_its_own_run(self, data):
         n = data.draw(st.integers(2, 4), label="n")
         m = data.draw(st.sampled_from([1, 2]), label="m")
+        # one input runs past a block boundary of the offset table: delayed
+        # members that all have offsets, for a step count above _CHUNK
+        long_run = data.draw(st.integers(0, 4), label="long run") == 0
         # undelayed groups mix forced (offset) and unforced members
         delays = [0.0] * n
-        if data.draw(st.booleans(), label="delayed"):
+        if long_run or data.draw(st.booleans(), label="delayed"):
+            levels = [0.05, 0.08, 0.12] if long_run else [0.0, 0.05, 0.08, 0.12]
             delays = data.draw(
-                st.lists(st.sampled_from([0.0, 0.05, 0.08, 0.12]), min_size=n, max_size=n),
-                label="delays",
+                st.lists(st.sampled_from(levels), min_size=n, max_size=n), label="delays"
             )
-        n_steps = data.draw(st.integers(2, 80), label="steps")
+        if long_run:
+            n_steps = _CHUNK + data.draw(st.integers(1, _CHUNK - 1), label="steps past _CHUNK")
+        else:
+            n_steps = data.draw(st.integers(2, 80), label="steps")
         stride = data.draw(st.integers(1, 3), label="stride")
-        size = data.draw(st.integers(2, 5), label="batch size")
+        size = data.draw(st.integers(2, 3 if long_run else 5), label="batch size")
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
-        members = [random_member(data, rng, delays, m, n_steps, stride, 0.05) for _ in range(size)]
+        kinds = ("reference",) if long_run else MEMBER_KINDS
+        members = [
+            random_member(data, rng, delays, m, n_steps, stride, 0.05, kinds) for _ in range(size)
+        ]
+        if long_run:  # the first member does not stop at a small blowup
+            agents, proto, config = members[0]
+            members[0] = (agents, proto, replace(config, blowup=1e12))
         batch = simulate_batch(members)
         assert len(batch) == size
         for member, got in zip(members, batch):
