@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ifpsync.cli import metrics_json_dict, write_csv, write_svg
+from ifpsync.cli import write_artifacts
 from ifpsync.scenarios import run_platoon, scenario_from_dict
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent / "configs" / "platoon.json"
@@ -53,27 +53,17 @@ def main() -> int:
     veT = np.abs(run.velocity_errors[-1]).max()
     print(f"spacing error: {sp0:.3f} m at t=0  ->  {spT:.3e} m at t={run.sim.times[-1]:g}")
     print(f"velocity error at end: {veT:.3e} m/s")
-    print(f"synchronized (gap-shifted outputs): {run.metrics.synchronized}")
+    print(f"synchronized (gap-shifted outputs): {run.sim.metrics.synchronized}")
 
     out_dir = args.output_dir or args.config.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.config.stem
-    targets = [out_dir / f"{stem}.csv", out_dir / f"{stem}.metrics.json",
-               out_dir / f"{stem}.svg"]
-    if not args.force:
-        clash = [str(p) for p in targets if p.exists()]
-        if clash:
-            print("refusing to overwrite (pass --force): " + ", ".join(clash),
-                  file=sys.stderr)
-            return 1
-    write_csv(targets[0], run.sim)
-    targets[1].write_text(
-        json.dumps(metrics_json_dict(run.sim), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8", newline="\n",
-    )
-    write_svg(targets[2], run.sim)
-    for p in targets:
-        print(f"wrote {p}")
+    try:
+        (summary,) = write_artifacts(out_dir, [(args.config.stem, run.sim, None)],
+                                     plot=True, force=args.force)
+    except FileExistsError as e:
+        print(e, file=sys.stderr)
+        return 1
+    for path in summary["artifacts"].values():
+        print(f"wrote {path}")
     return 0
 
 

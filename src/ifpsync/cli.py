@@ -13,9 +13,10 @@ Commands
 
 Exit codes: 0 success/pass, 1 input error, 2 not certifiable, 3 certificate
 fail, 4 divergence. Artifacts land in --output-dir, else $IFPSYNC_OUTPUT_DIR,
-else the working directory; existing files are never overwritten without
---force. CSV output is UTF-8 with LF line endings and shortest round-trip
-float formatting, so identical runs produce identical bytes.
+else the working directory; without --force, a command with an existing
+target exits 1 before it writes any file. CSV output is UTF-8 with LF line
+endings and shortest round-trip float formatting, so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .netsim import (
     simulate,
 )
 from .passivity import RationalTF, ifp_index, ifp_shift_identity_check, prl_conditions
-from .scenarios import run_scenario, run_scenarios, scenario_from_dict
+from .scenarios import run_scenarios, scenario_from_dict
 
-__all__ = ["main", "write_csv", "write_svg", "metrics_json_dict", "load_network"]
+__all__ = ["main", "write_csv", "write_svg", "write_artifacts", "load_network"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -192,14 +193,6 @@ def write_csv(path: Path, result: SimResult) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def metrics_json_dict(result: SimResult) -> dict:
-    out = result.metrics.to_json_dict()
-    out["diverged"] = bool(result.diverged)
-    out["t_diverged"] = None if result.t_diverged is None else float(result.t_diverged)
-    out["n_samples"] = int(result.times.shape[0])
-    return out
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
@@ -309,43 +302,58 @@ def write_svg(path: Path, result: SimResult) -> None:
 
 def _output_dir(args) -> Path:
     if getattr(args, "output_dir", None):
-        d = Path(args.output_dir)
-    elif os.environ.get("IFPSYNC_OUTPUT_DIR"):
-        d = Path(os.environ["IFPSYNC_OUTPUT_DIR"])
-    else:
-        d = Path.cwd()
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+        return Path(args.output_dir)
+    if os.environ.get("IFPSYNC_OUTPUT_DIR"):
+        return Path(os.environ["IFPSYNC_OUTPUT_DIR"])
+    return Path.cwd()
 
 
-def _guard_overwrite(paths: Sequence[Path], force: bool) -> Optional[str]:
-    if force:
-        return None
-    clash = [str(p) for p in paths if p.exists()]
-    if clash:
-        return "refusing to overwrite existing files (pass --force): " + ", ".join(clash)
-    return None
+def write_artifacts(
+    out_dir: Path,
+    runs: Sequence[tuple[str, SimResult, Optional[dict]]],
+    plot: bool,
+    force: bool,
+) -> list[dict]:
+    """Write the artifacts of every (stem, result, report) run into out_dir.
 
-
-def _sim_artifacts(
-    result: SimResult, out_dir: Path, stem: str, plot: bool, force: bool
-) -> tuple[Optional[str], dict]:
-    csv_path = out_dir / f"{stem}.csv"
-    met_path = out_dir / f"{stem}.metrics.json"
-    targets = [csv_path, met_path]
-    svg_path = out_dir / f"{stem}.svg"
-    if plot:
-        targets.append(svg_path)
-    err = _guard_overwrite(targets, force)
-    if err:
-        return err, {}
-    write_csv(csv_path, result)
-    _write_json(met_path, metrics_json_dict(result))
-    artifacts = {"csv": str(csv_path), "metrics": str(met_path)}
-    if plot:
-        write_svg(svg_path, result)
-        artifacts["svg"] = str(svg_path)
-    return None, artifacts
+    Each run gets <stem>.csv and <stem>.metrics.json, <stem>.svg when plot
+    is set, and <stem>.report.json when its report is not None. Every target
+    is checked before any is written: unless force is set, one that exists
+    raises FileExistsError and nothing is written. Returns one summary per
+    run: the report (or an empty dict) with its "metrics" (the .metrics.json
+    content) and the "artifacts" paths added; .report.json holds the
+    summary without "artifacts".
+    """
+    plans = []
+    for stem, _, report in runs:
+        paths = {"csv": out_dir / f"{stem}.csv", "metrics": out_dir / f"{stem}.metrics.json"}
+        if plot:
+            paths["svg"] = out_dir / f"{stem}.svg"
+        if report is not None:
+            paths["report"] = out_dir / f"{stem}.report.json"
+        plans.append(paths)
+    clash = [str(p) for paths in plans for p in paths.values() if p.exists()]
+    if clash and not force:
+        raise FileExistsError(
+            "refusing to overwrite existing files (pass --force): " + ", ".join(clash)
+        )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for (_, result, report), paths in zip(runs, plans):
+        metrics = result.metrics.to_json_dict()
+        metrics["diverged"] = bool(result.diverged)
+        metrics["t_diverged"] = None if result.t_diverged is None else float(result.t_diverged)
+        metrics["n_samples"] = int(result.times.shape[0])
+        summary = dict(report or {}, metrics=metrics)
+        write_csv(paths["csv"], result)
+        _write_json(paths["metrics"], metrics)
+        if plot:
+            write_svg(paths["svg"], result)
+        if report is not None:
+            _write_json(paths["report"], summary)
+        summary["artifacts"] = {kind: str(p) for kind, p in paths.items()}
+        summaries.append(summary)
+    return summaries
 
 
 def _apply_overrides(config: SimConfig, args) -> SimConfig:
@@ -413,13 +421,9 @@ def cmd_simulate(args) -> int:
     agents, protocol, config = load_network(d)
     config = _apply_overrides(config, args)
     result = simulate(agents, protocol, config)
-    err, artifacts = _sim_artifacts(
-        result, _output_dir(args), in_path.stem, args.plot, args.force
+    (summary,) = write_artifacts(
+        _output_dir(args), [(in_path.stem, result, None)], args.plot, args.force
     )
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_INPUT
-    summary = {"artifacts": artifacts, "metrics": metrics_json_dict(result)}
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 
@@ -429,46 +433,26 @@ def _scenario_entry(d: dict, args) -> tuple:
     return kind, spec, _apply_overrides(config, args)
 
 
-def _scenario_artifacts(run, args, stem: str) -> tuple[int, dict]:
-    result = run.sim
-    out_dir = _output_dir(args)
-    err, artifacts = _sim_artifacts(result, out_dir, stem, args.plot, args.force)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_INPUT, {}
-    report = run.to_json_dict()
-    report["metrics"] = metrics_json_dict(result)
-    rep_path = out_dir / f"{stem}.report.json"
-    guard = _guard_overwrite([rep_path], args.force)
-    if guard:
-        print(guard, file=sys.stderr)
-        return EXIT_INPUT, {}
-    _write_json(rep_path, report)
-    artifacts["report"] = str(rep_path)
-    report["artifacts"] = artifacts
-    return (EXIT_DIVERGED if result.diverged else EXIT_OK), report
-
-
 def cmd_scenario(args) -> int:
     in_path = Path(args.input)
     data = json.loads(in_path.read_text(encoding="utf-8"))
     if args.sweep:
         if not isinstance(data, list):
             raise IfpSyncError("--sweep expects the input file to hold a JSON list of scenarios")
-        runs = run_scenarios([_scenario_entry(d, args) for d in data])
-        results = [
-            _scenario_artifacts(run, args, f"{in_path.stem}_{i:03d}")
-            for i, run in enumerate(runs)
-        ]
-        print(json.dumps([report for _, report in results], indent=2, sort_keys=True))
-        return max((code for code, _ in results), default=EXIT_OK)
-    if isinstance(data, list):
+        stems = [f"{in_path.stem}_{i:03d}" for i in range(len(data))]
+    elif isinstance(data, list):
         raise IfpSyncError("input holds a scenario list; pass --sweep to run it")
-    run = run_scenario(*_scenario_entry(data, args))
-    code, report = _scenario_artifacts(run, args, in_path.stem)
-    if report:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return code
+    else:
+        data, stems = [data], [in_path.stem]
+    runs = run_scenarios([_scenario_entry(d, args) for d in data])
+    summaries = write_artifacts(
+        _output_dir(args),
+        [(stem, run.sim, run.to_json_dict()) for stem, run in zip(stems, runs)],
+        args.plot,
+        args.force,
+    )
+    print(json.dumps(summaries if args.sweep else summaries[0], indent=2, sort_keys=True))
+    return max((EXIT_DIVERGED if run.sim.diverged else EXIT_OK for run in runs), default=EXIT_OK)
 
 
 def cmd_selftest(args) -> int:

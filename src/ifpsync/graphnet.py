@@ -113,9 +113,11 @@ def _successor_lists(g: Digraph) -> list[list[int]]:
     return [heads[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _tarjan_scc_count(succ: list[list[int]]) -> int:
-    """Number of strongly connected components (iterative Tarjan)."""
+def _tarjan_components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component of every node, numbered 0, 1, ...
+    (iterative Tarjan)."""
     n = len(succ)
+    comp = [0] * n
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -150,28 +152,14 @@ def _tarjan_scc_count(succ: list[list[int]]) -> int:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
             if low[v] == index[v]:
-                count += 1
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
+                    comp[w] = count
                     if w == v:
                         break
-    return count
-
-
-def _reaches_all(succ: list[list[int]], root: int, n: int) -> bool:
-    seen = [False] * n
-    seen[root] = True
-    frontier = [root]
-    reached = 1
-    while frontier:
-        v = frontier.pop()
-        for w in succ[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                frontier.append(w)
-    return reached == n
+                count += 1
+    return comp
 
 
 def connectivity(g: Digraph) -> ConnectivityReport:
@@ -179,14 +167,17 @@ def connectivity(g: Digraph) -> ConnectivityReport:
 
     Quasi-strong connectivity means some root node reaches every node along
     arc directions (equivalently, the graph has a directed spanning tree).
+    The components form an acyclic condensation in which every component is
+    reached from one with no entering arc, so a root exists iff exactly one
+    component has no arc entering it from another component.
     """
     succ = _successor_lists(g)
-    scc_count = _tarjan_scc_count(succ)
-    strong = scc_count == 1
-    quasi = strong or any(_reaches_all(succ, r, g.n) for r in range(g.n))
+    comp = _tarjan_components(succ)
+    scc_count = max(comp) + 1
+    entered = {comp[w] for v, heads in enumerate(succ) for w in heads if comp[w] != comp[v]}
     return ConnectivityReport(
-        strongly_connected=strong,
-        quasi_strongly_connected=quasi,
+        strongly_connected=scc_count == 1,
+        quasi_strongly_connected=scc_count - len(entered) == 1,
         scc_count=scc_count,
     )
 

@@ -31,7 +31,7 @@ from .certify import (
     check_weak_coupling_pinned,
 )
 from .errors import BadDimensions, DimensionMismatch, integer
-from .graphnet import Digraph, build_digraph
+from .graphnet import build_digraph
 from .netsim import (
     DelayedIntegrator,
     LtiSiso,
@@ -39,7 +39,6 @@ from .netsim import (
     Reference,
     SimConfig,
     SimResult,
-    SyncMetrics,
     Vehicle3rd,
     _sample,
     batch_key,
@@ -322,15 +321,30 @@ class PlatoonCertificate:
         }
 
 
-def platoon_graph(gains: CaccGainSet) -> Digraph:
-    """Bidirectional chain with predecessor gains eta and successor gains nu."""
-    n = gains.n
+def _platoon_network(spec: PlatoonSpec):
+    """(agents, graph, b, certificate) shared by both platoon coordinates.
+
+    The graph is a bidirectional chain with predecessor gains eta and
+    successor gains nu. Vehicle i is pinned iff i = 0 (b[0] = eta[0]).
+
+    Raises MuTauViolation when some mu_i*tau_i >= 1/2 (the per-vehicle
+    passivity deficit 1/mu_i^2 is only valid below that product).
+    """
+    gains, n = spec.gains, spec.n
     a = np.zeros((n, n))
     for i in range(1, n):
         a[i, i - 1] = gains.eta[i]
     for i in range(n - 1):
         a[i, i + 1] = gains.nu[i]
-    return build_digraph(a)
+    g = build_digraph(a)
+    agents = [Vehicle3rd(tau=t, mu=m) for t, m in zip(gains.tau, gains.mu)]
+    b = np.zeros(n)
+    b[0] = gains.eta[0]
+    cert = PlatoonCertificate(
+        pinned=check_weak_coupling_pinned(g, [ag.ifp_index() for ag in agents], b),
+        gains=check_platoon_gains(gains),
+    )
+    return agents, g, b, cert
 
 
 def build_platoon(spec: PlatoonSpec):
@@ -338,53 +352,27 @@ def build_platoon(spec: PlatoonSpec):
 
     Outputs of the returned network are y_i = q_i + (s[0]+...+s[i]), which
     erases the desired offsets: the platoon goal becomes plain output
-    synchronization to the leader ramp. Vehicle i is pinned iff i = 0
-    (b[0] = eta[0]); the feedforward is u_bar_i = mu_i * v0.
+    synchronization to the leader ramp. The feedforward is
+    u_bar_i = mu_i * v0.
 
-    Raises MuTauViolation when some mu_i*tau_i >= 1/2 (the per-vehicle
-    passivity deficit 1/mu_i^2 is only valid below that product).
+    Raises MuTauViolation when some mu_i*tau_i >= 1/2.
     """
-    g = platoon_graph(spec.gains)
-    agents = [Vehicle3rd(tau=t, mu=m) for t, m in zip(spec.gains.tau, spec.gains.mu)]
-    alphas = [a.ifp_index() for a in agents]
-    b = np.zeros(spec.n)
-    b[0] = spec.gains.eta[0]
-    cert = PlatoonCertificate(
-        pinned=check_weak_coupling_pinned(g, alphas, b),
-        gains=check_platoon_gains(spec.gains),
-    )
-    mu = spec.gains.mu
+    agents, g, b, cert = _platoon_network(spec)
     protocol = Reference(
         g,
         b=b,
-        u_bar=tuple((lambda t, c=m * spec.v0: c) for m in mu),
+        u_bar=tuple((lambda t, c=m * spec.v0: c) for m in spec.gains.mu),
         y_bar=spec.leader_position,
     )
     return agents, protocol, cert
-
-
-def _physical_protocol(spec: PlatoonSpec) -> Reference:
-    """Reference protocol acting on raw positions: the desired-gap constants
-    move into the feedforward instead of the outputs."""
-    g = platoon_graph(spec.gains)
-    n = spec.n
-    b = np.zeros(n)
-    b[0] = spec.gains.eta[0]
-    u_bar = []
-    for i in range(n):
-        c = spec.gains.mu[i] * spec.v0 - spec.gains.eta[i] * spec.s[i]
-        if i < n - 1:
-            c += spec.gains.nu[i] * spec.s[i + 1]
-        u_bar.append(lambda t, c=c: c)
-    return Reference(g, b=b, u_bar=tuple(u_bar), y_bar=spec.leader_position)
 
 
 @dataclass(frozen=True, eq=False)
 class PlatoonRun:
     """Physical-coordinate platoon run: sim outputs are raw positions;
     spacing_errors[r, i] = q_{i-1} - q_i - s_i at recorded time r (with the
-    leader ramp as q_{-1}); velocity_errors[r, i] = v_i - v0. metrics are
-    computed on the gap-shifted outputs q_i + (s[0]+...+s[i]) so that
+    leader ramp as q_{-1}); velocity_errors[r, i] = v_i - v0. sim.metrics
+    are computed on the gap-shifted outputs q_i + (s[0]+...+s[i]) so that
     `synchronized` reflects the platoon goal."""
 
     spec: PlatoonSpec
@@ -392,13 +380,12 @@ class PlatoonRun:
     sim: SimResult
     spacing_errors: NDArray[np.float64]
     velocity_errors: NDArray[np.float64]
-    metrics: SyncMetrics
 
     def to_json_dict(self) -> dict:
         return {
             "scenario_type": "platoon",
             "certificate": self.certificate.to_json_dict(),
-            "synchronized": bool(self.metrics.synchronized),
+            "synchronized": bool(self.sim.metrics.synchronized),
             "diverged": bool(self.sim.diverged),
             "terminal_abs_spacing_error": float(np.abs(self.spacing_errors[-1]).max()),
             "terminal_abs_velocity_error": float(np.abs(self.velocity_errors[-1]).max()),
@@ -417,9 +404,15 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
 
 
 def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
-    agents = [Vehicle3rd(tau=t, mu=m) for t, m in zip(spec.gains.tau, spec.gains.mu)]
-    _, _, cert = build_platoon(spec)
-    protocol = _physical_protocol(spec)
+    agents, g, b, cert = _platoon_network(spec)
+    gains, n = spec.gains, spec.n
+    u_bar = []
+    for i in range(n):
+        c = gains.mu[i] * spec.v0 - gains.eta[i] * spec.s[i]
+        if i < n - 1:
+            c += gains.nu[i] * spec.s[i + 1]
+        u_bar.append(lambda t, c=c: c)
+    protocol = Reference(g, b=b, u_bar=tuple(u_bar), y_bar=spec.leader_position)
     x0 = [[q, v, a] for q, v, a in zip(spec.q_init, spec.v_init, spec.a_init)]
     return _Job(
         (agents, protocol, replace(config, initial_states=x0)),
@@ -443,10 +436,9 @@ def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, tol: float,
     return PlatoonRun(
         spec=spec,
         certificate=cert,
-        sim=sim,
+        sim=replace(sim, metrics=metrics),
         spacing_errors=spacing,
         velocity_errors=vel,
-        metrics=metrics,
     )
 
 
@@ -524,7 +516,7 @@ def _harmonic_job(omega1: float, omega2: float, k: float, config: Optional[SimCo
         [1.0, 0.0],
     ]
     if config is None:
-        config = SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1)
+        config = _SIM_DEFAULTS["harmonic"]
 
     def finish(sim: SimResult) -> HarmonicRun:
         v = sim.y_scalar()
@@ -609,7 +601,7 @@ def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float,
     rng = np.random.default_rng(7)
     x0 = rng.normal(0.0, 0.5, size=(n_agents, 3)).tolist()
     if config is None:
-        config = SimConfig(dt=5e-3, t_final=150.0, record_stride=20)
+        config = _SIM_DEFAULTS["remark1"]
     note = None
     if q * p / n_agents < kappa < q * p / (n_agents - 1):
         note = (

@@ -529,6 +529,42 @@ class TestScenarioCommand:
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    def test_existing_report_exits_1_before_writing_anything(self, tmp_path, capsys):
+        f = write_json(tmp_path / "chain.json", TRAFFIC_CHAIN_TINY)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "chain.report.json").write_text("{}", encoding="utf-8")
+        assert main(["scenario", str(f), "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chain.report.json" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["chain.report.json"]
+
+    def test_existing_artifact_of_one_sweep_entry_exits_1_before_writing_anything(
+        self, tmp_path, capsys
+    ):
+        f = write_json(tmp_path / "batch.json", [HARMONIC_TINY] * 4)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "batch_002.csv").write_text("", encoding="utf-8")
+        assert main(["scenario", str(f), "--sweep", "--plot", "--output-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "batch_002.csv" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["batch_002.csv"]
+        assert (out / "batch_002.csv").read_text(encoding="utf-8") == ""
+
+    def test_platoon_metrics_are_those_of_the_gap_shifted_outputs(self, tmp_path, capsys):
+        config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "platoon.json"
+        code, out = run_cli(capsys, "scenario", str(config), "--output-dir", str(tmp_path))
+        assert code == 0
+        report = json.loads(out)
+        metrics = json.loads((tmp_path / "platoon.metrics.json").read_text(encoding="utf-8"))
+        assert report["synchronized"] is True
+        assert metrics["synchronized"] is report["synchronized"]
+        assert metrics == report["metrics"]
+        assert metrics["pairwise_sup_tail"] < metrics["tol"]
+
     def test_list_without_sweep_flag_rejected(self, tmp_path, capsys):
         f = write_json(tmp_path / "batch.json", [HARMONIC_TINY])
         assert main(["scenario", str(f), "--output-dir", str(tmp_path)]) == 1

@@ -258,6 +258,28 @@ def test_connectivity_matches_reachability_oracle(seed, n, density):
     assert rep.quasi_strongly_connected == quasi
 
 
+def _reaches_all(a: np.ndarray, root: int) -> bool:
+    """BFS along arcs k -> j (column k of the row-incoming adjacency)."""
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        k = frontier.pop()
+        for j in np.flatnonzero(a[:, k] > 0).tolist():
+            if j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == a.shape[0]
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40), arcs_per_node=st.floats(0.5, 2.5))
+def test_quasi_strong_connectivity_matches_bfs_from_every_root(seed, n, arcs_per_node):
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < arcs_per_node / n, 1.0, 0.0)
+    np.fill_diagonal(a, 0.0)
+    quasi = any(_reaches_all(a, root) for root in range(n))
+    assert connectivity(build_digraph(a)).quasi_strongly_connected == quasi
+
+
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
 def test_total_in_weight_equals_total_out_weight(seed, n):
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ def test_threshold_sweep_runs(tmp_path):
 
 def test_platoon_demo_runs(tmp_path):
     config = json.loads((SCRIPTS / "configs" / "platoon.json").read_text(encoding="utf-8"))
-    config["sim"]["t_final"] = 1.0
+    config["sim"]["t_final"] = 150.0  # long enough for the gap-shifted outputs to synchronize
     cfg = tmp_path / "platoon.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "tmp"
@@ -36,6 +36,9 @@ def test_platoon_demo_runs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "platoon.csv", "platoon.metrics.json", "platoon.svg",
     ]
+    metrics = json.loads((out / "platoon.metrics.json").read_text(encoding="utf-8"))
+    assert f"synchronized (gap-shifted outputs): {metrics['synchronized']}\n" in proc.stdout
+    assert metrics["synchronized"] is True
 
 
 def test_artifact_digest_against_itself_finds_no_difference(tmp_path):
