@@ -397,6 +397,7 @@ def _alphas_from_json(d: dict) -> list[float]:
 def cmd_certify(args) -> int:
     d = json.loads(Path(args.input).read_text(encoding="utf-8"))
     g = build_digraph(d["adjacency"])
+    del d["adjacency"]  # free the parsed lists before the heavy work
     alphas = _alphas_from_json(d)
     if args.reference:
         b = np.asarray(d.get("b", np.zeros(g.n)), dtype=float)
@@ -419,6 +420,7 @@ def cmd_simulate(args) -> int:
     in_path = Path(args.input)
     d = json.loads(in_path.read_text(encoding="utf-8"))
     agents, protocol, config = load_network(d)
+    del d  # free the parsed JSON (a dense adjacency list) before simulating
     config = _apply_overrides(config, args)
     result = simulate(agents, protocol, config)
     (summary,) = write_artifacts(

@@ -19,15 +19,19 @@ the delayed input columns and the reference offsets of the undelayed ones.
 Φ and Γ are built once per run, so a step is one matrix product with
 [Φ Γ] against [x; w] (with Φ alone for a run with neither delays nor
 offsets). Delayed inputs are read from a ring buffer of the stacked input
-signal, linearly interpolated at the stage times: the step is fixed, so the
-ring offsets and weights of every (stage, delayed column) pair are computed
-once and each step makes one gather for all three stages. Reads before
-t = 0 come from a prehistory table of the initial-history functions, filled
-before the step loop. The reference offsets b_i y_bar(t) + u_bar_i(t) come
-from an offset table of the stage times of the next `_CHUNK` steps, filled
-ahead of the state a block at a time, so its memory does not grow with the
-horizon. Both tables sample their time functions through one helper,
-`_sample`, which is the only place a time function is called.
+signal, linearly interpolated at the stage times. With smallest delay τ, the
+forcing of the next ⌊τ/h⌋ or so steps depends only on inputs already
+computed (the method of steps for delay equations), so the run advances in
+blocks of that many steps: once per block one gather reads the forcing of
+all of its steps, the states are tested for divergence and recorded, and
+the block's inputs are written to the ring; within a block each step is
+just the product. A run without delays steps in blocks of `_CHUNK`. Reads
+before t = 0 come from a prehistory table of the initial-history functions,
+filled before the step loop. The reference offsets b_i y_bar(t) + u_bar_i(t)
+come from an offset table of the stage times of the next `_CHUNK` steps,
+filled ahead of the state a chunk at a time, so its memory does not grow
+with the horizon. Both tables sample their time functions through one
+helper, `_sample`, which is the only place a time function is called.
 
 `simulate_batch` integrates several runs that share a group key
 (`batch_key`: per-agent state dimension and input delay, m, h, the step
@@ -71,6 +75,7 @@ __all__ = [
 
 _GRID_SNAP = 1e-9  # fractional tolerance for treating a time as a grid point
 _CHUNK = 1024  # steps per block of the reference-offset table
+_FINITE_BOUND = 1e300  # no value a block computes may exceed this
 
 
 # ---------------------------------------------------------------------------
@@ -593,51 +598,67 @@ def _record_times(n_steps: int, stride: int, dt: float) -> NDArray[np.float64]:
 
 class _DelayedInputs:
     """Delayed columns of the stacked inputs of B batch members at the three
-    RK4 stage times of each step, read by one gather.
+    RK4 stage times of a block of steps, read by one gather per block.
 
-    A ring buffer holds the stacked inputs of all members at the last few
-    step times (row j % cap holds u(j*dt), member-major). At stage time t0 +
-    c*dt of step k (c = 0, 1/2, 1), an agent with delay d reads u(t0 + c*dt -
-    d), which lies on ring row k + base, or between rows k + base and k +
-    base + 1 with weight frac on the later one. The step is fixed and the
-    members share their delays, so base and frac depend only on (c, d) and
-    one array of flat ring offsets serves every step and member. Reads that
+    A ring buffer holds the stacked inputs of all members at past step times
+    (u(j*dt) in row j % cap, member-major). At stage time t0 + c*dt of step k
+    (c = 0, 1/2, 1), an agent with delay d reads u(t0 + c*dt - d), which lies
+    on ring row k + base, or between rows k + base and k + base + 1 with
+    weight frac on the later one. The step is fixed and the members share
+    their delays, so base and frac depend only on (c, d). The steps k0 ..
+    k0 + lead - 1 read only rows at or before k0 (the method of steps), so
+    once u(k0*dt) is in the ring the forcing of all of them is one `take`
+    over a table of ring offsets relative to row k0, built once. Reads that
     land on a row are copied ("exact" set); the others are interpolated as
     (1 - frac)*u_j + frac*u_{j+1}. Keeping the sets apart means a copied
     value keeps its sign of zero and never picks up a NaN from the next row.
-    Reads before t = 0 (the first few steps) come from a prehistory table:
-    each member's initial-history functions evaluated, before the step loop,
-    at the stage times the reads ask for.
+    Reads before t = 0 come from a prehistory table: each member's
+    initial-history functions evaluated, before the step loop, at the stage
+    times the reads ask for. The ring spans one row more than the oldest
+    read reaches back, and no more rows than the run has steps, however long
+    the delay.
     """
 
     def __init__(self, agents, histories, dt, m, n_steps):
         nm = len(agents) * m
         n_b = len(histories)
         col_delay = np.repeat([a.input_delay for a in agents], m)
-        lookback = int(math.ceil(col_delay.max() / dt - _GRID_SNAP)) + 1
         row = n_b * nm
-        self.ring = np.zeros((lookback + 4, row))
-        self.flat = self.ring.reshape(-1)
-        self.row, self.nm = row, nm
 
-        # one read per (stage, delayed column), at ring row k + base
+        # one read per (stage, delayed column), at ring row k + base; a read
+        # more than n_steps rows back is before t = 0 at every step, so it is
+        # clamped there and the ring never outgrows the run
         cols = np.flatnonzero(col_delay > 0.0)
         stage = np.repeat(np.arange(3), cols.size)
         col = np.tile(cols, 3)
         d = col_delay[col]
-        q = np.array([0.0, 0.5, 1.0])[stage] - d / dt
+        q = np.maximum(np.array([0.0, 0.5, 1.0])[stage] - d / dt, -(n_steps + 2.0))
         base = np.floor(q + _GRID_SNAP)
         frac = q - base
         up = frac > 1.0 - _GRID_SNAP
         base[up] += 1.0
         frac[up | (frac < _GRID_SNAP)] = 0.0
         base = base.astype(np.intp)
-        target = stage * nm + col
-        src = base * row + col
         exact = frac == 0.0
+        self.lead = 1 - int(np.where(exact, base, base + 1).max())
+        # the ring is written up to the block start k0 and read back to
+        # k0 + base.min(), so that many rows plus one are never overwritten
+        # while they can still be read; each row is stored twice, at j % cap
+        # and j % cap + cap, so the rows of a block's reads run on without
+        # wrapping from row k0 % cap
+        cap = 1 - int(base.min())
+        self.ring = np.zeros((2 * cap, row))
+        self.flat = self.ring.reshape(-1)
+        self.cap, self.row = cap, row
+
+        target = stage * nm + col
         self.exact_t, self.interp_t = target[exact], target[~exact]
-        src = np.concatenate([src[exact], src[~exact], src[~exact] + row])
-        self.src = (np.arange(n_b)[:, None] * nm + src).reshape(-1)
+        src_base = np.concatenate([base[exact], base[~exact], base[~exact] + 1])
+        src_col = np.concatenate([col[exact], col[~exact], col[~exact]])
+        # flat ring offset of every read of step k0 + i by member b, from
+        # row k0 % cap, shaped (steps, B, reads)
+        steps = np.arange(min(self.lead, n_steps, _CHUNK))[:, None, None]
+        self.src = ((steps + src_base) % cap) * row + (np.arange(n_b)[:, None] * nm + src_col)
         self.w_hi = frac[~exact]
         self.w_lo = 1.0 - self.w_hi
         n_exact, n_interp = self.exact_t.size, self.interp_t.size
@@ -649,8 +670,8 @@ class _DelayedInputs:
         # initial history reads zeros there
         k_pre = min(n_steps, -int(base.min()))
         pre_read = np.arange(k_pre)[:, None] + base < 0
-        self.pre_mask = np.zeros((k_pre, 3 * nm), dtype=bool)
-        self.pre_mask[:, target] = pre_read
+        self.pre_mask = np.zeros((k_pre, 1, 3 * nm), dtype=bool)
+        self.pre_mask[:, 0, target] = pre_read
         self.pre_val = np.zeros((k_pre, n_b, 3 * nm))
         pre_t = np.arange(k_pre)[:, None] * dt + np.array([0.0, 0.5 * dt, dt])[stage] - d
         for b, hist in enumerate(histories):
@@ -661,20 +682,21 @@ class _DelayedInputs:
                 ks, rs = np.nonzero(pre_read & (col == c))
                 self.pre_val[ks, b, target[rs]] = _sample(fn, pre_t[ks, rs])
 
-    def stage_inputs(self, k: int, u_now: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Record u(k*dt) = u_now, shaped (B, n*m), then return the stacked
-        inputs at the three stage times of step k as a (B, 3*n*m) array,
-        stage-major per member, with zeros in the undelayed columns."""
-        ring = self.ring
-        ring[k % ring.shape[0]] = u_now.reshape(-1)
-        n_b = u_now.shape[0]
-        v = self.flat.take((k * self.row + self.src) % self.flat.size).reshape(n_b, -1)
-        w = np.zeros((n_b, 3 * self.nm))
-        w[:, self.exact_t] = v[:, self.exact_v]
-        w[:, self.interp_t] = self.w_lo * v[:, self.lo_v] + self.w_hi * v[:, self.hi_v]
-        if k < self.pre_val.shape[0]:
-            np.copyto(w, self.pre_val[k], where=self.pre_mask[k])
-        return w
+    def write(self, k: int, u: NDArray[np.float64]) -> None:
+        """Record u(k*dt), u((k+1)*dt), ... from u shaped (rows, B, n*m)."""
+        at = np.arange(k, k + len(u)) % self.cap
+        self.ring[at] = self.ring[at + self.cap] = u.reshape(len(u), -1)
+
+    def read(self, k0: int, w: NDArray[np.float64]) -> None:
+        """Fill the delayed columns of w, shaped (steps, B, 3*n*m) and
+        stage-major per member, with the stage inputs of steps k0, k0 + 1,
+        ...; the ring must hold u up to k0*dt and steps <= lead."""
+        v = self.flat[(k0 % self.cap) * self.row :].take(self.src[: len(w)])
+        w[..., self.exact_t] = v[..., self.exact_v]
+        w[..., self.interp_t] = self.w_lo * v[..., self.lo_v] + self.w_hi * v[..., self.hi_v]
+        pre = min(len(w), len(self.pre_val) - k0)
+        if pre > 0:
+            np.copyto(w[:pre], self.pre_val[k0 : k0 + pre], where=self.pre_mask[k0 : k0 + pre])
 
 
 def _step_operators(members, m, offs, undelayed):
@@ -700,9 +722,36 @@ def _step_operators(members, m, offs, undelayed):
     return m_mat, b_blk, kc
 
 
+def _inf_norms(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The largest absolute row sum of each matrix of a (B, r, c) stack, in
+    slices of rows, so that no |a|-sized temporary is built."""
+    out = np.zeros(len(a))
+    for r in range(0, a.shape[1], 64):
+        np.maximum(out, np.abs(a[:, r : r + 64]).sum(axis=2).max(axis=1), out=out)
+    return out
+
+
+def _safe_block(step_mats, kc, x, blowup) -> int:
+    """The most steps a block may take. A member that crosses blowup at the
+    start of a block steps on to its end before it is cut, and must not
+    overflow on the way. Its state is within X = max(blowup, |x0|) there and
+    its ring rows within ‖KC‖∞·X; a step grows the larger of the two by at
+    most g = ‖[Φ Γ]‖∞·max(1, ‖KC‖∞), so after s steps every value is below
+    g^s·max(1, ‖KC‖∞)·X, which s keeps under _FINITE_BOUND. The time
+    functions (offsets, initial histories) are taken to stay below it too."""
+    k = np.maximum(1.0, _inf_norms(kc))
+    g = np.concatenate([_inf_norms(a) for a in step_mats]) * k
+    start = np.maximum(blowup, np.abs(x).max(axis=1)) * k
+    with np.errstate(divide="ignore"):
+        s = np.floor(np.log(_FINITE_BOUND / start) / np.log(g))
+    s[g <= 1.0] = np.inf
+    return int(max(1.0, min(s.min(), _CHUNK)))
+
+
 def _integrate(members, x0, n_steps, stride, m):
     """RK4 of the assembled closed loops of a batch, as one affine map per
-    step; returns (times, states, diverged, t_diverged) per member.
+    step, in blocks of steps; returns (times, states, diverged, t_diverged)
+    per member.
 
     A member has n agents with m-dimensional inputs and outputs; its stacked
     input has n*m columns, agent-major, and the coupling acts on it as
@@ -712,9 +761,20 @@ def _integrate(members, x0, n_steps, stride, m):
     undelayed columns from the reference offset. RK4 on dx/dt = M x + B w(t)
     is then exactly x⁺ = Φ x + Γ w (see the module docstring). Members with
     offsets come first, then the other forced members (any delay); these
-    step with [Φ Γ] against [x; w], the rest with Φ alone. The offsets of
-    the first n_off members are read from a table of the next `_CHUNK`
-    steps, rebuilt at each block boundary.
+    step with [Φ Γ] against [x; w], the rest with Φ alone.
+
+    The run advances in blocks of at most `lead` steps: with delays, the
+    steps whose delayed reads all land at or before the block start (method
+    of steps); without, `_CHUNK`. Each step of a block writes its state next
+    to its forcing in one (lead + 1, B, nx + 3*n*m) buffer, so a step is one
+    matrix product. Once per block the forcing of all its steps is read (one
+    ring gather, the offsets of the table of the current `_CHUNK` steps,
+    which a block never straddles), every state is tested against blowup,
+    the recorded states are copied out and the new inputs are written to the
+    ring. A member is cut at its first step above blowup; its [Φ Γ] becomes
+    [I 0], which holds its state from then on. The block length is capped so
+    that a member that crosses at a block's start cannot overflow before its
+    end (`_safe_block`).
     """
     agents0 = members[0][0]
     n_b, n = len(members), len(agents0)
@@ -739,6 +799,7 @@ def _integrate(members, x0, n_steps, stride, m):
     phi = eye + (hm / 3.0) @ phi
     phi = eye + (hm / 2.0) @ phi
     phi = eye + hm @ phi
+    phi_gamma = phi[:0]  # an empty stack when no member is forced
     if n_forced:
         b_f, hm_f = b_blk[:n_forced], hm[:n_forced]
         mb1 = hm_f @ b_f
@@ -752,72 +813,90 @@ def _integrate(members, x0, n_steps, stride, m):
         phi_gamma = np.concatenate([phi[:n_forced], *((dt / 6.0) * g for g in gamma)], axis=2)
     phi_free = phi[n_forced:]
     delayed = None
+    lead = _CHUNK
     if has_delay:
         histories = [config.initial_histories for _, _, config in members]
         delayed = _DelayedInputs(agents0, histories, dt, m, n_steps)
+        lead = delayed.lead
+
+    x = np.stack([np.concatenate(x0[j]) for j in order])
+    blowup = np.array([config.blowup for _, _, config in members])
+    lead = min(lead, n_steps, _safe_block([phi_gamma, phi_free], kc, x, blowup))
+    z = np.zeros((lead + 1, n_b, nx + 3 * nm if n_forced else nx))
+    z[0, :, :nx] = x
+    # per-step operands: [x; w] of the forced members, x of the others
+    forced_in, forced_out = z[:, :n_forced, :, None], z[:, :n_forced, :nx, None]
+    free = z[:, n_forced:, :nx, None]
+    w_blk = z[:, :, nx:]
+    # the stage-major forcing columns of the undelayed inputs
+    und3 = (np.arange(3)[:, None] * nm + undelayed).reshape(-1)
+
+    def inputs(x_rows, k):
+        # u = -K C x + offset at steps k, k + 1, ... of the current chunk
+        # (whose offsets u_off start at step c0), for the ring
+        u = -np.matmul(kc, x_rows[..., None])[..., 0]
+        if n_off:
+            u[:, :n_off] += u_off[k - c0 : k - c0 + len(u)]
+        return u
 
     n_rec = n_steps // stride + 1
     x_rec = np.empty((n_rec, n_b, nx))
-    x = np.stack([np.concatenate(x0[j]) for j in order])
-    blowup = np.array([config.blowup for _, _, config in members])
+    x_rec[0] = x
     live = np.ones(n_b, dtype=bool)
-    frozen = None
     ends: list[Optional[tuple[int, float]]] = [None] * n_b  # (rows, t_diverged)
-    rows = 0
 
-    for k in range(n_steps + 1):
-        if k % stride == 0:
-            x_rec[rows] = x
-            rows += 1
-        if k == n_steps:
+    k0 = 0
+    while k0 < n_steps:
+        c0 = k0 - k0 % _CHUNK
+        steps = min(lead, n_steps - k0, c0 + _CHUNK - k0)
+        if n_off and k0 == c0:
+            # offsets of the steps c0 .. c1 - 1 at their stage times, shaped
+            # (c1 - c0, n_off, 3*n*m), and of the steps c0 .. c1 at their
+            # start, for the ring rows written after each block
+            c1 = min(c0 + _CHUNK, n_steps)
+            t0 = np.arange(c0, c1 + 1) * dt
+            ts = np.append(np.stack([t0[:-1], t0[:-1] + 0.5 * dt, t0[:-1] + dt], axis=1), t0[-1])
+            off = np.stack([_reference_offsets(p, ts, m) for _, p, _ in members[:n_off]], axis=1)
+            table = off[:-1].reshape(c1 - c0, 3, n_off, nm).transpose(0, 2, 1, 3)
+            table = table.reshape(c1 - c0, n_off, 3 * nm)
+            u_off = off[::3].reshape(c1 - c0 + 1, n_off, nm)
+        if delayed is not None:
+            if k0 == 0:
+                delayed.write(0, inputs(z[:1, :, :nx], 0))
+            delayed.read(k0, w_blk[:steps, :n_forced])
+        if n_off:
+            w_blk[:steps, :n_off, und3] = table[k0 - c0 : k0 - c0 + steps][:, :, und3]
+        for i in range(steps):
+            if n_forced:
+                np.matmul(phi_gamma, forced_in[i], out=forced_out[i + 1])
+            if n_forced < n_b:
+                np.matmul(phi_free, free[i], out=free[i + 1])
+
+        xs = z[1 : steps + 1, :, :nx]
+        first = -k0 % stride or stride
+        r0 = k0 // stride + 1
+        rec = xs[first - 1 :: stride]
+        x_rec[r0 : r0 + len(rec)] = rec
+        bad = ~((xs.max(axis=2) <= blowup) & (xs.min(axis=2) >= -blowup))  # NaN fails both
+        bad &= live
+        for j in np.flatnonzero(bad.any(axis=0)):
+            k = k0 + int(np.argmax(bad[:, j]))  # the last step within blowup
+            ends[j] = (k // stride + 1, (k + 1) * dt)
+            live[j] = False
+            held = phi_gamma[j] if j < n_forced else phi_free[j - n_forced]
+            held[...] = 0.0
+            held[:, :nx] = eye
+        if not live.any():
             break
-        parts = []
-        if n_forced:
-            if n_off and k % _CHUNK == 0:
-                # offsets of the next _CHUNK steps at their stage times,
-                # shaped (steps, n_off, 3, n*m)
-                t0 = np.arange(k, min(k + _CHUNK, n_steps)) * dt
-                ts = np.stack([t0, t0 + 0.5 * dt, t0 + dt], axis=1).reshape(-1)
-                table = np.stack(
-                    [
-                        _reference_offsets(p, ts, m).reshape(t0.size, 3, nm)
-                        for _, p, _ in members[:n_off]
-                    ],
-                    axis=1,
-                )
-            x_f = x[:n_forced]
-            if delayed is not None:
-                u_now = -np.matmul(kc, x_f[:, :, None])[:, :, 0]
-                if n_off:
-                    u_now[:n_off] += table[k % _CHUNK, :, 0]
-                w = delayed.stage_inputs(k, u_now)
-            else:
-                w = np.zeros((n_forced, 3 * nm))
-            if n_off:
-                w_off = w[:n_off].reshape(n_off, 3, nm)
-                w_off[:, :, undelayed] += table[k % _CHUNK][:, :, undelayed]
-            z = np.concatenate([x_f, w], axis=1)
-            parts.append(np.matmul(phi_gamma, z[:, :, None])[:, :, 0])
-        if n_forced < n_b:
-            parts.append(np.matmul(phi_free, x[n_forced:, :, None])[:, :, 0])
-        x_next = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        mx = np.abs(x_next).max(axis=1)
-        new = live & ~(mx <= blowup)  # NaN compares False
-        if new.any():
-            for j in np.flatnonzero(new):
-                ends[j] = (rows, (k + 1) * dt)
-            live &= ~new
-            if not live.any():
-                break
-            frozen = ~live
-        if frozen is not None:
-            x_next[frozen] = x[frozen]
-        x = x_next
+        if delayed is not None:
+            delayed.write(k0 + 1, inputs(xs, k0 + 1))
+        z[0, :, :nx] = z[steps, :, :nx]
+        k0 += steps
 
     all_times = _record_times(n_steps, stride, dt)
     runs: list = [None] * n_b
     for j, orig in enumerate(order):
-        r, t_div = ends[j] or (rows, None)
+        r, t_div = ends[j] or (n_rec, None)
         states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
         runs[orig] = (all_times[:r].copy(), states, t_div is not None, t_div)
     return runs

@@ -434,6 +434,32 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("input error:")
 
+    def test_delay_far_beyond_the_horizon_reads_only_the_zero_history(self, tmp_path, capsys):
+        # the ring of past inputs is sized by the run, not by the delay; a
+        # delay of 1e13 s over a 0.05 s horizon, like one of 0.06 s, reads
+        # nothing but the prehistory, which defaults to zero
+        csv = []
+        for delay in (1e13, 0.06):
+            net = {
+                "adjacency": [[0.0, 1.0], [1.0, 0.0]],
+                "agents": [
+                    {"type": "delayed_integrator", "delay": delay, "x0": [1.0]},
+                    {"type": "delayed_integrator", "delay": 0.0, "x0": [0.0]},
+                ],
+                "protocol": {"type": "plain"},
+                "sim": {"dt": 0.01, "t_final": 0.05},
+            }
+            f = write_json(tmp_path / "far.json", net)
+            out = tmp_path / repr(delay)
+            code = main(["simulate", str(f), "--output-dir", str(out)])
+            err = capsys.readouterr().err
+            assert code == 0 and "Traceback" not in err
+            csv.append((out / "far.csv").read_text(encoding="utf-8"))
+        rows = [line.split(",") for line in csv[0].splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(r[1]) == 1.0 for r in rows)  # y_1 = x0 throughout
+        assert csv[0] == csv[1]
+
     def test_output_dir_env_var_respected(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "from_env"
         monkeypatch.setenv("IFPSYNC_OUTPUT_DIR", str(out_dir))

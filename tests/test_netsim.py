@@ -435,6 +435,53 @@ class TestSimulate:
         assert res.y.shape == expected.shape
         assert np.max(np.abs(res.y - expected)) < 1e-12
 
+    @given(data=st.data())
+    def test_blocks_of_steps_match_per_agent_oracle(self, data):
+        # the engine steps in blocks of `lead` steps, the steps whose delayed
+        # reads land at or before the block start: the smallest delay
+        # (lead + frac) * dt gives lead = 1 .. 5 against strides 1 .. 3, the
+        # step count need not be a multiple of lead, and one input in five
+        # runs past a _CHUNK boundary of the offset table
+        dt = 0.01
+        lead = data.draw(st.integers(1, 5), label="lead")
+        frac = data.draw(st.sampled_from([0.0, 0.3, 0.5]), label="frac")
+        d_min = (lead + frac) * dt
+        long_run = data.draw(st.integers(0, 4), label="long run") == 0
+        n = data.draw(st.integers(2, 3 if long_run else 4), label="n")
+        m = 1 if long_run else data.draw(st.sampled_from([1, 2]), label="m")
+        other = st.sampled_from([0.0, d_min, d_min + 0.013, 3.0 * d_min])
+        delays = [d_min] + [data.draw(other, label="delay") for _ in range(n - 1)]
+        if long_run:
+            steps = _CHUNK + data.draw(st.integers(1, 3 * lead), label="steps past _CHUNK")
+        else:
+            steps = data.draw(st.integers(2, 12 * lead + 7), label="steps")
+        stride = data.draw(st.integers(1, 3), label="stride")
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000), label="seed"))
+        agents = [DelayedIntegrator(delay=d, dim=m) for d in delays]
+        pinned = rng.random(n) < 0.5
+        pinned[0] = True
+        proto = Reference(
+            build_digraph(random_strongly_connected_adjacency(rng, n)),
+            np.where(pinned, rng.uniform(0.1, 1.0, n), 0.0),
+            u_bar=tuple(None if rng.random() < 0.5 else np.cos for _ in range(n)),
+            y_bar=lambda t: 0.5 - 0.2 * t,
+        )
+        histories = tuple(
+            data.draw(st.sampled_from([None, np.sin, lambda t: 0.7]), label="history")
+            for _ in range(n)
+        )
+        cfg = SimConfig(
+            dt=dt,
+            t_final=steps * dt,
+            record_stride=stride,
+            initial_states=rng.uniform(-1.0, 1.0, (n, m)).tolist(),
+            initial_histories=histories,
+        )
+        res = simulate(agents, proto, cfg)
+        expected = rk4_oracle(agents, proto, cfg)
+        assert res.y.shape == expected.shape
+        assert np.max(np.abs(res.y - expected)) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # simulate_batch
@@ -554,6 +601,47 @@ class TestSimulateBatch:
         assert not live.diverged and live.metrics.synchronized
         assert diverged.diverged and diverged.t_diverged == 0.01
         assert diverged.times.shape == (1,)
+
+    def test_a_block_ends_before_a_crossed_member_overflows(self):
+        # 1/(s - a) with a*dt = 1e20 grows by about 4e78 per step: it crosses
+        # blowup at the first step, and four more steps of the block it
+        # crossed in would overflow, so the blocks are kept shorter
+        fast = [LtiSiso.from_coeffs([1.0], [-1e22, 1.0])]
+        slow = [LtiSiso.from_coeffs([1.0], [1.0, 1.0])]
+        proto = Plain(build_digraph([[0.0]]))
+        cfg = SimConfig(dt=0.01, t_final=1.0, initial_states=[[1.0]])
+        with np.errstate(all="raise"):
+            live, diverged = simulate_batch([(slow, proto, cfg), (fast, proto, cfg)])
+        assert not live.diverged and live.times.shape == (101,)
+        assert diverged.diverged and diverged.t_diverged == 0.01
+        assert diverged.times.shape == (1,)
+
+    def test_a_member_is_cut_at_its_first_crossing_at_every_offset_of_a_block(self):
+        # a delay of 5 steps makes blocks of 5 steps; one member crosses
+        # blowup at each offset of one block, the others keep stepping past
+        # it, and no value overflows in the steps a block computes beyond a
+        # crossing
+        dt, lead = 0.01, 5
+        agents = [LtiSiso.from_coeffs([1.0], [-1.0, 1.0]), DelayedIntegrator(lead * dt)]
+        proto = Plain(build_digraph([[0, 0.5], [0.5, 0]]))
+        cfg = SimConfig(dt=dt, t_final=3.0, initial_states=[[0.3], [-0.2]])
+        full = simulate(agents, proto, cfg)
+        assert not full.diverged
+        size = np.maximum(np.abs(full.states[0][:, 0]), np.abs(full.states[1][:, 0]))
+        firsts = range(100, 100 + lead)  # each offset within a block once
+        blowups = [float(size[:k].max()) for k in firsts]
+        assert all(size[k] > b for k, b in zip(firsts, blowups))
+        members = [(agents, proto, cfg)] + [
+            (agents, proto, replace(cfg, blowup=b)) for b in blowups
+        ]
+        with np.errstate(all="raise"):
+            batch = simulate_batch(members)
+        assert np.array_equal(batch[0].y, full.y)
+        for k, cut in zip(firsts, batch[1:]):
+            assert cut.diverged and cut.t_diverged == k * dt
+            assert cut.times.shape == (k,)
+            for got, ref in zip(cut.states, full.states):
+                assert np.array_equal(got, ref[:k])
 
     @pytest.mark.parametrize(
         "change",
