@@ -37,6 +37,7 @@ from .passivity import (
     RationalTF,
     eval_freq,
     ifp_index,
+    ifp_indices,
     ifp_shift,
     ifp_shift_identity_check,
     prl_conditions,
@@ -103,7 +104,7 @@ __all__ = [
     "connectivity", "degrees", "laplacian", "perron_weights",
     # passivity
     "Polynomial", "RationalTF", "IfpCertificate", "PrlReport", "IfpShift",
-    "eval_freq", "routh_hurwitz", "ifp_index", "prl_conditions", "ifp_shift",
+    "eval_freq", "routh_hurwitz", "ifp_index", "ifp_indices", "prl_conditions", "ifp_shift",
     "ifp_shift_identity_check",
     # certificates
     "WeakCouplingVerdict", "check_weak_coupling", "check_weak_coupling_pinned",

@@ -492,7 +492,10 @@ def batch_key(agents: Sequence[AgentModel], config: SimConfig) -> tuple:
     )
 
 
-def simulate_batch(members: Sequence[Member]) -> list[SimResult]:
+def simulate_batch(
+    members: Sequence[Member],
+    output_offsets: Optional[Sequence[Optional[NDArray[np.float64]]]] = None,
+) -> list[SimResult]:
     """Integrate several networks as one batch; one SimResult per member, in
     order, each bitwise equal to the member's own `simulate` run.
 
@@ -500,7 +503,10 @@ def simulate_batch(members: Sequence[Member]) -> list[SimResult]:
     (DimensionMismatch otherwise). Each keeps its own realizations, coupling,
     pinning gains and offsets, initial states and histories, tol and blowup.
     A member that diverges is frozen at its last finite state and keeps its
-    own record count and t_diverged; the others run on.
+    own record count and t_diverged; the others run on. A member's entry of
+    `output_offsets`, when given and not None, holds one constant per agent
+    that is added to the agent's outputs before the metrics are taken (a
+    platoon's desired gaps); the recorded y stays as integrated.
     """
     members = [(list(agents), protocol, config) for agents, protocol, config in members]
     if not members:
@@ -519,9 +525,10 @@ def simulate_batch(members: Sequence[Member]) -> list[SimResult]:
         raise BadDimensions(f"dt={dt} exceeds the smallest positive delay {min(pos_delays)}")
     x0 = [_initial_states(agents, config.initial_states) for agents, _, config in members]
     runs = _integrate(members, x0, n_steps, stride, m)
+    offsets = [None] * len(members) if output_offsets is None else output_offsets
     return [
-        _result(agents, protocol, config, *run)
-        for (agents, protocol, config), run in zip(members, runs)
+        _result(agents, protocol, config, offs, *run)
+        for (agents, protocol, config), offs, run in zip(members, offsets, runs)
     ]
 
 
@@ -537,11 +544,12 @@ def _check_member(agents, protocol, config) -> None:
         raise DimensionMismatch(f"initial_histories must have {n} entries")
 
 
-def _result(agents, protocol, config, times, states, diverged, t_div) -> SimResult:
+def _result(agents, protocol, config, offsets, times, states, diverged, t_div) -> SimResult:
     y = _outputs_from_states(agents, states)
     u = _inputs_from_outputs(protocol, times, y)
     y_bar = protocol.y_bar if isinstance(protocol, Reference) else None
-    metrics = sync_metrics((times, y), y_bar=y_bar, tol=config.tol)
+    measured = y if offsets is None else y + np.asarray(offsets, dtype=float)[None, :, None]
+    metrics = sync_metrics((times, measured), y_bar=y_bar, tol=config.tol)
     if diverged and metrics.synchronized:
         metrics = replace(metrics, synchronized=False)
     for arr in (times, y, u, *states):

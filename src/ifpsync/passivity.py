@@ -12,6 +12,9 @@ the infimum exactly over w = 0, the imaginary-axis poles, the positive roots
 of R'Q - RQ', and w -> infinity; ``prl_conditions`` reports the underlying
 positive-real-lemma conditions with the same infimum. Rescaling by the
 largest pole magnitude makes results and tolerances free of the time unit.
+``ifp_indices`` does this for many transfer functions at once, as array
+operations over groups of equal shape; ``ifp_index`` and ``prl_conditions``
+are its one-member calls.
 
 Pole and residue classification works on the num/den pair as given; callers
 are expected to supply transfer functions in lowest terms (common factors
@@ -46,6 +49,7 @@ __all__ = [
     "eval_freq",
     "routh_hurwitz",
     "ifp_index",
+    "ifp_indices",
     "prl_conditions",
     "ifp_shift",
     "ifp_shift_identity_check",
@@ -64,6 +68,8 @@ _RESIDUE_RTOL = 1e-6
 
 #: minimum distance between unit-scaled imaginary-axis poles to count as simple
 _SIMPLE_TOL = 1e-6
+
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -138,12 +144,6 @@ class RationalTF:
     @property
     def strictly_proper(self) -> bool:
         return self.num.degree < self.den.degree
-
-    def poles(self) -> np.ndarray:
-        """Denominator roots (companion-matrix eigenvalues)."""
-        if self.den.degree < 1:
-            return np.array([], dtype=complex)
-        return np.roots(self.den.descending())
 
 
 @dataclass(frozen=True)
@@ -248,130 +248,252 @@ def routh_hurwitz(p: Polynomial) -> bool:
     return True
 
 
-def _unit_scaled(tf: RationalTF) -> tuple[RationalTF, float, np.ndarray]:
-    """(W(rho*s), rho, poles of W(rho*s)), rho the power of two nearest the
-    largest pole magnitude (1 if all poles are at the origin), with both
-    polynomials divided by the power of two nearest the largest rescaled den
-    coefficient. Powers of two scale exactly, and combining the exponents
-    first keeps every coefficient finite."""
-    roots = tf.poles()
-    rho = float(np.abs(roots).max(initial=0.0))
-    e = round(math.log2(rho)) if rho > 0.0 else 0
-    den = np.array(tf.den.coeffs)
-    ek = e * np.arange(len(den))
-    shift = ek - (np.frexp(den)[1] + ek)[den != 0.0].max()
-    num = np.ldexp(np.array(tf.num.coeffs), shift[: len(tf.num.coeffs)])
-    scaled = RationalTF(Polynomial(num), Polynomial(np.ldexp(den, shift)))
-    return scaled, 2.0**e, roots / 2.0**e
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of c (ascending) at the points in the same row of x, in
+    Polynomial.__call__ order."""
+    r = 0.0 * x
+    for k in range(c.shape[1] - 1, -1, -1):
+        r = r * x + c[:, k, None]
+    return r
 
 
-def _imaginary_pole_ok(tf: RationalTF, idx: int, roots: np.ndarray, rho: float) -> bool:
-    """Simple imaginary pole of the unit-scaled W(rho*s) whose residue in W,
-    rho*num/den' there, is (numerically) real non-negative.
-
-    The tolerance is relative to the rounding scale of the residue,
-    rho*sum_k |num_k| |lam0|^k / |den'(lam0)|, so the verdict does not change
-    with a gain on W, and an exact pole-zero cancellation (residue 0)
-    passes."""
-    pole = roots[idx]
-    others = np.delete(roots, idx)
-    if len(others) and np.abs(others - pole).min() <= _SIMPLE_TOL:
-        return False
-    lam0 = 1j * pole.imag
-    slope = Polynomial([k * c for k, c in enumerate(tf.den.coeffs)][1:])(lam0)
-    res = rho * tf.num(lam0) / slope
-    tol = _RESIDUE_RTOL * rho * tf.num.magnitude_at(pole.imag) / abs(slope)
-    return res.real >= -tol and abs(res.imag) <= tol
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in CPython's complex arithmetic, which rounds
+    every product (numpy's complex multiply fuses them)."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _at_iw(p: Polynomial) -> np.ndarray:
-    """Coefficients of p(iw) as a polynomial in w."""
-    return np.array(p.coeffs) * np.resize([1.0, 1j, -1.0, -1j], len(p.coeffs))
+def _cquot(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) by Smith's method as CPython divides complex
+    numbers (numpy multiplies by a reciprocal instead)."""
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi / br, br / bi)
+    denom = np.where(big, br + bi * ratio, br * ratio + bi)
+    return (np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
-def _divide(p: np.ndarray, c: float) -> np.ndarray:
-    """Quotient of p(x) by (x - c), remainder dropped (ascending coefficients)."""
-    q = np.zeros(max(len(p) - 1, 1))
-    acc = 0.0
-    for k in range(len(p) - 1, 0, -1):
-        acc = p[k] + c * acc
-        q[k - 1] = acc
+def _horner_iw(c: np.ndarray, w: np.ndarray):
+    """(Re, Im) of each row of c at i*w, with the Python complex arithmetic
+    of Polynomial.__call__ (adding a float c leaves (re + c, im + 0.0)), so
+    the values equal eval_freq's bit for bit."""
+    xr, xi = _cmul(0.0, 1.0, w, 0.0)
+    rr, ri = _cmul(0.0, 0.0, xr, xi)
+    for k in range(c.shape[1] - 1, -1, -1):
+        rr, ri = _cmul(rr, ri, xr, xi)
+        rr, ri = rr + c[:, k, None], ri + 0.0
+    return rr, ri
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """Roots of each row of p (descending, nonzero first entry) as np.roots
+    finds them: eigenvalues of the companion matrix, one stacked call."""
+    m = p.shape[1] - 1
+    if m == 0:
+        return np.zeros((len(p), 0), complex)
+    a = np.zeros((len(p), m, m))
+    a[:, 0, :] = -p[:, 1:] / p[:, :1]
+    a[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    return np.linalg.eigvals(a).astype(complex)
+
+
+def _at_iw(c: np.ndarray) -> np.ndarray:
+    """Coefficients of each row's p(iw) as a polynomial in w."""
+    return c * _I_POWERS[np.arange(c.shape[1]) % 4]
+
+
+def _conv_even(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re np.convolve(a, v)[::2] for each row pair, summed by the same BLAS
+    dot per output index that np.convolve calls, so the sums round alike."""
+    if v.shape[1] > a.shape[1]:
+        a, v = v, a
+    la, lv = a.shape[1], v.shape[1]
+    out = np.empty((len(a), (la + lv) // 2))
+    for k in range(0, la + lv - 1, 2):
+        i = np.arange(max(0, k - lv + 1), min(k, la - 1) + 1)
+        out[:, k // 2] = (a[:, None, i] @ v[:, k - i, None])[:, 0, 0].real
+    return out
+
+
+def _divide(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Quotient of each row p(x) by (x - c), remainder dropped, at p's width
+    (the top coefficient becomes 0)."""
+    q = np.zeros_like(p)
+    acc = np.zeros(len(p))
+    for k in range(p.shape[1] - 1, 0, -1):
+        acc = p[:, k] + c * acc
+        q[:, k - 1] = acc
     return q
 
 
-def _axis_infimum(tf: RationalTF, poles: np.ndarray, real_residues: bool) -> tuple[float, float]:
-    """(inf, argmin) of Re W(iw) over finite w >= 0, given W's axis poles.
+def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
+    """_analyse for B transfer functions with equal len(num), len(den) and
+    tz zero low-order den coefficients (rows of num and den, ascending)."""
+    b, ld = den.shape
+    n = ld - 1
+    rows = np.arange(b)
+    # poles as np.roots orders them: the companion roots, then tz at 0
+    poles = np.zeros((b, n), complex)
+    poles[:, : n - tz] = _roots(den[:, tz:][:, ::-1])
 
-    Re W(iw) = R(x)/Q(x) in x = w^2 with Q = |den(iw)|^2, once each distinct
-    axis pole is divided out of R and Q: x at the origin, (x - w0^2)^2 for
-    +-i w0, where a non-real residue (never if real_residues) leaves R a
-    remainder at the second factor and makes the infimum -inf. Candidates are
-    x = 0, the poles (where the deflated R/Q continues Re W) and the positive
-    real parts of the roots of R'Q - RQ' (num/den there; a complex root only
-    adds a value of Re W). Where the deflated Q still vanishes (a repeated
-    pole) the infimum is -inf if R < 0, and the point is skipped otherwise.
-    Ties keep the first candidate.
-    """
-    n_iw, d_iw = _at_iw(tf.num), _at_iw(tf.den)
-    r = np.convolve(n_iw, d_iw.conj()).real[::2]  # Re num(iw) conj(den(iw))
-    q = np.convolve(d_iw, d_iw.conj()).real[::2]
-    pole_x: list[float] = []
-    last = None
-    for p in sorted(poles[poles.imag >= 0.0], key=lambda z: z.imag):
-        if last is None or abs(p - last) > _SIMPLE_TOL:  # else the same pole
-            last = p
-            c = float(p.imag) ** 2 if p.imag > _SIMPLE_TOL else 0.0
-            for k in range(2 if c else 1):
-                r_c = Polynomial(r)
-                if k and not real_residues and abs(r_c(c)) > _RESIDUE_RTOL * r_c.magnitude_at(c):
-                    return -math.inf, math.sqrt(c)
-                r, q = _divide(r, c), _divide(q, c)
-            pole_x.append(c)
-    # R'Q - RQ' = sum_ij (i - j) r_i q_j x^(i+j-1): the weight cancels the top
-    # terms exactly; a rounded leftover would wreck np.roots' companion matrix
-    i, j = np.arange(len(r))[:, None], np.arange(len(q))
-    crit = np.bincount((i + j).ravel(), ((i - j) * np.outer(r, q)).ravel())
-    z = np.roots(crit[:0:-1])
-    r_p, q_p = Polynomial(r), Polynomial(q)
-    best, best_w = math.inf, 0.0
-    for x, at_pole in [(0.0, False), *((c, True) for c in pole_x),
-                       *((float(c), False) for c in z.real[z.real > 0.0])]:
-        w = math.sqrt(x)
-        if not at_pole and abs(d := tf.den(1j * w)) > _POLE_RTOL * tf.den.magnitude_at(w):
-            v = (tf.num(1j * w) / d).real
-        elif abs(q_p(x)) > _AXIS_RTOL * q_p.magnitude_at(x):
-            v = r_p(x) / q_p(x)
-        elif r_p(x) < 0.0:
-            v = -math.inf
-        else:
-            continue
-        if v < best:
-            best, best_w = v, w
-    return best, best_w
+    # W(rho*s), rho the power of two nearest the largest pole magnitude (1
+    # if all poles are at 0), both polynomials divided by the power of two
+    # nearest the largest rescaled den coefficient. Powers of two scale
+    # exactly, and combining the exponents first keeps coefficients finite.
+    rho_max = np.abs(poles).max(axis=1, initial=0.0)
+    e = np.where(rho_max > 0.0, np.rint(np.log2(rho_max)), 0.0).astype(int)
+    ek = e[:, None] * np.arange(ld)
+    top = np.where(den != 0.0, np.frexp(den)[1] + ek, np.iinfo(int).min).max(axis=1)
+    shift = ek - top[:, None]
+    num_s, den_s = np.ldexp(num, shift[:, : num.shape[1]]), np.ldexp(den, shift)
+    if not np.isfinite(num_s).all():
+        raise BadDimensions("numerator coefficients overflow when rescaled to the pole scale")
+    rho = np.ldexp(1.0, e)
+    roots = poles / rho[:, None]
 
-
-def _analyse(tf: RationalTF) -> tuple[bool, bool, float, float]:
-    """(no unstable poles, imaginary-axis poles ok, inf_w Re W(iw), argmin);
-    argmin math.inf is the w -> infinity limit, which loses ties."""
-    scaled, rho, roots = _unit_scaled(tf)
-    w0, den = np.abs(roots.imag), scaled.den
     # den must vanish on the axis too, so a slowly unstable pole stays unstable
+    w0 = np.abs(roots.imag)
     on_axis = (np.abs(roots.real) <= _AXIS_RTOL * (1.0 + w0)) & (
-        np.abs(den(1j * w0)) <= _AXIS_RTOL * Polynomial(np.abs(den.coeffs))(w0))
-    no_unstable = not np.any((roots.real > 0.0) & ~on_axis)
-    imag_ok = all(_imaginary_pole_ok(scaled, i, roots, rho) for i in np.flatnonzero(on_axis))
-    infimum, w = _axis_infimum(scaled, roots[on_axis], imag_ok)
-    limit = tf.num.coeffs[-1] / tf.den.coeffs[-1] if tf.num.degree == tf.den.degree else 0.0
-    if limit < infimum:
-        return no_unstable, imag_ok, limit, math.inf
-    return no_unstable, imag_ok, infimum, rho * w
+        np.abs(_horner(den_s, 1j * w0)) <= _AXIS_RTOL * _horner(np.abs(den_s), w0))
+    no_unstable = ~np.any((roots.real > 0.0) & ~on_axis, axis=1)
+
+    # an axis pole must be simple with residue rho*num/den' real
+    # non-negative, to a tolerance relative to the residue's rounding scale
+    # rho*sum_k |num_k| |w|^k / |den'(iw)|: a gain on W leaves the verdict,
+    # and an exact pole-zero cancellation (residue 0) passes
+    dist = np.abs(roots[:, :, None] - roots[:, None, :])
+    dist[:, np.arange(n), np.arange(n)] = np.inf
+    slope = _horner_iw(np.arange(1, ld) * den_s[:, 1:], roots.imag)
+    res = _cquot(*_cmul(rho[:, None], 0.0, *_horner_iw(num_s, roots.imag)), *slope)
+    tol = _RESIDUE_RTOL * rho[:, None] * _horner(np.abs(num_s), w0) / np.hypot(*slope)
+    pole_ok = (dist.min(axis=2, initial=np.inf) > _SIMPLE_TOL) & (res[0] >= -tol) & (
+        np.abs(res[1]) <= tol)
+    imag_ok = np.all(pole_ok | ~on_axis, axis=1)
+
+    # Re W(iw) = R(x)/Q(x) in x = w^2 with Q = |den(iw)|^2, once each
+    # distinct axis pole (upper half, in increasing Im) is divided out of R
+    # and Q: x at the origin, (x - w0^2)^2 for +-i w0, where a non-real
+    # residue (never if imag_ok) leaves R a remainder at the second factor
+    # and makes the infimum -inf
+    den_iw = _at_iw(den_s)
+    r = _conv_even(_at_iw(num_s), den_iw.conj())  # Re num(iw) conj(den(iw))
+    q = _conv_even(den_iw, den_iw.conj())
+    key = np.where(on_axis & (roots.imag >= 0.0), roots.imag, np.inf)
+    order = rows[:, None], np.argsort(key, axis=1, kind="stable")
+    upper, kept = roots[order], key[order] < np.inf
+    last = np.full(b, np.nan, complex)
+    for j in range(n):
+        kept[:, j] &= ~(np.abs(upper[:, j] - last) <= _SIMPLE_TOL)
+        last = np.where(kept[:, j], upper[:, j], last)
+    pair = kept & (upper.imag > _SIMPLE_TOL)
+    pole_c = np.zeros((b, n))
+    pole_c[pair] = [v**2 for v in upper.imag[pair].tolist()]  # libm pow, as float ** 2
+    dead, dead_w = np.zeros(b, bool), np.zeros(b)
+    for j in np.flatnonzero(kept.any(axis=0)):
+        c, once, twice = pole_c[:, j], kept[:, j, None], pair[:, j, None]
+        r, q = np.where(once, _divide(r, c), r), np.where(once, _divide(q, c), q)
+        if not twice.any():
+            continue
+        bad = pair[:, j] & ~imag_ok & ~dead
+        if bad.any():
+            bad &= np.abs(_horner(r, c[:, None])[:, 0]) > _RESIDUE_RTOL * _horner(
+                np.abs(r), c[:, None])[:, 0]
+            dead_w[bad] = np.sqrt(c[bad])
+            dead |= bad
+        r, q = np.where(twice, _divide(r, c), r), np.where(twice, _divide(q, c), q)
+
+    # R'Q - RQ' = sum_ij (i - j) r_i q_j x^(i+j-1): the weight cancels the
+    # top terms exactly; a rounded leftover would wreck the companion matrix.
+    # Its roots, grouped by the zeros np.roots would strip, give the
+    # stationary points
+    crit = np.zeros((b, r.shape[1] + q.shape[1] - 1))
+    j = np.arange(q.shape[1])
+    for i in range(r.shape[1]):
+        crit[:, i : i + q.shape[1]] += (i - j) * (r[:, i, None] * q)
+    nz = crit != 0.0  # crit[0] = 0: R'Q - RQ' starts at crit[1]
+    lo = nz.argmax(axis=1)
+    hi = np.where(nz.any(axis=1), crit.shape[1] - 1 - nz[:, ::-1].argmax(axis=1), lo)
+    stat_x = np.full((b, int((hi - lo).max())), np.nan)
+    for l, h in set(zip(lo.tolist(), hi.tolist())):
+        sub = np.flatnonzero((lo == l) & (hi == h))
+        z = _roots(crit[sub, l : h + 1][:, ::-1]).real
+        stat_x[sub[:, None], np.arange(h - l)] = np.where(z > 0.0, z, np.nan)
+
+    # candidates: x = 0, the poles (where the deflated R/Q continues Re W)
+    # and the positive real parts of the stationary points (num/den there; a
+    # complex root only adds a value of Re W). Where the deflated Q still
+    # vanishes (a repeated pole) the infimum is -inf if R < 0, and the point
+    # is skipped otherwise. Ties keep the first candidate.
+    x = np.concatenate([np.zeros((b, 1)), np.where(kept, pole_c, np.nan), stat_x], axis=1)
+    at_pole = np.zeros(x.shape, bool)
+    at_pole[:, 1 : n + 1] = True
+    w = np.sqrt(x)
+    d = _horner_iw(den_s, w)
+    on_freq = ~at_pole & (np.hypot(*d) > _POLE_RTOL * _horner(np.abs(den_s), w))
+    rx, qx = _horner(r, x), _horner(q, x)
+    v = np.where(on_freq, _cquot(*_horner_iw(num_s, w), *d)[0], np.where(
+        np.abs(qx) > _AXIS_RTOL * _horner(np.abs(q), x), rx / qx,
+        np.where(rx < 0.0, -np.inf, np.inf)))
+    v[np.isnan(v)] = np.inf
+    best = v.argmin(axis=1)
+    infimum = np.where(dead, -np.inf, v[rows, best])
+    omega = rho * np.where(dead, dead_w, w[rows, best])
+    # the w -> infinity limit, which loses ties
+    biproper = (num.shape[1] == ld) & (num[:, -1] != 0.0)
+    limit = np.where(biproper, num[:, -1] / den[:, -1], 0.0)
+    wins = limit < infimum
+    return (no_unstable, imag_ok, np.where(wins, limit, infimum),
+            np.where(wins, np.inf, omega))
+
+
+def _analyse(tfs: Sequence[RationalTF]) -> list[tuple[bool, bool, float, float]]:
+    """Per transfer function: (no unstable poles, imaginary-axis poles ok,
+    inf_w Re W(iw), argmin), argmin math.inf for the w -> infinity limit.
+
+    Transfer functions with equal len(num), len(den) and number of zero
+    low-order den coefficients (the roots np.roots strips) form one array
+    group; every member's result equals its own one-element call.
+    """
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, tf in enumerate(tfs):
+        den = tf.den.coeffs
+        tz = next(i for i, c in enumerate(den) if c != 0.0)
+        groups.setdefault((len(tf.num.coeffs), len(den), tz), []).append(k)
+    out: list = [None] * len(tfs)
+    with np.errstate(all="ignore"):  # lanes of masked-out candidates
+        for (_, _, tz), idx in groups.items():
+            cols = _analyse_group(np.array([tfs[k].num.coeffs for k in idx]),
+                                  np.array([tfs[k].den.coeffs for k in idx]), tz)
+            for k, *row in zip(idx, *(c.tolist() for c in cols)):
+                out[k] = tuple(row)
+    return out
+
+
+def ifp_indices(tfs: Sequence[RationalTF]) -> list:
+    """IFP index of every transfer function, as one batch: per member an
+    IfpCertificate, or the NotCertifiable that ifp_index would raise.
+
+    alpha = max(0, -inf_w Re W(iw)) is exact up to rounding (see the module
+    docstring): it does not depend on the time unit, and omega_star scales
+    with it. A member is NotCertifiable if it has a pole with positive real
+    part, or an imaginary-axis pole that is repeated or has a residue that
+    is not non-negative real.
+    """
+    out = []
+    for no_unstable, imag_ok, infimum, omega_star in _analyse(tfs):
+        if not no_unstable:
+            out.append(NotCertifiable("transfer function has a pole with positive real part"))
+        elif not imag_ok:
+            out.append(NotCertifiable(
+                "imaginary-axis pole is repeated or has a non-real/negative residue"))
+        else:
+            out.append(IfpCertificate(alpha=max(0.0, -infimum), omega_star=omega_star,
+                                      method="closed_form", raw_infimum=infimum))
+    return out
 
 
 def ifp_index(tf: RationalTF) -> IfpCertificate:
-    """IFP index alpha = max(0, -inf_w Re W(iw)) of a certifiable W.
-
-    The infimum is exact up to rounding (see the module docstring): alpha
-    does not depend on the time unit, and omega_star scales with it.
+    """IFP index of one certifiable W: the one-member `ifp_indices`.
 
     Raises
     ------
@@ -379,19 +501,10 @@ def ifp_index(tf: RationalTF) -> IfpCertificate:
         If W has a pole with positive real part, or an imaginary-axis pole
         that is repeated or has a residue that is not non-negative real.
     """
-    no_unstable, imag_ok, infimum, omega_star = _analyse(tf)
-    if not no_unstable:
-        raise NotCertifiable("transfer function has a pole with positive real part")
-    if not imag_ok:
-        raise NotCertifiable(
-            "imaginary-axis pole is repeated or has a non-real/negative residue"
-        )
-    return IfpCertificate(
-        alpha=max(0.0, -infimum),
-        omega_star=omega_star,
-        method="closed_form",
-        raw_infimum=infimum,
-    )
+    (cert,) = ifp_indices([tf])
+    if isinstance(cert, NotCertifiable):
+        raise cert
+    return cert
 
 
 def prl_conditions(tf: RationalTF, alpha: float) -> PrlReport:
@@ -402,7 +515,7 @@ def prl_conditions(tf: RationalTF, alpha: float) -> PrlReport:
     w, taking the exact infimum of ifp_index (-inf where a repeated
     imaginary-axis pole drives Re W(iw) to -inf).
     """
-    no_unstable, imag_ok, infimum, _ = _analyse(tf)
+    ((no_unstable, imag_ok, infimum, _),) = _analyse([tf])
     return PrlReport(
         no_unstable_poles=no_unstable,
         imaginary_poles_ok=imag_ok,

@@ -44,7 +44,6 @@ from .netsim import (
     batch_key,
     simulate,
     simulate_batch,
-    sync_metrics,
 )
 from .passivity import RationalTF, eval_freq
 
@@ -75,13 +74,15 @@ _PRESETS = ("classic_chain", "unidirectional_ring", "bidirectional_ring", "custo
 @dataclass(frozen=True, eq=False)
 class _Job:
     """A scenario split around its simulation: the (agents, protocol,
-    config) triple to integrate, and finish(SimResult) -> the run object."""
+    config) triple to integrate, finish(SimResult) -> the run object, and
+    per-agent output offsets for the metrics (see `simulate_batch`)."""
 
     member: tuple
     finish: Callable[[SimResult], object]
+    offsets: Optional[NDArray[np.float64]] = None
 
     def run(self):
-        return self.finish(simulate(*self.member))
+        return self.finish(simulate_batch([self.member], [self.offsets])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,27 +417,23 @@ def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
     x0 = [[q, v, a] for q, v, a in zip(spec.q_init, spec.v_init, spec.a_init)]
     return _Job(
         (agents, protocol, replace(config, initial_states=x0)),
-        lambda sim: _finish_platoon(spec, cert, config.tol, sim),
+        lambda sim: _finish_platoon(spec, cert, sim),
+        offsets=spec.goal_offsets(),
     )
 
 
-def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, tol: float,
-                    sim: SimResult) -> PlatoonRun:
+def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, sim: SimResult) -> PlatoonRun:
     q = sim.y_scalar()
     leader = _sample(spec.leader_position, sim.times)
     pred = np.concatenate([leader[:, None], q[:, :-1]], axis=1)
     spacing = pred - q - spec.s[None, :]
     vel = np.stack([sim.states[i][:, 1] for i in range(spec.n)], axis=1) - spec.v0
-    shifted = q + spec.goal_offsets()[None, :]
-    metrics = sync_metrics((sim.times, shifted), y_bar=spec.leader_position, tol=tol)
-    if sim.diverged and metrics.synchronized:
-        metrics = replace(metrics, synchronized=False)
     spacing.setflags(write=False)
     vel.setflags(write=False)
     return PlatoonRun(
         spec=spec,
         certificate=cert,
-        sim=replace(sim, metrics=metrics),
+        sim=sim,
         spacing_errors=spacing,
         velocity_errors=vel,
     )
@@ -724,7 +721,8 @@ def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
         groups.setdefault(batch_key(agents, config), []).append(i)
     runs: list = [None] * len(jobs)
     for idx in groups.values():
-        for i, sim in zip(idx, simulate_batch([jobs[i].member for i in idx])):
+        sims = simulate_batch([jobs[i].member for i in idx], [jobs[i].offsets for i in idx])
+        for i, sim in zip(idx, sims):
             runs[i] = jobs[i].finish(sim)
     return runs
 

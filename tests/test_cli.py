@@ -290,6 +290,52 @@ class TestCertifyCommand:
         })
         assert main(["certify", str(f)]) == 2
 
+    @pytest.mark.parametrize("lti_first", [True, False])
+    def test_first_failing_agent_in_input_order_is_named(self, tmp_path, capsys, lti_first):
+        unstable = {"type": "lti", "num": [1.0], "den": [-1.0, 1.0]}
+        slow_vehicle = {"type": "vehicle", "tau": 0.3, "mu": 2.0}
+        passive = {"type": "lti", "num": [1.0], "den": [0.0, 1.0]}
+        bad = [unstable, slow_vehicle] if lti_first else [slow_vehicle, unstable]
+        f = write_json(tmp_path / "net.json", {
+            "adjacency": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
+            "agents": [passive, *bad, passive],
+        })
+        code = main(["certify", str(f)])
+        err = capsys.readouterr().err
+        assert code == 2
+        if lti_first:
+            assert "agent 1: transfer function has a pole with positive real part" in err
+        else:
+            assert "agent 1: mu*tau = 0.6 >= 1/2" in err
+
+    def test_malformed_agent_exits_input_error_before_any_index(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", {
+            "adjacency": [[0, 1], [1, 0]],
+            "agents": [
+                {"type": "lti", "num": [1.0], "den": [-1.0, 1.0]},
+                {"type": "lti", "num": [1.0, 1.0, 1.0], "den": [1.0, 1.0]},
+            ],
+        })
+        code = main(["certify", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("input error: improper transfer function")
+
+    def test_network_list_exits_input_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", [{"adjacency": [[0]], "alpha": [0.1]}])
+        code = main(["certify", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "input error: certify needs a network object, got a JSON list\n"
+
+    def test_alpha_that_is_not_a_list_exits_input_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", {"adjacency": [[0, 1], [1, 0]], "alpha": "12"})
+        code = main(["certify", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "input error: alpha must be a list of numbers\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "extra, net", [c[1:] for c in NON_FINITE_CERTIFY], ids=[c[0] for c in NON_FINITE_CERTIFY]
     )
@@ -612,17 +658,10 @@ class TestScenarioCommand:
 
 
 # ---------------------------------------------------------------------------
-# selftest / parser behavior
+# parser behavior
 # ---------------------------------------------------------------------------
 
 class TestSelftestAndParser:
-    def test_selftest_passes_and_reports_three_suites(self, capsys):
-        code, out = run_cli(capsys, "selftest", "--seed", "7", "--trials", "10")
-        assert code == 0
-        lines = [ln for ln in out.splitlines() if ln.startswith("selftest ")]
-        assert len(lines) == 3
-        assert all("PASS" in ln for ln in lines)
-
     def test_unknown_subcommand_exits_input_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

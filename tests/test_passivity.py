@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifpsync import (
@@ -19,6 +19,7 @@ from ifpsync import (
     ZeroPolynomial,
     eval_freq,
     ifp_index,
+    ifp_indices,
     ifp_shift,
     ifp_shift_identity_check,
     prl_conditions,
@@ -345,6 +346,73 @@ class TestResidueSign:
         # origin residue -5e-7: small against W's scale, but not rounding
         with pytest.raises(NotCertifiable):
             ifp_index(RationalTF.from_coeffs([-5e-7, 1.0], [0.0, 1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# ifp_indices: the batch behind ifp_index
+# ---------------------------------------------------------------------------
+
+POLE_KINDS = ("stable", "pair", "origin", "axis_pair", "double_axis_pair", "double", "unstable")
+
+
+@st.composite
+def mixed_tf(draw) -> RationalTF:
+    """Degree 1-6 denominator from poles of every kind the analysis branches
+    on (stable, complex pair, origin, +-i w0, repeated +-i w0, repeated real,
+    unstable); numerator of any degree up to the denominator's (biproper)."""
+    deg = draw(st.integers(1, 6))
+    poles: list = []
+    while len(poles) < deg:
+        kind = draw(st.sampled_from(POLE_KINDS))
+        a, b = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
+        room = deg - len(poles)
+        if kind == "origin":
+            poles.append(0.0)
+        elif kind == "unstable":
+            poles.append(a)
+        elif kind == "stable" or room < 2:
+            poles.append(-a)
+        elif kind == "pair":
+            poles += [complex(-a, b), complex(-a, -b)]
+        elif kind == "double":
+            poles += [-a, -a]
+        else:
+            poles += [1j * b, -1j * b] * (2 if kind == "double_axis_pair" and room >= 4 else 1)
+    n_num = draw(st.integers(1, deg + 1))
+    num = draw(st.lists(st.floats(-3.0, 3.0), min_size=n_num, max_size=n_num))
+    num[-1] = num[-1] or 1.0
+    return RationalTF.from_coeffs(num, np.poly(poles).real[::-1])
+
+
+def certificate_bits(result) -> tuple:
+    if isinstance(result, NotCertifiable):
+        return ("NotCertifiable", str(result))
+    return (result.alpha.hex(), result.omega_star.hex(), result.raw_infimum.hex(), result.method)
+
+
+class TestIfpIndices:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(mixed_tf(), min_size=2, max_size=10))
+    @example([RationalTF.from_coeffs(num, den) for num, den in [
+        ([1.0], [0.0, 1.0, 1.0]), ([2.0], [0.0, 3.0, 1.0]),  # one group, origin poles
+        ([0.0, 1.0], [1.0, 0.0, 1.0]),  # +-i, residue 1/2
+        ([1.0], [1.0, 0.0, 2.0, 0.0, 1.0]),  # repeated +-i
+        ([1.0], [1.0, 1.0, 1.0, 1.0]),  # +-i with residue (1-i)/4
+        ([1.0], [0.0, 0.0, 1.0]),  # repeated origin pole
+        ([1.0], [-1.0, 1.0]),  # unstable
+        ([2.0, 1.0], [1.0, 1.0]), ([1.0, 3.0, 1.0], [2.0, 1.0, 1.0]),  # biproper
+        ([1.0], [0.0, 2.0, 3.0, 1.0]), ([1.0], [0.0, 1.0, 0.5, 1.0]),  # cubic lags
+    ]])
+    def test_every_member_equals_its_own_one_element_call(self, tfs):
+        for tf, got in zip(tfs, ifp_indices(tfs)):
+            try:
+                alone = ifp_index(tf)
+            except NotCertifiable as e:
+                alone = e
+            assert certificate_bits(got) == certificate_bits(alone)
+
+    def test_empty_batch(self):
+        assert ifp_indices([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,22 @@ class TestRunPlatoon:
             (phys.sim.y_scalar() + offsets[None, :]) - shifted.y_scalar()
         )) < 1e-9
 
+    def test_one_metrics_set_of_the_gap_shifted_outputs(self, monkeypatch):
+        import ifpsync.netsim as netsim
+        import ifpsync.scenarios as scenarios
+
+        spec = platoon_spec(perturbed=True)
+        calls = []
+        real = netsim.sync_metrics
+        counting = lambda *a, **k: calls.append(a) or real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(netsim, "sync_metrics", counting)
+        monkeypatch.setattr(scenarios, "sync_metrics", counting, raising=False)
+        run = run_platoon(spec, TINY_SIM)
+        assert len(calls) == 1
+        expected = real((run.sim.times, run.sim.y_scalar() + spec.goal_offsets()[None, :]),
+                        y_bar=spec.leader_position, tol=TINY_SIM.tol)
+        assert run.sim.metrics.to_json_dict() == expected.to_json_dict()
+
     def test_report_dictionary_carries_terminal_errors(self):
         run = run_platoon(platoon_spec(perturbed=False),
                           SimConfig(dt=0.01, t_final=2.0, record_stride=10))
