@@ -64,7 +64,6 @@ from .netsim import (
     SimResult,
     SyncMetrics,
     Vehicle3rd,
-    batch_key,
     simulate,
     simulate_batch,
     sync_metrics,
@@ -84,7 +83,6 @@ from .scenarios import (
     harmonic_counterexample,
     run_platoon,
     run_platoon_transformed,
-    run_scenario,
     run_scenarios,
     run_traffic,
     scenario_from_dict,
@@ -113,11 +111,11 @@ __all__ = [
     # simulation
     "AgentModel", "LtiSiso", "DelayedIntegrator", "Vehicle3rd", "Plain",
     "Reference", "SimConfig", "SimResult", "SyncMetrics", "simulate",
-    "simulate_batch", "batch_key", "sync_metrics",
+    "simulate_batch", "sync_metrics",
     # scenarios
     "TrafficSpec", "TrafficCertificate", "TrafficRun", "build_traffic",
     "run_traffic", "PlatoonSpec", "PlatoonCertificate", "PlatoonRun",
     "build_platoon", "run_platoon", "run_platoon_transformed", "HarmonicRun",
     "harmonic_counterexample", "AllToAllRun", "all_to_all_counterexample",
-    "scenario_from_dict", "run_scenario", "run_scenarios",
+    "scenario_from_dict", "run_scenarios",
 ]

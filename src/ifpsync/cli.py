@@ -7,9 +7,9 @@ Commands
 - ``ifp-syncnet simulate <net.json> [--plot] [--dt X] [--t-final X] [--tol X]
   [--force]`` — run a network, write CSV + metrics JSON (+ SVG).
 - ``ifp-syncnet scenario <scn.json> [--plot] [--sweep]`` — prebuilt
-  experiments; ``--sweep`` treats the file as a JSON list, integrates
-  entries that share a batch key as one batch, and writes each entry's
-  artifacts under a deterministic indexed name.
+  experiments; ``--sweep`` treats the file as a JSON list, integrates its
+  entries with one `simulate_batch` call, and writes each entry's artifacts
+  under a deterministic indexed name.
 
 Exit codes: 0 success/pass, 1 input error, 2 not certifiable, 3 certificate
 fail, 4 divergence. Artifacts land in --output-dir, else $IFPSYNC_OUTPUT_DIR,
@@ -110,6 +110,21 @@ def agent_from_dict(d: dict) -> AgentModel:
     raise IfpSyncError(f"unknown agent type {kind!r}")
 
 
+def _json_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise IfpSyncError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _agents_from_json(d: dict) -> list[AgentModel]:
+    """The network's `agents` list, each entry read by agent_from_dict; an
+    entry that is not a JSON object raises, named by its index."""
+    entries = d["agents"]
+    if not isinstance(entries, list):
+        raise IfpSyncError(f"agents must be a list, got {type(entries).__name__}")
+    return [agent_from_dict(_json_object(f"agent {i}", a)) for i, a in enumerate(entries)]
+
+
 def load_network(d: dict):
     """(agents, protocol, SimConfig) from a network JSON dictionary.
 
@@ -121,11 +136,11 @@ def load_network(d: dict):
     finite; BadDimensions names the first that is not.
     """
     g = build_digraph(d["adjacency"])
-    agents = [agent_from_dict(a) for a in d["agents"]]
+    agents = _agents_from_json(d)
     if g.n != len(agents):
         raise IfpSyncError(f"adjacency is {g.n}x{g.n} but {len(agents)} agents given")
 
-    proto_d = d.get("protocol", {"type": "plain"})
+    proto_d = _json_object("protocol", d.get("protocol", {"type": "plain"}))
     pkind = proto_d.get("type", "plain")
     if pkind == "plain":
         protocol = Plain(g)
@@ -141,7 +156,7 @@ def load_network(d: dict):
     else:
         raise IfpSyncError(f"unknown protocol type {pkind!r}")
 
-    sim_d = d.get("sim", {})
+    sim_d = _json_object("sim", d.get("sim", {}))
     x0 = None
     if any("x0" in a for a in d["agents"]):
         x0 = [
@@ -395,7 +410,7 @@ def _alphas_from_json(d: dict) -> list[float]:
         return [float(a) for a in d["alpha"]]
     if "agents" not in d:
         raise IfpSyncError("certify JSON needs either an 'alpha' array or an 'agents' list")
-    agents = [agent_from_dict(a) for a in d["agents"]]
+    agents = _agents_from_json(d)
     certs = iter(ifp_indices([a.tf for a in agents if isinstance(a, LtiSiso)]))
     alphas = []
     for i, agent in enumerate(agents):

@@ -33,14 +33,15 @@ filled ahead of the state a chunk at a time, so its memory does not grow
 with the horizon. Both tables sample their time functions through one
 helper, `_sample`, which is the only place a time function is called.
 
-`simulate_batch` integrates several runs that share a group key
-(`batch_key`: per-agent state dimension and input delay, m, h, the step
-count and the record stride) as one batch: stacked Φ and Γ, one ring with a
-column block per run, and one stacked matrix product per step. Each run keeps
-its own matrices, offsets, initial states and histories, tolerance and
-divergence threshold, and its result is bitwise equal to its own `simulate`,
-which is the one-run batch. Runs report trajectories plus synchronization
-metrics (pairwise tail supremum and trapezoidal L2 disagreement integrals).
+`simulate_batch` takes any runs. It checks them all first, then groups them
+by a key (per-agent state dimension and input delay, m, h, the step count
+and the record stride) and integrates each group as one batch: stacked Φ and
+Γ, one ring with a column block per run, and one stacked matrix product per
+step. Each run keeps its own matrices, offsets, initial states and
+histories, tolerance and divergence threshold, and its result is bitwise
+equal to its own `simulate`, which is the one-run batch. Runs report
+trajectories plus synchronization metrics (pairwise tail supremum and
+trapezoidal L2 disagreement integrals).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SyncMetrics",
-    "batch_key",
     "simulate",
     "simulate_batch",
     "sync_metrics",
@@ -108,29 +108,15 @@ class LtiSiso(AgentModel):
     """Strictly proper SISO transfer function in controllable canonical form.
 
     State matrices follow the standard companion construction, so the state
-    vector of e.g. lam/(lam^2 + w^2) is exactly (y, dy/dt).
+    vector of e.g. lam/(lam^2 + w^2) is exactly (y, dy/dt). They are built
+    when asked for: a certificate reads only the transfer function.
     """
 
     def __init__(self, tf: RationalTF):
         if not tf.strictly_proper:
             raise BadDimensions("LtiSiso requires a strictly proper transfer function")
         self.tf = tf
-        den = np.asarray(tf.den.coeffs, dtype=float)
-        num = np.asarray(tf.num.coeffs, dtype=float)
-        lead = den[-1]
-        den = den / lead
-        num = num / lead
-        n = len(den) - 1
-        a = np.zeros((n, n))
-        if n > 1:
-            a[:-1, 1:] = np.eye(n - 1)
-        a[-1, :] = -den[:-1]
-        b = np.zeros((n, 1))
-        b[-1, 0] = 1.0
-        c = np.zeros((1, n))
-        c[0, : len(num)] = num
-        self._a, self._b, self._c = a, b, c
-        self.state_dim = n
+        self.state_dim = tf.den.degree
         self.output_dim = 1
         self.input_delay = 0.0
 
@@ -139,7 +125,21 @@ class LtiSiso(AgentModel):
         return cls(RationalTF.from_coeffs(num, den))
 
     def linear_realization(self):
-        return self._a, self._b, self._c
+        den = np.asarray(self.tf.den.coeffs, dtype=float)
+        num = np.asarray(self.tf.num.coeffs, dtype=float)
+        lead = den[-1]
+        den = den / lead
+        num = num / lead
+        n = self.state_dim
+        a = np.zeros((n, n))
+        if n > 1:
+            a[:-1, 1:] = np.eye(n - 1)
+        a[-1, :] = -den[:-1]
+        b = np.zeros((n, 1))
+        b[-1, 0] = 1.0
+        c = np.zeros((1, n))
+        c[0, : len(num)] = num
+        return a, b, c
 
     def ifp_index(self) -> float:
         return ifp_index(self.tf).alpha
@@ -189,18 +189,18 @@ class Vehicle3rd(AgentModel):
         self.state_dim = 3
         self.output_dim = 1
         self.input_delay = 0.0
-        self._a = np.array(
-            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -self.mu / self.tau, -1.0 / self.tau]]
-        )
-        self._b = np.array([[0.0], [0.0], [1.0 / self.tau]])
-        self._c = np.array([[1.0, 0.0, 0.0]])
 
     @property
     def tf(self) -> RationalTF:
         return RationalTF.from_coeffs([1.0], [0.0, self.mu, 1.0, self.tau])
 
     def linear_realization(self):
-        return self._a, self._b, self._c
+        a = np.array(
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -self.mu / self.tau, -1.0 / self.tau]]
+        )
+        b = np.array([[0.0], [0.0], [1.0 / self.tau]])
+        c = np.array([[1.0, 0.0, 0.0]])
+        return a, b, c
 
     def ifp_index(self) -> float:
         if self.mu * self.tau >= 0.5:
@@ -377,10 +377,6 @@ class SimResult:
     diverged: bool = False
     t_diverged: Optional[float] = None
 
-    @property
-    def n_agents(self) -> int:
-        return self.y.shape[1]
-
     def y_scalar(self) -> NDArray[np.float64]:
         """(n_rec, n) view of the outputs when every agent is scalar-output."""
         if self.y.shape[2] != 1:
@@ -391,13 +387,9 @@ class SimResult:
 def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, tol: float = 1e-3) -> SyncMetrics:
     """Metrics from raw trajectories.
 
-    `result_raw` is anything with .times and .y attributes (a SimResult
-    works), or a (times, y) pair; y may be (n_rec, n) or (n_rec, n, m).
+    `result_raw` is a (times, y) pair; y may be (n_rec, n) or (n_rec, n, m).
     """
-    if hasattr(result_raw, "times") and hasattr(result_raw, "y"):
-        times, y = result_raw.times, result_raw.y
-    else:
-        times, y = result_raw
+    times, y = result_raw
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.ndim == 2:
@@ -478,58 +470,53 @@ def simulate(
     return simulate_batch([(agents, protocol, config)])[0]
 
 
-def batch_key(agents: Sequence[AgentModel], config: SimConfig) -> tuple:
-    """Group key of a run: per-agent (state_dim, input_delay), the signal
-    dimension m, dt, the step count and record_stride. Runs with equal keys
-    can be integrated together by `simulate_batch`."""
-    n_steps = int(math.floor(config.t_final / config.dt + _GRID_SNAP))
-    return (
-        tuple((a.state_dim, a.input_delay) for a in agents),
-        agents[0].output_dim if agents else 0,
-        float(config.dt),
-        n_steps,
-        config.record_stride,
-    )
-
-
 def simulate_batch(
     members: Sequence[Member],
     output_offsets: Optional[Sequence[Optional[NDArray[np.float64]]]] = None,
 ) -> list[SimResult]:
-    """Integrate several networks as one batch; one SimResult per member, in
-    order, each bitwise equal to the member's own `simulate` run.
+    """Integrate any networks; one SimResult per member, in order, each
+    bitwise equal to the member's own `simulate` run.
 
-    Members are (agents, protocol, config) triples with one `batch_key`
-    (DimensionMismatch otherwise). Each keeps its own realizations, coupling,
-    pinning gains and offsets, initial states and histories, tol and blowup.
-    A member that diverges is frozen at its last finite state and keeps its
-    own record count and t_diverged; the others run on. A member's entry of
-    `output_offsets`, when given and not None, holds one constant per agent
-    that is added to the agent's outputs before the metrics are taken (a
-    platoon's desired gaps); the recorded y stays as integrated.
+    Members are (agents, protocol, config) triples. Every member is checked
+    before any is integrated, so a bad one raises before any work is done.
+    Members that share per-agent state dimensions and input delays, m, dt,
+    the step count and record_stride are integrated as one stacked batch.
+    Each keeps its own realizations, coupling, pinning gains and offsets,
+    initial states and histories, tol and blowup. A member that diverges is
+    frozen at its last finite state and keeps its own record count and
+    t_diverged; the others run on. A member's entry of `output_offsets`,
+    when given and not None, holds one constant per agent that is added to
+    the agent's outputs before the metrics are taken (a platoon's desired
+    gaps); the recorded y stays as integrated.
     """
     members = [(list(agents), protocol, config) for agents, protocol, config in members]
-    if not members:
-        return []
-    for agents, protocol, config in members:
-        _check_member(agents, protocol, config)
-    key = batch_key(members[0][0], members[0][2])
-    if any(batch_key(agents, config) != key for agents, _, config in members[1:]):
-        raise DimensionMismatch(
-            "batch members must share agent state dimensions and delays, m, dt, "
-            "step count and record_stride"
-        )
-    shapes, m, dt, n_steps, stride = key
-    pos_delays = [d for _, d in shapes if d > 0.0]
-    if pos_delays and dt > min(pos_delays) * (1.0 + _GRID_SNAP):
-        raise BadDimensions(f"dt={dt} exceeds the smallest positive delay {min(pos_delays)}")
-    x0 = [_initial_states(agents, config.initial_states) for agents, _, config in members]
-    runs = _integrate(members, x0, n_steps, stride, m)
     offsets = [None] * len(members) if output_offsets is None else output_offsets
-    return [
-        _result(agents, protocol, config, offs, *run)
-        for (agents, protocol, config), offs, run in zip(members, offsets, runs)
-    ]
+    x0 = []
+    groups: dict[tuple, list[int]] = {}
+    for j, (agents, protocol, config) in enumerate(members):
+        _check_member(agents, protocol, config)
+        x0.append(_initial_states(agents, config.initial_states))
+        groups.setdefault(_batch_key(agents, config), []).append(j)
+    results: list = [None] * len(members)
+    for (_, m, _, n_steps, stride), idx in groups.items():
+        runs = _integrate([members[j] for j in idx], [x0[j] for j in idx], n_steps, stride, m)
+        for j, run in zip(idx, runs):
+            results[j] = _result(*members[j], offsets[j], *run)
+    return results
+
+
+def _batch_key(agents, config) -> tuple:
+    """Group key of a run: per-agent (state_dim, input_delay), the signal
+    dimension m, dt, the step count and record_stride. Runs with equal keys
+    are integrated together."""
+    n_steps = int(math.floor(config.t_final / config.dt + _GRID_SNAP))
+    return (
+        tuple((a.state_dim, a.input_delay) for a in agents),
+        agents[0].output_dim,
+        float(config.dt),
+        n_steps,
+        config.record_stride,
+    )
 
 
 def _check_member(agents, protocol, config) -> None:
@@ -542,6 +529,11 @@ def _check_member(agents, protocol, config) -> None:
         raise DimensionMismatch("all agents must share one output dimension")
     if config.initial_histories is not None and len(config.initial_histories) != n:
         raise DimensionMismatch(f"initial_histories must have {n} entries")
+    pos_delays = [a.input_delay for a in agents if a.input_delay > 0.0]
+    if pos_delays and config.dt > min(pos_delays) * (1.0 + _GRID_SNAP):
+        raise BadDimensions(
+            f"dt={float(config.dt)} exceeds the smallest positive delay {min(pos_delays)}"
+        )
 
 
 def _result(agents, protocol, config, offsets, times, states, diverged, t_div) -> SimResult:

@@ -5,7 +5,8 @@ Each scenario pairs a certificate check with a simulation so reports can show
 "certified vs. observed" side by side. A runner is split around its
 simulation: a build step returns the (agents, protocol, config) triple and a
 finish step turns the SimResult into the run object, so `run_scenarios` can
-integrate the entries that share a `batch_key` as one `simulate_batch`.
+hand every entry's simulation to one `simulate_batch` call. Each public
+runner is `run_scenarios` on one entry.
 Specs are plain dataclasses and can be loaded from JSON dictionaries with a
 `scenario_type` discriminator ("traffic" | "platoon" | "remark1" |
 "harmonic" — the remark1 tag names the all-to-all counterexample for
@@ -41,7 +42,6 @@ from .netsim import (
     SimResult,
     Vehicle3rd,
     _sample,
-    batch_key,
     simulate,
     simulate_batch,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "AllToAllRun",
     "all_to_all_counterexample",
     "scenario_from_dict",
-    "run_scenario",
     "run_scenarios",
 ]
 
@@ -80,9 +79,6 @@ class _Job:
     member: tuple
     finish: Callable[[SimResult], object]
     offsets: Optional[NDArray[np.float64]] = None
-
-    def run(self):
-        return self.finish(simulate_batch([self.member], [self.offsets])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ class TrafficRun:
 def run_traffic(spec: TrafficSpec, config: SimConfig) -> TrafficRun:
     """Simulate a traffic spec; initial velocities come from the spec (the
     config's initial_states field is ignored)."""
-    return _traffic_job(spec, config).run()
+    return run_scenarios([("traffic", spec, config)])[0]
 
 
 def _traffic_job(spec: TrafficSpec, config: SimConfig) -> _Job:
@@ -401,7 +397,7 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
     shifted network of build_platoon is algebraically identical and is
     cross-checked against this run by run_platoon_transformed.
     """
-    return _platoon_job(spec, config).run()
+    return run_scenarios([("platoon", spec, config)])[0]
 
 
 def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
@@ -489,10 +485,11 @@ def harmonic_counterexample(
     solution family member with unit complex amplitude: agent 2 plays
     cos(omega2 t) while agent 1's position is Re[W(i omega2) e^{i omega2 t}].
     """
-    return _harmonic_job(omega1, omega2, k, config).run()
+    spec = {"omega1": omega1, "omega2": omega2, "k": k}
+    return run_scenarios([("harmonic", spec, config or _SIM_DEFAULTS["harmonic"])])[0]
 
 
-def _harmonic_job(omega1: float, omega2: float, k: float, config: Optional[SimConfig]) -> _Job:
+def _harmonic_job(omega1: float, omega2: float, k: float, config: SimConfig) -> _Job:
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise BadDimensions(f"omega1 and omega2 must be finite, got {omega1}, {omega2}")
     if omega1 == omega2:
@@ -512,8 +509,6 @@ def _harmonic_job(omega1: float, omega2: float, k: float, config: Optional[SimCo
         [w_at.real, (1j * omega2 * w_at).real],
         [1.0, 0.0],
     ]
-    if config is None:
-        config = _SIM_DEFAULTS["harmonic"]
 
     def finish(sim: SimResult) -> HarmonicRun:
         v = sim.y_scalar()
@@ -582,11 +577,11 @@ def all_to_all_counterexample(
     config: Optional[SimConfig] = None,
 ) -> AllToAllRun:
     """Compare the published all-to-all threshold against simulation."""
-    return _all_to_all_job(p, q, n_agents, kappa, config).run()
+    spec = {"p": p, "q": q, "n_agents": n_agents, "kappa": kappa}
+    return run_scenarios([("remark1", spec, config or _SIM_DEFAULTS["remark1"])])[0]
 
 
-def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float,
-                    config: Optional[SimConfig]) -> _Job:
+def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float, config: SimConfig) -> _Job:
     if not all(math.isfinite(x) and x > 0.0 for x in (p, q, kappa)):
         raise BadDimensions(f"p, q, kappa must be finite and positive, got {p}, {q}, {kappa}")
     predicted = all_to_all_bound(p, q, n_agents, kappa)
@@ -597,8 +592,6 @@ def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float,
     ]
     rng = np.random.default_rng(7)
     x0 = rng.normal(0.0, 0.5, size=(n_agents, 3)).tolist()
-    if config is None:
-        config = _SIM_DEFAULTS["remark1"]
     note = None
     if q * p / n_agents < kappa < q * p / (n_agents - 1):
         note = (
@@ -700,31 +693,18 @@ def scenario_from_dict(d: dict):
     raise BadDimensions(f"unknown scenario_type {kind!r}")
 
 
-def run_scenario(kind: str, spec, config: SimConfig):
-    """Dispatch to the matching runner; returns the scenario's run object."""
-    return run_scenarios([(kind, spec, config)])[0]
-
-
 def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
     """Run (kind, spec, config) entries as `scenario_from_dict` returns them;
     one run object per entry, in order.
 
     Every entry is built (and its certificate checked) before any is
-    simulated, so a bad entry raises before any work is done. Entries whose
-    simulations share a `batch_key` are integrated by one `simulate_batch`
-    call; each result equals the entry's own run bit for bit.
+    simulated, and `simulate_batch` checks every simulation before it
+    integrates any, so a bad entry raises before any integration. Each
+    result equals the entry's own run bit for bit.
     """
     jobs = [_job(kind, spec, config) for kind, spec, config in entries]
-    groups: dict[tuple, list[int]] = {}
-    for i, job in enumerate(jobs):
-        agents, _, config = job.member
-        groups.setdefault(batch_key(agents, config), []).append(i)
-    runs: list = [None] * len(jobs)
-    for idx in groups.values():
-        sims = simulate_batch([jobs[i].member for i in idx], [jobs[i].offsets for i in idx])
-        for i, sim in zip(idx, sims):
-            runs[i] = jobs[i].finish(sim)
-    return runs
+    sims = simulate_batch([job.member for job in jobs], [job.offsets for job in jobs])
+    return [job.finish(sim) for job, sim in zip(jobs, sims)]
 
 
 def _job(kind: str, spec, config: SimConfig) -> _Job:

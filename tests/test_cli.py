@@ -120,6 +120,16 @@ NON_FINITE_NETWORK = [
         {**VECTOR_PAIR["agents"][0], "dim": INF}, VECTOR_PAIR["agents"][1]]}),
 ]
 
+# agent lists or protocols that are not JSON objects: (name, network
+# fields, expected stderr); {"a": 1} is a JSON object where a list belongs
+NOT_AN_OBJECT = [
+    ("agent_numbers", {"agents": [1, 2]},
+     "input error: agent 0 must be a JSON object, got int\n"),
+    ("second_agent_list", {"agents": [INTEGRATOR_PAIR["agents"][0], [1.0]]},
+     "input error: agent 1 must be a JSON object, got list\n"),
+    ("agents_object", {"agents": {"a": 1}}, "input error: agents must be a list, got dict\n"),
+]
+
 TRAFFIC_CHAIN_TINY = {
     "scenario_type": "traffic", "topology_preset": "classic_chain", "n": 2, "K": 1.0,
     "delays": [0.4, 0.4], "v_init": [0.3, -0.2], "v0": 1.0,
@@ -337,6 +347,18 @@ class TestCertifyCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "fields, message", [c[1:] for c in NOT_AN_OBJECT], ids=[c[0] for c in NOT_AN_OBJECT]
+    )
+    def test_agent_that_is_not_an_object_exits_input_error(self, tmp_path, capsys, fields,
+                                                           message):
+        f = write_json(tmp_path / "net.json", {"adjacency": [[0, 1], [1, 0]], **fields})
+        code = main(["certify", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == message
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "extra, net", [c[1:] for c in NON_FINITE_CERTIFY], ids=[c[0] for c in NON_FINITE_CERTIFY]
     )
     def test_non_finite_input_exits_input_error(self, tmp_path, capsys, extra, net):
@@ -463,6 +485,23 @@ class TestSimulateCommand:
         assert code == 1
         assert err.startswith("input error:")
         assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [c[1:] for c in NOT_AN_OBJECT]
+        + [({"protocol": 5}, "input error: protocol must be a JSON object, got int\n"),
+           ({"sim": [0.01]}, "input error: sim must be a JSON object, got list\n")],
+        ids=[c[0] for c in NOT_AN_OBJECT] + ["protocol_number", "sim_list"],
+    )
+    def test_entry_that_is_not_an_object_exits_input_error(self, tmp_path, capsys, fields,
+                                                           message):
+        f = write_json(tmp_path / "bad.json", {**INTEGRATOR_PAIR, **fields})
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == message
+        assert captured.out == ""
         assert not (tmp_path / "bad.csv").exists()
 
     def test_initial_histories_must_cover_every_agent(self, tmp_path, capsys):

@@ -654,15 +654,33 @@ class TestSimulateBatch:
         ],
         ids=["delay", "state_dim", "dt", "steps", "stride"],
     )
-    def test_mismatched_group_keys_rejected(self, change):
+    def test_mixed_group_keys_equal_own_runs(self, change):
+        # members of two groups, the first group's members split by the
+        # second's; each equals its own run (`simulate` for the members
+        # without output offsets)
         agents = [DelayedIntegrator(0.02), DelayedIntegrator(0.0)]
         proto = Plain(build_digraph([[0, 1], [1, 0]]))
-        cfg = SimConfig(dt=0.01, t_final=0.5)
+        cfg = SimConfig(dt=0.01, t_final=0.5, initial_states=[[1.0], [0.0]])
         other_agents, other_cfg = change(agents, cfg)
         if other_agents[0].output_dim == 2:
             other_agents = [DelayedIntegrator(dim=2), DelayedIntegrator(dim=2)]
-        with pytest.raises(DimensionMismatch):
-            simulate_batch([(agents, proto, cfg), (other_agents, proto, other_cfg)])
+            other_cfg = replace(other_cfg, initial_states=[[1.0, -1.0], [0.0, 0.5]])
+        pinned = Reference(build_digraph([[0, 2], [2, 0]]), b=[1.0, 0.0], y_bar=lambda t: 0.5)
+        members = [
+            (agents, proto, cfg),
+            (other_agents, proto, other_cfg),
+            (agents, pinned, replace(cfg, initial_states=[[-0.5], [0.25]])),
+        ]
+        offsets = [None, None, np.array([1.0, 2.0])]
+        batch = simulate_batch(members, offsets)
+        assert len(batch) == len(members)
+        for member, offs, got in zip(members, offsets, batch):
+            (own,) = simulate_batch([member], [offs])
+            for a, b in [(got.times, own.times), (got.y, own.y), (got.u, own.u),
+                         *zip(got.states, own.states)]:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got.metrics.to_json_dict() == own.metrics.to_json_dict()
+            assert (got.diverged, got.t_diverged) == (own.diverged, own.t_diverged)
 
     def test_empty_batch(self):
         assert simulate_batch([]) == []

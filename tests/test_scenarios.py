@@ -4,9 +4,12 @@ agents), plus the JSON scenario loader."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+import ifpsync
 from ifpsync import (
     BadDimensions,
     CaccGainSet,
@@ -23,7 +26,7 @@ from ifpsync import (
     harmonic_counterexample,
     run_platoon,
     run_platoon_transformed,
-    run_scenario,
+    run_scenarios,
     run_traffic,
     scenario_from_dict,
 )
@@ -325,7 +328,7 @@ class TestScenarioFromDict:
             "scenario_type": "harmonic", "omega1": 1.0, "omega2": 2.0, "k": 1.0,
             "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10, "tol": 0.1},
         })
-        run = run_scenario(kind, spec, cfg)
+        (run,) = run_scenarios([(kind, spec, cfg)])
         assert abs(run.amplitude_ratio - 2.0 / np.sqrt(13.0)) < 1e-9
 
     def test_missing_discriminator_rejected(self):
@@ -335,3 +338,86 @@ class TestScenarioFromDict:
     def test_unknown_discriminator_rejected(self):
         with pytest.raises(BadDimensions):
             scenario_from_dict({"scenario_type": "pendulum"})
+
+
+# ---------------------------------------------------------------------------
+# run_scenarios
+# ---------------------------------------------------------------------------
+
+def assert_same_run(got, own) -> None:
+    """The two run objects are equal, their simulations bit for bit."""
+    assert type(got) is type(own)
+    assert got.to_json_dict() == own.to_json_dict()
+    assert got.sim.metrics.to_json_dict() == own.sim.metrics.to_json_dict()
+    assert (got.sim.diverged, got.sim.t_diverged) == (own.sim.diverged, own.sim.t_diverged)
+    pairs = [(got.sim.times, own.sim.times), (got.sim.y, own.sim.y), (got.sim.u, own.sim.u)]
+    pairs += list(zip(got.sim.states, own.sim.states, strict=True))
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRunScenarios:
+    def test_mixed_entries_equal_the_public_runners(self):
+        chain = TrafficSpec.classic_chain(2, 1.0, [0.4, 0.4], [0.3, -0.2], 1.0)
+        chain2 = TrafficSpec.classic_chain(2, 0.8, [0.4, 0.4], [-0.5, 0.1], 2.0)
+        traffic_cfg = SimConfig(dt=0.01, t_final=1.0, record_stride=10)
+        harmonic = {"omega1": 1.0, "omega2": 2.0, "k": 1.0}
+        harmonic2 = {"omega1": 0.5, "omega2": 3.0, "k": 2.0}
+        remark1 = {"p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 0.2}
+        # the platoon and remark1 entries share a group (three 3-state
+        # agents), as do the two chains and the two harmonic entries
+        entries = [
+            ("traffic", chain, traffic_cfg),
+            ("platoon", platoon_spec(perturbed=True), TINY_SIM),
+            ("harmonic", harmonic, TINY_SIM),
+            ("remark1", remark1, TINY_SIM),
+            ("traffic", chain2, traffic_cfg),
+            ("harmonic", harmonic2, TINY_SIM),
+        ]
+        own = [
+            run_traffic(chain, traffic_cfg),
+            run_platoon(platoon_spec(perturbed=True), TINY_SIM),
+            harmonic_counterexample(**harmonic, config=TINY_SIM),
+            all_to_all_counterexample(**remark1, config=TINY_SIM),
+            run_traffic(chain2, traffic_cfg),
+            harmonic_counterexample(**harmonic2, config=TINY_SIM),
+        ]
+        runs = run_scenarios(entries)
+        assert len(runs) == len(entries)
+        for got, ref in zip(runs, own):
+            assert_same_run(got, ref)
+
+    def test_a_bad_step_in_a_later_group_raises_before_any_integration(self, monkeypatch):
+        import ifpsync.netsim as netsim
+
+        calls = []
+        real = netsim._integrate
+        monkeypatch.setattr(netsim, "_integrate", lambda *a: calls.append(a) or real(*a))
+        spec = TrafficSpec.classic_chain(2, 1.0, [0.4, 0.4], [0.3, -0.2], 1.0)
+        good = SimConfig(dt=0.01, t_final=1.0, record_stride=10)
+        bad = SimConfig(dt=0.5, t_final=2.0)  # a step above the 0.4 s delay
+        with pytest.raises(BadDimensions, match="exceeds the smallest positive delay"):
+            run_scenarios([("traffic", spec, good), ("traffic", spec, bad)])
+        assert calls == []
+        run_scenarios([("traffic", spec, good)])
+        assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# package exports
+# ---------------------------------------------------------------------------
+
+def test_package_exports_are_the_submodule_exports():
+    from ifpsync import certify, errors, graphnet, netsim, passivity, scenarios
+
+    expected = {"__version__"}
+    for mod in (graphnet, passivity, certify, netsim, scenarios):
+        expected |= set(mod.__all__)
+    expected |= {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.IfpSyncError)
+    }
+    assert len(ifpsync.__all__) == len(set(ifpsync.__all__))
+    assert set(ifpsync.__all__) == expected
+    for name in ifpsync.__all__:
+        assert hasattr(ifpsync, name), name
