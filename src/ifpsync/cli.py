@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +51,7 @@ from .netsim import (
     simulate,
 )
 from .passivity import RationalTF, ifp_index, ifp_indices, prl_conditions
-from .scenarios import run_scenarios, scenario_from_dict
+from .scenarios import _sim_config, run_scenarios, scenario_from_dict
 
 __all__ = ["main", "write_csv", "write_svg", "write_artifacts", "load_network"]
 
@@ -80,7 +79,9 @@ def time_fn_from_dict(d) -> Callable[[float], float]:
     {amplitude, omega, phase}. Every parameter must be finite."""
     if isinstance(d, (int, float)):
         return lambda t, c=_finite("time-function value", d): c
-    kind = d["kind"]
+    if not isinstance(d, dict):
+        raise IfpSyncError(f"a time function is a number or an object, got {type(d).__name__}")
+    kind = d.get("kind")
     if kind == "constant":
         return lambda t, c=_finite("time-function value", d["value"]): c
     if kind == "ramp":
@@ -93,6 +94,22 @@ def time_fn_from_dict(d) -> Callable[[float], float]:
         phase = _finite("sin phase", d.get("phase", 0.0))
         return lambda t, a=amp, w=omega, p=phase: a * math.sin(w * t + p)
     raise IfpSyncError(f"unknown time-function kind {kind!r}")
+
+
+def _time_fn(name: str, d) -> Callable[[float], float]:
+    """time_fn_from_dict with its errors prefixed by the field name."""
+    try:
+        return time_fn_from_dict(d)
+    except IfpSyncError as e:
+        raise type(e)(f"{name}: {e}") from None
+
+
+def _time_fns(name: str, value) -> tuple:
+    """A list of optional time functions (u_bar, initial_histories); entry i
+    is named name[i] in errors."""
+    if not isinstance(value, list):
+        raise IfpSyncError(f"{name} must be a list, got {type(value).__name__}")
+    return tuple(None if x is None else _time_fn(f"{name}[{i}]", x) for i, x in enumerate(value))
 
 
 def agent_from_dict(d: dict) -> AgentModel:
@@ -146,17 +163,12 @@ def load_network(d: dict):
         protocol = Plain(g)
     elif pkind == "reference":
         b = np.asarray(proto_d.get("b", np.zeros(g.n)), dtype=float)
-        y_bar = time_fn_from_dict(proto_d["y_bar"]) if "y_bar" in proto_d else None
-        u_bar = None
-        if "u_bar" in proto_d:
-            u_bar = tuple(
-                time_fn_from_dict(x) if x is not None else None for x in proto_d["u_bar"]
-            )
+        y_bar = _time_fn("y_bar", proto_d["y_bar"]) if "y_bar" in proto_d else None
+        u_bar = _time_fns("u_bar", proto_d["u_bar"]) if "u_bar" in proto_d else None
         protocol = Reference(g, b=b, u_bar=u_bar, y_bar=y_bar)
     else:
         raise IfpSyncError(f"unknown protocol type {pkind!r}")
 
-    sim_d = _json_object("sim", d.get("sim", {}))
     x0 = None
     if any("x0" in a for a in d["agents"]):
         x0 = [
@@ -164,21 +176,11 @@ def load_network(d: dict):
             if "x0" in a else [0.0] * agents[i].state_dim
             for i, a in enumerate(d["agents"])
         ]
-    hist = None
-    if "initial_histories" in d and d["initial_histories"] is not None:
-        hist = tuple(
-            time_fn_from_dict(h) if h is not None else None for h in d["initial_histories"]
-        )
-    config = SimConfig(
-        dt=float(sim_d.get("dt", 1e-3)),
-        t_final=float(sim_d.get("t_final", 100.0)),
-        initial_states=x0,
-        initial_histories=hist,
-        record_stride=integer("record_stride", sim_d.get("record_stride", 1)),
-        tol=float(sim_d.get("tol", 1e-3)),
-        blowup=float(sim_d.get("blowup", 1e12)),
-    )
-    return agents, protocol, config
+    hist = d.get("initial_histories")
+    if hist is not None:
+        hist = _time_fns("initial_histories", hist)
+    base = SimConfig(dt=1e-3, t_final=100.0, initial_states=x0, initial_histories=hist)
+    return agents, protocol, _sim_config(base, d.get("sim", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +372,9 @@ def write_artifacts(
 
 
 def _apply_overrides(config: SimConfig, args) -> SimConfig:
-    over = {}
-    if getattr(args, "dt", None) is not None:
-        over["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
-        over["t_final"] = args.t_final
-    if getattr(args, "tol", None) is not None:
-        over["tol"] = args.tol
-    return replace(config, **over) if over else config
+    """config with the --dt, --t-final and --tol values that were given."""
+    flags = {k: getattr(args, k) for k in ("dt", "t_final", "tol")}
+    return _sim_config(config, {k: v for k, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +459,20 @@ def cmd_simulate(args) -> int:
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 
 
-def _scenario_entry(d: dict, args) -> tuple:
-    kind, spec, config = scenario_from_dict(d)
-    return kind, spec, _apply_overrides(config, args)
-
-
 def cmd_scenario(args) -> int:
     in_path = Path(args.input)
     data = json.loads(in_path.read_text(encoding="utf-8"))
     if args.sweep:
         if not isinstance(data, list):
             raise IfpSyncError("--sweep expects the input file to hold a JSON list of scenarios")
+        data = [_json_object(f"scenario {i}", d) for i, d in enumerate(data)]
         stems = [f"{in_path.stem}_{i:03d}" for i in range(len(data))]
     elif isinstance(data, list):
         raise IfpSyncError("input holds a scenario list; pass --sweep to run it")
     else:
-        data, stems = [data], [in_path.stem]
-    runs = run_scenarios([_scenario_entry(d, args) for d in data])
+        data, stems = [_json_object("scenario", data)], [in_path.stem]
+    entries = [scenario_from_dict(d) for d in data]
+    runs = run_scenarios([(k, spec, _apply_overrides(cfg, args)) for k, spec, cfg in entries])
     summaries = write_artifacts(
         _output_dir(args),
         [(stem, run.sim, run.to_json_dict()) for stem, run in zip(stems, runs)],

@@ -190,10 +190,6 @@ class Vehicle3rd(AgentModel):
         self.output_dim = 1
         self.input_delay = 0.0
 
-    @property
-    def tf(self) -> RationalTF:
-        return RationalTF.from_coeffs([1.0], [0.0, self.mu, 1.0, self.tau])
-
     def linear_realization(self):
         a = np.array(
             [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -self.mu / self.tau, -1.0 / self.tau]]
@@ -287,7 +283,7 @@ def _coupling_matrix(protocol: Protocol) -> NDArray[np.float64]:
 
 
 def _has_offset(protocol: Protocol) -> bool:
-    if isinstance(protocol, Plain):
+    if not isinstance(protocol, Reference):
         return False
     return (protocol.y_bar is not None and bool(np.any(protocol.b > 0.0))) or (
         protocol.u_bar is not None and any(fn is not None for fn in protocol.u_bar)
@@ -352,10 +348,8 @@ class SyncMetrics:
     def to_json_dict(self) -> dict:
         return {
             "pairwise_sup_tail": float(self.pairwise_sup_tail),
-            "l2_pairwise": [[float(v) for v in row] for row in self.l2_pairwise],
-            "l2_reference": None
-            if self.l2_reference is None
-            else [float(v) for v in self.l2_reference],
+            "l2_pairwise": self.l2_pairwise.tolist(),
+            "l2_reference": None if self.l2_reference is None else self.l2_reference.tolist(),
             "synchronized": bool(self.synchronized),
             "tol": float(self.tol),
             "tail_start": float(self.tail_start),
@@ -786,10 +780,10 @@ def _integrate(members, x0, n_steps, stride, m):
     undelayed = np.flatnonzero(col_delay == 0.0)
     has_delay = bool(np.any(col_delay > 0.0))
 
-    offset = [isinstance(p, Reference) and _has_offset(p) for _, p, _ in members]
-    forced = [has_delay or o for o in offset]
-    order = sorted(range(n_b), key=lambda j: (not offset[j], not forced[j]))
-    n_off, n_forced = sum(offset), sum(forced)
+    offset = [_has_offset(p) for _, p, _ in members]
+    order = sorted(range(n_b), key=lambda j: not offset[j])
+    n_off = sum(offset)
+    n_forced = n_b if has_delay else n_off
     members = [members[j] for j in order]
 
     m_mat, b_blk, kc = _step_operators(members, m, offs, undelayed)

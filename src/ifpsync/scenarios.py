@@ -3,21 +3,23 @@ counterexamples that probe the limits of the weak-coupling certificates.
 
 Each scenario pairs a certificate check with a simulation so reports can show
 "certified vs. observed" side by side. A runner is split around its
-simulation: a build step returns the (agents, protocol, config) triple and a
-finish step turns the SimResult into the run object, so `run_scenarios` can
-hand every entry's simulation to one `simulate_batch` call. Each public
+simulation: a job builder returns the (agents, protocol, config) triple and a
+finish step that turns the SimResult into the run object, so `run_scenarios`
+can hand every entry's simulation to one `simulate_batch` call. Each public
 runner is `run_scenarios` on one entry.
-Specs are plain dataclasses and can be loaded from JSON dictionaries with a
-`scenario_type` discriminator ("traffic" | "platoon" | "remark1" |
-"harmonic" — the remark1 tag names the all-to-all counterexample for
-compatibility with existing config files).
+
+Scenarios load from JSON dictionaries with a `scenario_type` discriminator
+("traffic" | "platoon" | "remark1" | "harmonic" — the remark1 tag names the
+all-to-all counterexample for compatibility with existing config files), each
+kind an entry of `_KINDS`. `_sim_config` reads every `sim` block: the network
+file's, each scenario's, and the CLI's --dt/--t-final/--tol overrides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -245,6 +247,22 @@ def run_traffic(spec: TrafficSpec, config: SimConfig) -> TrafficRun:
     return run_scenarios([("traffic", spec, config)])[0]
 
 
+def _traffic_spec(d: dict) -> TrafficSpec:
+    preset = d.get("topology_preset", "custom")
+    n = integer("n", d["n"]) if "n" in d else len(d.get("v_init", ()))
+    if preset == "classic_chain":
+        return TrafficSpec.classic_chain(
+            n, float(d["K"]), d["delays"], d["v_init"], float(d.get("v0", 0.0))
+        )
+    if preset == "unidirectional_ring":
+        return TrafficSpec.unidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
+    if preset == "bidirectional_ring":
+        return TrafficSpec.bidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
+    if preset == "custom":
+        return TrafficSpec.custom(d["adjacency"], d["delays"], d["v_init"])
+    raise BadDimensions(f"unknown topology preset {preset!r}")
+
+
 def _traffic_job(spec: TrafficSpec, config: SimConfig) -> _Job:
     agents, protocol, cert = build_traffic(spec)
     x0 = [[v] for v in spec.v_init]
@@ -400,6 +418,15 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
     return run_scenarios([("platoon", spec, config)])[0]
 
 
+def _platoon_spec(d: dict) -> PlatoonSpec:
+    gd = d["gains"]
+    return PlatoonSpec(
+        gains=CaccGainSet.build(gd["mu"], gd["eta"], gd["nu"], gd["tau"]),
+        s=d["s"], v0=float(d["v0"]), q0_init=float(d.get("q0_init", 0.0)),
+        q_init=d["q_init"], v_init=d["v_init"], a_init=d["a_init"],
+    )
+
+
 def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
     agents, g, b, cert = _platoon_network(spec)
     gains, n = spec.gains, spec.n
@@ -486,10 +513,15 @@ def harmonic_counterexample(
     cos(omega2 t) while agent 1's position is Re[W(i omega2) e^{i omega2 t}].
     """
     spec = {"omega1": omega1, "omega2": omega2, "k": k}
-    return run_scenarios([("harmonic", spec, config or _SIM_DEFAULTS["harmonic"])])[0]
+    return run_scenarios([("harmonic", spec, config or _KINDS["harmonic"].sim)])[0]
 
 
-def _harmonic_job(omega1: float, omega2: float, k: float, config: SimConfig) -> _Job:
+def _harmonic_spec(d: dict) -> dict:
+    return {"omega1": float(d["omega1"]), "omega2": float(d["omega2"]), "k": float(d["k"])}
+
+
+def _harmonic_job(spec: dict, config: SimConfig) -> _Job:
+    omega1, omega2, k = spec["omega1"], spec["omega2"], spec["k"]
     if not (math.isfinite(omega1) and math.isfinite(omega2)):
         raise BadDimensions(f"omega1 and omega2 must be finite, got {omega1}, {omega2}")
     if omega1 == omega2:
@@ -578,10 +610,16 @@ def all_to_all_counterexample(
 ) -> AllToAllRun:
     """Compare the published all-to-all threshold against simulation."""
     spec = {"p": p, "q": q, "n_agents": n_agents, "kappa": kappa}
-    return run_scenarios([("remark1", spec, config or _SIM_DEFAULTS["remark1"])])[0]
+    return run_scenarios([("remark1", spec, config or _KINDS["remark1"].sim)])[0]
 
 
-def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float, config: SimConfig) -> _Job:
+def _all_to_all_spec(d: dict) -> dict:
+    spec = {k: float(d[k]) for k in ("p", "q", "kappa")}
+    return dict(spec, n_agents=integer("n_agents", d["n_agents"]))
+
+
+def _all_to_all_job(spec: dict, config: SimConfig) -> _Job:
+    p, q, n_agents, kappa = spec["p"], spec["q"], spec["n_agents"], spec["kappa"]
     if not all(math.isfinite(x) and x > 0.0 for x in (p, q, kappa)):
         raise BadDimensions(f"p, q, kappa must be finite and positive, got {p}, {q}, {kappa}")
     predicted = all_to_all_bound(p, q, n_agents, kappa)
@@ -618,22 +656,47 @@ def _all_to_all_job(p: float, q: float, n_agents: int, kappa: float, config: Sim
 # JSON loading
 # ---------------------------------------------------------------------------
 
-_SIM_DEFAULTS = {
-    "traffic": SimConfig(dt=1e-3, t_final=100.0, record_stride=10),
-    "platoon": SimConfig(dt=2e-3, t_final=200.0, record_stride=10),
-    "remark1": SimConfig(dt=5e-3, t_final=150.0, record_stride=20),
-    "harmonic": SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1),
+class _Kind(NamedTuple):
+    """read(scenario dict) -> spec, job(spec, config) -> _Job, default settings."""
+
+    read: Callable[[dict], object]
+    job: Callable[[object, SimConfig], _Job]
+    sim: SimConfig
+
+
+_KINDS = {
+    "traffic": _Kind(_traffic_spec, _traffic_job,
+                     SimConfig(dt=1e-3, t_final=100.0, record_stride=10)),
+    "platoon": _Kind(_platoon_spec, _platoon_job,
+                     SimConfig(dt=2e-3, t_final=200.0, record_stride=10)),
+    "remark1": _Kind(_all_to_all_spec, _all_to_all_job,
+                     SimConfig(dt=5e-3, t_final=150.0, record_stride=20)),
+    "harmonic": _Kind(_harmonic_spec, _harmonic_job,
+                      SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1)),
 }
 
 
-def _sim_config(kind: str, d: dict) -> SimConfig:
-    cfg = _SIM_DEFAULTS[kind]
-    overrides = {
-        k: d[k] for k in ("dt", "t_final", "record_stride", "tol") if k in d
-    }
-    if "record_stride" in overrides:
-        overrides["record_stride"] = integer("record_stride", overrides["record_stride"])
-    return replace(cfg, **overrides)
+def _kind(name) -> _Kind:
+    if isinstance(name, str) and name in _KINDS:
+        return _KINDS[name]
+    raise BadDimensions(f"unknown scenario_type {name!r}")
+
+
+def _sim_config(base: SimConfig, d) -> SimConfig:
+    """`base` with the settings of a `sim` block, read as numbers (record_stride
+    through `integer`); BadDimensions names a block or field of the wrong type."""
+    if not isinstance(d, dict):
+        raise BadDimensions(f"sim must be a JSON object, got {type(d).__name__}")
+    over = {}
+    for name in ("dt", "t_final", "tol", "blowup"):
+        if name in d:
+            v = d[name]
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise BadDimensions(f"{name} must be a number, got {type(v).__name__}")
+            over[name] = float(v)
+    if "record_stride" in d:
+        over["record_stride"] = integer("record_stride", d["record_stride"])
+    return replace(base, **over)
 
 
 def scenario_from_dict(d: dict):
@@ -644,53 +707,10 @@ def scenario_from_dict(d: dict):
     """
     if "scenario_type" not in d:
         raise BadDimensions("scenario JSON needs a scenario_type field")
-    kind = d["scenario_type"]
-    sim_cfg = _sim_config(kind, d.get("sim", {})) if kind in _SIM_DEFAULTS else None
-    if kind == "traffic":
-        preset = d.get("topology_preset", "custom")
-        n = integer("n", d["n"]) if "n" in d else len(d.get("v_init", ()))
-        if preset == "classic_chain":
-            spec = TrafficSpec.classic_chain(
-                n, float(d["K"]), d["delays"], d["v_init"], float(d.get("v0", 0.0))
-            )
-        elif preset == "unidirectional_ring":
-            spec = TrafficSpec.unidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
-        elif preset == "bidirectional_ring":
-            spec = TrafficSpec.bidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
-        elif preset == "custom":
-            spec = TrafficSpec.custom(d["adjacency"], d["delays"], d["v_init"])
-        else:
-            raise BadDimensions(f"unknown topology preset {preset!r}")
-        return kind, spec, sim_cfg
-    if kind == "platoon":
-        gd = d["gains"]
-        gains = CaccGainSet.build(gd["mu"], gd["eta"], gd["nu"], gd["tau"])
-        spec = PlatoonSpec(
-            gains=gains,
-            s=d["s"],
-            v0=float(d["v0"]),
-            q_init=d["q_init"],
-            v_init=d["v_init"],
-            a_init=d["a_init"],
-            q0_init=float(d.get("q0_init", 0.0)),
-        )
-        return kind, spec, sim_cfg
-    if kind == "remark1":
-        spec = {
-            "p": float(d["p"]),
-            "q": float(d["q"]),
-            "n_agents": integer("n_agents", d["n_agents"]),
-            "kappa": float(d["kappa"]),
-        }
-        return kind, spec, sim_cfg
-    if kind == "harmonic":
-        spec = {
-            "omega1": float(d["omega1"]),
-            "omega2": float(d["omega2"]),
-            "k": float(d["k"]),
-        }
-        return kind, spec, sim_cfg
-    raise BadDimensions(f"unknown scenario_type {kind!r}")
+    name = d["scenario_type"]
+    kind = _kind(name)
+    config = _sim_config(kind.sim, d.get("sim", {}))
+    return name, kind.read(d), config
 
 
 def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
@@ -702,18 +722,6 @@ def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
     integrates any, so a bad entry raises before any integration. Each
     result equals the entry's own run bit for bit.
     """
-    jobs = [_job(kind, spec, config) for kind, spec, config in entries]
+    jobs = [_kind(kind).job(spec, config) for kind, spec, config in entries]
     sims = simulate_batch([job.member for job in jobs], [job.offsets for job in jobs])
     return [job.finish(sim) for job, sim in zip(jobs, sims)]
-
-
-def _job(kind: str, spec, config: SimConfig) -> _Job:
-    if kind == "traffic":
-        return _traffic_job(spec, config)
-    if kind == "platoon":
-        return _platoon_job(spec, config)
-    if kind == "remark1":
-        return _all_to_all_job(config=config, **spec)
-    if kind == "harmonic":
-        return _harmonic_job(config=config, **spec)
-    raise BadDimensions(f"unknown scenario_type {kind!r}")

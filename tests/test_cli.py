@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifpsync.cli import main, write_csv
+from ifpsync.cli import load_network, main, time_fn_from_dict, write_csv
 from ifpsync.netsim import SimResult, sync_metrics
 
 CUBIC_TF = {"num": [1.0], "den": [0.0, 3.0, 2.0, 1.0]}
@@ -63,7 +64,8 @@ TRAFFIC_RING = {
 REMARK1_DIVERGENT = {"scenario_type": "remark1", "p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 1.0}
 
 # "sim" entries that are rejected; Infinity and NaN are the literals
-# Python's json module reads and writes outside the JSON grammar
+# Python's json module reads and writes outside the JSON grammar; a string
+# or a boolean is not a number
 BAD_SIM_SETTINGS = [
     ("t_final", float("inf")),
     ("dt", float("nan")),
@@ -71,6 +73,8 @@ BAD_SIM_SETTINGS = [
     ("blowup", 0.0),
     ("record_stride", float("inf")),
     ("record_stride", 2.5),
+    ("dt", "0.01"),
+    ("blowup", True),
 ]
 
 NAN, INF = float("nan"), float("inf")
@@ -130,6 +134,38 @@ NOT_AN_OBJECT = [
     ("agents_object", {"agents": {"a": 1}}, "input error: agents must be a list, got dict\n"),
 ]
 
+REFERENCE = {"type": "reference", "b": [1.0, 0.0]}
+
+# simulate inputs with a field of the wrong JSON type: (name, network
+# fields, expected stderr)
+WRONG_TYPE_NETWORK = [
+    ("protocol_number", {"protocol": 5}, "input error: protocol must be a JSON object, got int\n"),
+    ("sim_list", {"sim": [0.01]}, "input error: sim must be a JSON object, got list\n"),
+    ("sim_dt_string", {"sim": {"dt": "0.01", "t_final": 1.0}},
+     "input error: dt must be a number, got str\n"),
+    ("y_bar_list", {"protocol": {**REFERENCE, "y_bar": [1]}},
+     "input error: y_bar: a time function is a number or an object, got list\n"),
+    ("u_bar_object", {"protocol": {**REFERENCE, "u_bar": {"a": 1}}},
+     "input error: u_bar must be a list, got dict\n"),
+    ("u_bar_entry_list", {"protocol": {**REFERENCE, "u_bar": [None, [1]]}},
+     "input error: u_bar[1]: a time function is a number or an object, got list\n"),
+    ("initial_histories_number", {"initial_histories": 5},
+     "input error: initial_histories must be a list, got int\n"),
+]
+
+# simulate inputs with an unknown type or mismatched sizes: (name, network
+# fields, expected stderr)
+BAD_NETWORK = [
+    ("agent_type_unknown", {"agents": [{"type": "pendulum"}, INTEGRATOR_PAIR["agents"][1]]},
+     "input error: unknown agent type 'pendulum'\n"),
+    ("protocol_type_unknown", {"protocol": {"type": "leader"}},
+     "input error: unknown protocol type 'leader'\n"),
+    ("time_function_kind_unknown", {"protocol": {**REFERENCE, "y_bar": {"kind": "square"}}},
+     "input error: y_bar: unknown time-function kind 'square'\n"),
+    ("adjacency_size", {"adjacency": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
+     "input error: adjacency is 3x3 but 2 agents given\n"),
+]
+
 TRAFFIC_CHAIN_TINY = {
     "scenario_type": "traffic", "topology_preset": "classic_chain", "n": 2, "K": 1.0,
     "delays": [0.4, 0.4], "v_init": [0.3, -0.2], "v0": 1.0,
@@ -145,6 +181,20 @@ PLATOON_TINY = {
 }
 
 REMARK1_TINY = {**REMARK1_DIVERGENT, "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10}}
+
+# scenario files that cannot be read: (name, extra argv, file content,
+# expected stderr)
+BAD_SCENARIO_FILE = [
+    ("sweep_entry_number", ("--sweep",), [HARMONIC_TINY, 5],
+     "input error: scenario 1 must be a JSON object, got int\n"),
+    ("sweep_of_an_object", ("--sweep",), HARMONIC_TINY,
+     "input error: --sweep expects the input file to hold a JSON list of scenarios\n"),
+    ("scenario_number", (), 5, "input error: scenario must be a JSON object, got int\n"),
+    ("sim_string", (), {**HARMONIC_TINY, "sim": "fast"},
+     "input error: sim must be a JSON object, got str\n"),
+    ("scenario_type_unknown", (), {"scenario_type": "pendulum"},
+     "input error: unknown scenario_type 'pendulum'\n"),
+]
 
 # scenario files with one non-finite field: (name, base scenario, field, value)
 NON_FINITE_SCENARIO = [
@@ -346,6 +396,16 @@ class TestCertifyCommand:
         assert captured.err == "input error: alpha must be a list of numbers\n"
         assert captured.out == ""
 
+    def test_network_without_alpha_or_agents_exits_input_error(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", {"adjacency": [[0, 1], [1, 0]]})
+        code = main(["certify", str(f)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "input error: certify JSON needs either an 'alpha' array or an 'agents' list\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "fields, message", [c[1:] for c in NOT_AN_OBJECT], ids=[c[0] for c in NOT_AN_OBJECT]
     )
@@ -413,6 +473,14 @@ class TestSimulateCommand:
         lines = (tmp_path / "pair.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) - 1 == int(4.0 / (0.002 * 10)) + 1
 
+    def test_tol_override_reaches_the_metrics(self, tmp_path, capsys):
+        for cmd, doc in (("simulate", INTEGRATOR_PAIR), ("scenario", HARMONIC_TINY)):
+            f = write_json(tmp_path / f"{cmd}.json", doc)
+            code, out = run_cli(capsys, cmd, str(f), "--output-dir", str(tmp_path / cmd),
+                                "--tol", "0.25")
+            assert code == 0
+            assert json.loads(out)["metrics"]["tol"] == 0.25
+
     def test_plot_writes_svg_polylines(self, tmp_path, capsys):
         f = write_json(tmp_path / "pair.json", INTEGRATOR_PAIR)
         code, _ = run_cli(capsys, "simulate", str(f), "--output-dir", str(tmp_path), "--plot")
@@ -461,7 +529,7 @@ class TestSimulateCommand:
         code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("input error:")
+        assert err.startswith(f"input error: {key} must be")
         assert "Traceback" not in err
         assert not (tmp_path / "bad.csv").exists()
 
@@ -489,10 +557,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "fields, message",
-        [c[1:] for c in NOT_AN_OBJECT]
-        + [({"protocol": 5}, "input error: protocol must be a JSON object, got int\n"),
-           ({"sim": [0.01]}, "input error: sim must be a JSON object, got list\n")],
-        ids=[c[0] for c in NOT_AN_OBJECT] + ["protocol_number", "sim_list"],
+        [c[1:] for c in NOT_AN_OBJECT + WRONG_TYPE_NETWORK],
+        ids=[c[0] for c in NOT_AN_OBJECT + WRONG_TYPE_NETWORK],
     )
     def test_entry_that_is_not_an_object_exits_input_error(self, tmp_path, capsys, fields,
                                                            message):
@@ -503,6 +569,40 @@ class TestSimulateCommand:
         assert captured.err == message
         assert captured.out == ""
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fields, message", [c[1:] for c in BAD_NETWORK], ids=[c[0] for c in BAD_NETWORK]
+    )
+    def test_unknown_type_or_size_exits_input_error(self, tmp_path, capsys, fields, message):
+        f = write_json(tmp_path / "bad.json", {**INTEGRATOR_PAIR, **fields})
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == message
+        assert captured.out == ""
+
+    def test_time_function_kinds(self):
+        assert time_fn_from_dict(2.5)(7.0) == 2.5
+        assert time_fn_from_dict({"kind": "constant", "value": -1.0})(3.0) == -1.0
+        assert time_fn_from_dict({"kind": "ramp", "offset": 1.0, "slope": 2.0})(3.0) == 7.0
+        assert time_fn_from_dict({"kind": "ramp"})(3.0) == 0.0
+        sin = time_fn_from_dict({"kind": "sin", "amplitude": 2.0, "omega": 3.0, "phase": 0.5})
+        assert sin(1.0) == 2.0 * math.sin(3.5)
+        assert time_fn_from_dict({"kind": "sin", "omega": 1.0})(0.5) == math.sin(0.5)
+
+    def test_u_bar_list_feeds_each_agent_its_own_offset(self, tmp_path, capsys):
+        # u_1 = -(y_1 - y_2) + 0.5 and u_2 = -(y_2 - y_1) at t = 0, with
+        # y = (1, 0) and no pinning
+        protocol = {"type": "reference", "b": [0.0, 0.0],
+                    "u_bar": [{"kind": "constant", "value": 0.5}, None]}
+        net = {**INTEGRATOR_PAIR, "protocol": protocol}
+        _, loaded, _ = load_network(net)
+        assert loaded.u_bar[0](4.0) == 0.5 and loaded.u_bar[1] is None
+        f = write_json(tmp_path / "ubar.json", net)
+        code, _ = run_cli(capsys, "simulate", str(f), "--output-dir", str(tmp_path))
+        assert code == 0
+        first = (tmp_path / "ubar.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert first == "0.0,1.0,0.0,-0.5,1.0"
 
     def test_initial_histories_must_cover_every_agent(self, tmp_path, capsys):
         net = {
@@ -675,6 +775,40 @@ class TestScenarioCommand:
         assert metrics["synchronized"] is report["synchronized"]
         assert metrics == report["metrics"]
         assert metrics["pairwise_sup_tail"] < metrics["tol"]
+
+    @pytest.mark.parametrize("key, value", BAD_SIM_SETTINGS)
+    def test_invalid_sim_settings_exit_input_error(self, tmp_path, capsys, key, value):
+        scn = {**HARMONIC_TINY, "sim": {**HARMONIC_TINY["sim"], key: value}}
+        f = write_json(tmp_path / "bad.json", scn)
+        code = main(["scenario", str(f), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"input error: {key} must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_blowup_setting_applies_to_a_scenario(self, tmp_path, capsys):
+        # the oscillators start at a state norm above 0.5, so the run is cut
+        # at its first step; the same setting in a network file exits 4 too
+        scn = {**HARMONIC_TINY, "sim": {"dt": 0.01, "t_final": 5, "blowup": 0.5}}
+        f = write_json(tmp_path / "osc.json", scn)
+        code, out = run_cli(capsys, "scenario", str(f), "--output-dir", str(tmp_path))
+        assert code == 4
+        assert json.loads(out)["metrics"]["diverged"] is True
+
+    @pytest.mark.parametrize(
+        "extra, content, message", [c[1:] for c in BAD_SCENARIO_FILE],
+        ids=[c[0] for c in BAD_SCENARIO_FILE],
+    )
+    def test_unreadable_scenario_file_exits_input_error(self, tmp_path, capsys, extra, content,
+                                                         message):
+        f = write_json(tmp_path / "bad.json", content)
+        code = main(["scenario", str(f), *extra, "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == message
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_list_without_sweep_flag_rejected(self, tmp_path, capsys):
         f = write_json(tmp_path / "batch.json", [HARMONIC_TINY])

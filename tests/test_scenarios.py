@@ -302,6 +302,31 @@ class TestScenarioFromDict:
         assert spec.leader_gain == 1.0
         assert cfg.dt == 0.002 and cfg.t_final == 30.0 and cfg.record_stride == 5
 
+    def test_unidirectional_ring_round_trip(self):
+        kind, spec, _ = scenario_from_dict({
+            "scenario_type": "traffic", "topology_preset": "unidirectional_ring",
+            "n": 3, "K": 0.5, "delays": 0.1, "v_init": [1.0, 2.0, 3.0],
+        })
+        assert spec.topology_preset == "unidirectional_ring"
+        expected = [[0.0, 0.0, 0.5], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
+        assert np.array_equal(spec.adjacency, expected)
+        assert np.array_equal(spec.delays, [0.1, 0.1, 0.1])
+
+    def test_custom_preset_is_the_default(self):
+        d = {"scenario_type": "traffic", "adjacency": [[0.0, 0.2], [0.3, 0.0]],
+             "delays": [0.1, 0.2], "v_init": [1.0, 2.0]}
+        for doc in (d, {**d, "topology_preset": "custom"}):
+            _, spec, _ = scenario_from_dict(doc)
+            assert spec.topology_preset == "custom" and spec.n == 2
+            assert np.array_equal(spec.adjacency, d["adjacency"])
+
+    def test_unknown_topology_preset_rejected(self):
+        with pytest.raises(BadDimensions, match="unknown topology preset 'star'"):
+            scenario_from_dict({
+                "scenario_type": "traffic", "topology_preset": "star",
+                "n": 2, "K": 1.0, "delays": 0.1, "v_init": [0.0, 1.0],
+            })
+
     def test_platoon_round_trip(self):
         kind, spec, cfg = scenario_from_dict({
             "scenario_type": "platoon",

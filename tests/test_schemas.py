@@ -10,13 +10,17 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from ifpsync.cli import load_network
+from ifpsync.scenarios import scenario_from_dict
 from test_cli import (
     BAD_SIM_SETTINGS,
     CUBIC_TF,
     DIVERGING_TRIO,
     HARMONIC_TINY,
     INTEGRATOR_PAIR,
+    PLATOON_TINY,
     REMARK1_DIVERGENT,
+    REMARK1_TINY,
     TRAFFIC_RING,
     VECTOR_PAIR,
 )
@@ -95,3 +99,28 @@ def test_schema_rejects_sim_settings_the_loader_rejects(key, value):
     for name, doc in [("network", INTEGRATOR_PAIR), ("scenario", HARMONIC_TINY)]:
         assert schema_accepts(name, doc)
         assert not schema_accepts(name, {**doc, "sim": {**doc["sim"], key: value}})
+
+
+def test_every_sim_property_reaches_the_run_config():
+    # each property of the schema's sim block gets a value of its own type,
+    # distinct from the others and from every default; a reader that drops
+    # or renames one of them leaves the default in the SimConfig
+    props = SCHEMAS["network"]["properties"]["sim"]["properties"]
+    sim = {}
+    for i, (key, prop) in enumerate(sorted(props.items())):
+        sim[key] = 3 + i if prop["type"] == "integer" else 0.0625 * (i + 1)
+    sim["t_final"] = 2.0  # above dt
+    docs = [("network", INTEGRATOR_PAIR)] + [
+        ("scenario", doc) for doc in (TRAFFIC_RING, PLATOON_TINY, REMARK1_TINY, HARMONIC_TINY)
+    ]
+    kinds = set()
+    for schema, doc in docs:
+        doc = {**doc, "sim": sim}
+        assert schema_accepts(schema, doc)
+        if schema == "network":
+            config = load_network(doc)[2]
+        else:
+            kind, _, config = scenario_from_dict(doc)
+            kinds.add(kind)
+        assert {key: getattr(config, key) for key in sim} == sim
+    assert kinds == {"traffic", "platoon", "remark1", "harmonic"}
