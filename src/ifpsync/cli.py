@@ -32,12 +32,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .certify import (
-    CaccGainSet,
     check_platoon_gains,
     check_weak_coupling,
     check_weak_coupling_pinned,
 )
-from .errors import BadDimensions, IfpSyncError, MuTauViolation, NotCertifiable, integer
+from .errors import (
+    IfpSyncError, MuTauViolation, NotCertifiable, field, integer, json_list, json_object,
+    number, numbers,
+)
 from .graphnet import build_digraph
 from .netsim import (
     AgentModel,
@@ -51,7 +53,7 @@ from .netsim import (
     simulate,
 )
 from .passivity import RationalTF, ifp_index, ifp_indices, prl_conditions
-from .scenarios import _sim_config, run_scenarios, scenario_from_dict
+from .scenarios import _gains, _sim_config, run_scenarios, scenario_from_dict
 
 __all__ = ["main", "write_csv", "write_svg", "write_artifacts", "load_network"]
 
@@ -66,80 +68,69 @@ EXIT_DIVERGED = 4
 # JSON -> objects
 # ---------------------------------------------------------------------------
 
-def _finite(name: str, value) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise BadDimensions(f"{name} must be finite, got {v}")
-    return v
-
-
-def time_fn_from_dict(d) -> Callable[[float], float]:
+def time_fn_from_dict(d, prefix: str = "") -> Callable[[float], float]:
     """Deserialize a time function: a bare number is a constant; otherwise a
     dict with kind 'constant' {value}, 'ramp' {offset, slope}, or 'sin'
-    {amplitude, omega, phase}. Every parameter must be finite."""
-    if isinstance(d, (int, float)):
-        return lambda t, c=_finite("time-function value", d): c
+    {amplitude, omega, phase}. Every parameter must be a finite number. An
+    error starts with `prefix` ("y_bar: "), which names the field."""
+    if isinstance(d, (int, float)):  # number() refuses a boolean
+        return lambda t, c=number(f"{prefix}value", d): c
     if not isinstance(d, dict):
-        raise IfpSyncError(f"a time function is a number or an object, got {type(d).__name__}")
-    kind = d.get("kind")
+        raise IfpSyncError(
+            f"{prefix}a time function is a number or an object, got {type(d).__name__}"
+        )
+    kind = field(d, "kind", prefix)
+
+    def param(key: str, default=None) -> float:
+        v = field(d, key, prefix) if default is None else d.get(key, default)
+        return number(prefix + key, v)
+
     if kind == "constant":
-        return lambda t, c=_finite("time-function value", d["value"]): c
+        return lambda t, c=param("value"): c
     if kind == "ramp":
-        off = _finite("ramp offset", d.get("offset", 0.0))
-        slope = _finite("ramp slope", d.get("slope", 0.0))
-        return lambda t, a=off, b=slope: a + b * t
+        return lambda t, a=param("offset", 0.0), b=param("slope", 0.0): a + b * t
     if kind == "sin":
-        amp = _finite("sin amplitude", d.get("amplitude", 1.0))
-        omega = _finite("sin omega", d["omega"])
-        phase = _finite("sin phase", d.get("phase", 0.0))
+        amp, omega, phase = param("amplitude", 1.0), param("omega"), param("phase", 0.0)
         return lambda t, a=amp, w=omega, p=phase: a * math.sin(w * t + p)
-    raise IfpSyncError(f"unknown time-function kind {kind!r}")
-
-
-def _time_fn(name: str, d) -> Callable[[float], float]:
-    """time_fn_from_dict with its errors prefixed by the field name."""
-    try:
-        return time_fn_from_dict(d)
-    except IfpSyncError as e:
-        raise type(e)(f"{name}: {e}") from None
+    raise IfpSyncError(f"{prefix}unknown time-function kind {kind!r}")
 
 
 def _time_fns(name: str, value) -> tuple:
-    """A list of optional time functions (u_bar, initial_histories); entry i
-    is named name[i] in errors."""
-    if not isinstance(value, list):
-        raise IfpSyncError(f"{name} must be a list, got {type(value).__name__}")
-    return tuple(None if x is None else _time_fn(f"{name}[{i}]", x) for i, x in enumerate(value))
+    """A list of optional time functions, entry i named name[i] in errors."""
+    return tuple(None if x is None else time_fn_from_dict(x, f"{name}[{i}]: ")
+                 for i, x in enumerate(json_list(name, value)))
 
 
-def agent_from_dict(d: dict) -> AgentModel:
+def agent_from_dict(d: dict, prefix: str = "") -> AgentModel:
     """Deserialize one agent: type 'lti' {num, den}, 'delayed_integrator'
-    {delay, dim}, or 'vehicle' {tau, mu}. Polynomial coefficients ascending."""
+    {delay, dim}, or 'vehicle' {tau, mu}. Polynomial coefficients ascending.
+    An error starts with `prefix` ("agent 3: ")."""
     kind = d.get("type", "lti")
     if kind == "lti":
-        return LtiSiso.from_coeffs(d["num"], d["den"])
+        return LtiSiso.from_coeffs(*_coeffs(d, prefix))
     if kind == "delayed_integrator":
-        return DelayedIntegrator(
-            delay=float(d.get("delay", 0.0)), dim=integer("dim", d.get("dim", 1))
-        )
+        return DelayedIntegrator(delay=number(f"{prefix}delay", d.get("delay", 0.0)),
+                                 dim=integer(f"{prefix}dim", d.get("dim", 1)))
     if kind == "vehicle":
-        return Vehicle3rd(tau=float(d["tau"]), mu=float(d["mu"]))
+        return Vehicle3rd(*(number(prefix + k, field(d, k, prefix)) for k in ("tau", "mu")))
     raise IfpSyncError(f"unknown agent type {kind!r}")
 
 
-def _json_object(name: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise IfpSyncError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
+def _coeffs(d: dict, prefix: str = "") -> tuple:
+    """A transfer function's `num` and `den` lists (Polynomial names a non-finite entry)."""
+    return tuple(numbers(prefix + k, field(d, k, prefix), finite=False) for k in ("num", "den"))
 
 
 def _agents_from_json(d: dict) -> list[AgentModel]:
-    """The network's `agents` list, each entry read by agent_from_dict; an
-    entry that is not a JSON object raises, named by its index."""
-    entries = d["agents"]
-    if not isinstance(entries, list):
-        raise IfpSyncError(f"agents must be a list, got {type(entries).__name__}")
-    return [agent_from_dict(_json_object(f"agent {i}", a)) for i, a in enumerate(entries)]
+    """The network's `agents` list, each entry a JSON object named by its index."""
+    entries = json_list("agents", field(d, "agents"))
+    return [agent_from_dict(json_object(f"agent {i}", a), f"agent {i}: ")
+            for i, a in enumerate(entries)]
+
+
+def _pinning(d: dict, n: int) -> np.ndarray:
+    """The pinning gains `b` of a protocol or a certify file; zeros when absent."""
+    return numbers("b", d["b"]) if "b" in d else np.zeros(n)
 
 
 def load_network(d: dict):
@@ -149,36 +140,29 @@ def load_network(d: dict):
     list, each optionally carrying x0), protocol ({'type': 'plain'} or
     {'type': 'reference', b, u_bar, y_bar}), sim (dt, t_final,
     record_stride, tol, blowup), initial_histories (per-agent time function
-    giving the pre-start input of delayed agents). Every number must be
-    finite; BadDimensions names the first that is not.
+    giving the pre-start input of delayed agents).
     """
-    g = build_digraph(d["adjacency"])
+    g = build_digraph(field(d, "adjacency"))
     agents = _agents_from_json(d)
     if g.n != len(agents):
         raise IfpSyncError(f"adjacency is {g.n}x{g.n} but {len(agents)} agents given")
 
-    proto_d = _json_object("protocol", d.get("protocol", {"type": "plain"}))
+    proto_d = json_object("protocol", d.get("protocol", {"type": "plain"}))
     pkind = proto_d.get("type", "plain")
     if pkind == "plain":
         protocol = Plain(g)
     elif pkind == "reference":
-        b = np.asarray(proto_d.get("b", np.zeros(g.n)), dtype=float)
-        y_bar = _time_fn("y_bar", proto_d["y_bar"]) if "y_bar" in proto_d else None
+        b = _pinning(proto_d, g.n)
+        y_bar = time_fn_from_dict(proto_d["y_bar"], "y_bar: ") if "y_bar" in proto_d else None
         u_bar = _time_fns("u_bar", proto_d["u_bar"]) if "u_bar" in proto_d else None
         protocol = Reference(g, b=b, u_bar=u_bar, y_bar=y_bar)
     else:
         raise IfpSyncError(f"unknown protocol type {pkind!r}")
 
-    x0 = None
-    if any("x0" in a for a in d["agents"]):
-        x0 = [
-            [_finite(f"agent {i} x0", v) for v in a["x0"]]
-            if "x0" in a else [0.0] * agents[i].state_dim
-            for i, a in enumerate(d["agents"])
-        ]
+    x0 = [numbers(f"agent {i}: x0", a["x0"]) if "x0" in a else np.zeros(agent.state_dim)
+          for i, (a, agent) in enumerate(zip(d["agents"], agents))]
     hist = d.get("initial_histories")
-    if hist is not None:
-        hist = _time_fns("initial_histories", hist)
+    hist = None if hist is None else _time_fns("initial_histories", hist)
     base = SimConfig(dt=1e-3, t_final=100.0, initial_states=x0, initial_histories=hist)
     return agents, protocol, _sim_config(base, d.get("sim", {}))
 
@@ -381,9 +365,16 @@ def _apply_overrides(config: SimConfig, args) -> SimConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_ifp(args) -> int:
+def _read_object(args, what: str) -> dict:
+    """The input file of a command that takes one JSON object."""
     d = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    tf = RationalTF.from_coeffs(d["num"], d["den"])
+    if not isinstance(d, dict):
+        raise IfpSyncError(f"{args.command} needs a {what} object, got a JSON {type(d).__name__}")
+    return d
+
+
+def cmd_ifp(args) -> int:
+    tf = RationalTF.from_coeffs(*_coeffs(_read_object(args, "transfer-function")))
     try:
         cert = ifp_index(tf)
     except NotCertifiable as e:
@@ -402,9 +393,7 @@ def _alphas_from_json(d: dict) -> list[float]:
     first agent in input order whose deficit is undefined raises, named by
     its index."""
     if "alpha" in d:
-        if not isinstance(d["alpha"], list):
-            raise IfpSyncError("alpha must be a list of numbers")
-        return [float(a) for a in d["alpha"]]
+        return numbers("alpha", d["alpha"]).tolist()
     if "agents" not in d:
         raise IfpSyncError("certify JSON needs either an 'alpha' array or an 'agents' list")
     agents = _agents_from_json(d)
@@ -422,22 +411,18 @@ def _alphas_from_json(d: dict) -> list[float]:
 
 
 def cmd_certify(args) -> int:
-    d = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    if not isinstance(d, dict):
-        raise IfpSyncError(f"certify needs a network object, got a JSON {type(d).__name__}")
-    g = build_digraph(d["adjacency"])
+    d = _read_object(args, "network")
+    g = build_digraph(field(d, "adjacency"))
     del d["adjacency"]  # free the parsed lists before the heavy work
     alphas = _alphas_from_json(d)
     if args.reference:
-        b = np.asarray(d.get("b", np.zeros(g.n)), dtype=float)
-        verdict = check_weak_coupling_pinned(g, alphas, b)
+        verdict = check_weak_coupling_pinned(g, alphas, _pinning(d, g.n))
     else:
         verdict = check_weak_coupling(g, alphas)
     report = {"weak_coupling": verdict.to_json_dict(), "alpha": alphas}
     passes = verdict.passes
     if "gains" in d:
-        gains = CaccGainSet.build(**d["gains"])
-        gv = check_platoon_gains(gains)
+        gv = check_platoon_gains(_gains(d["gains"]))
         report["gains"] = gv.to_json_dict()
         passes = passes and gv.passes
     report["passes"] = passes
@@ -447,7 +432,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     in_path = Path(args.input)
-    d = json.loads(in_path.read_text(encoding="utf-8"))
+    d = _read_object(args, "network")
     agents, protocol, config = load_network(d)
     del d  # free the parsed JSON (a dense adjacency list) before simulating
     config = _apply_overrides(config, args)
@@ -465,12 +450,12 @@ def cmd_scenario(args) -> int:
     if args.sweep:
         if not isinstance(data, list):
             raise IfpSyncError("--sweep expects the input file to hold a JSON list of scenarios")
-        data = [_json_object(f"scenario {i}", d) for i, d in enumerate(data)]
+        data = [json_object(f"scenario {i}", d) for i, d in enumerate(data)]
         stems = [f"{in_path.stem}_{i:03d}" for i in range(len(data))]
     elif isinstance(data, list):
         raise IfpSyncError("input holds a scenario list; pass --sweep to run it")
     else:
-        data, stems = [_json_object("scenario", data)], [in_path.stem]
+        data, stems = [json_object("scenario", data)], [in_path.stem]
     entries = [scenario_from_dict(d) for d in data]
     runs = run_scenarios([(k, spec, _apply_overrides(cfg, args)) for k, spec, cfg in entries])
     summaries = write_artifacts(
@@ -549,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotCertifiable, MuTauViolation) as e:
         print(f"not certifiable: {e}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE
-    except (IfpSyncError, OSError, KeyError, TypeError, ValueError,
+    except (IfpSyncError, OSError, KeyError, TypeError, ValueError, OverflowError,
             json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

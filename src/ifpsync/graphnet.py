@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensions, NegativeWeight, NotSquare, NotStronglyConnected, SelfLoop
+from .errors import (
+    BadDimensions, NegativeWeight, NotSquare, NotStronglyConnected, SelfLoop, numbers,
+)
 
 __all__ = [
     "Digraph",
@@ -71,9 +73,10 @@ def build_digraph(adjacency) -> Digraph:
 
     Raises
     ------
-    NotSquare, BadDimensions (non-finite entry), NegativeWeight, SelfLoop
+    NotSquare, BadDimensions (an entry that is not a finite number),
+    NegativeWeight, SelfLoop
     """
-    a = np.array(adjacency, dtype=float)
+    a = numbers("adjacency", adjacency, finite=False)  # one conversion, also of a JSON list
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -33,7 +33,7 @@ from .certify import (
     check_weak_coupling,
     check_weak_coupling_pinned,
 )
-from .errors import BadDimensions, DimensionMismatch, integer
+from .errors import BadDimensions, DimensionMismatch, field, integer, json_object, number, numbers
 from .graphnet import build_digraph
 from .netsim import (
     DelayedIntegrator,
@@ -91,8 +91,9 @@ class _Job:
 class TrafficSpec:
     """Car-following network: n vehicles with sensitivity matrix `adjacency`
     (entry (i, j) is driver i's response gain to vehicle j, 1/s), per-driver
-    reaction delays, and initial velocities. classic_chain follows a virtual
-    leader at constant speed v0 through gain leader_gain."""
+    reaction delays (a single delay is broadcast to every driver), and initial
+    velocities. classic_chain follows a virtual leader at constant speed v0
+    through gain leader_gain."""
 
     n: int
     adjacency: NDArray[np.float64]
@@ -103,16 +104,13 @@ class TrafficSpec:
     leader_gain: Optional[float] = None
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
-        d = np.asarray(self.delays, dtype=float)
-        v = np.asarray(self.v_init, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise DimensionMismatch(f"adjacency must be {self.n}x{self.n}, got {a.shape}")
-        if d.shape != (self.n,) or v.shape != (self.n,):
+        n, d = self.n, self.delays
+        a, v = numbers("adjacency", self.adjacency), numbers("v_init", self.v_init)
+        d = np.full(n, number("delays", d)) if isinstance(d, (int, float)) else numbers("delays", d)
+        if a.shape != (n, n):
+            raise DimensionMismatch(f"adjacency must be {n}x{n}, got {a.shape}")
+        if d.shape != (n,) or v.shape != (n,):
             raise DimensionMismatch("delays and v_init must have length n")
-        for name, value in (("delays", d), ("v_init", v), ("v0", self.v0)):
-            if not np.all(np.isfinite(value)):
-                raise BadDimensions(f"{name} must be finite, got {value}")
         if np.any(d < 0.0):
             raise BadDimensions("delays must be non-negative")
         if self.topology_preset not in _PRESETS:
@@ -124,6 +122,7 @@ class TrafficSpec:
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "delays", d)
         object.__setattr__(self, "v_init", v)
+        object.__setattr__(self, "v0", number("v0", self.v0))
 
     @classmethod
     def classic_chain(cls, n: int, K: float, delays, v_init, v0: float) -> "TrafficSpec":
@@ -132,23 +131,14 @@ class TrafficSpec:
         a = np.zeros((n, n))
         for i in range(1, n):
             a[i, i - 1] = K
-        return cls(
-            n=n,
-            adjacency=a,
-            delays=np.broadcast_to(np.asarray(delays, dtype=float), (n,)).copy(),
-            topology_preset="classic_chain",
-            v_init=np.asarray(v_init, dtype=float),
-            v0=float(v0),
-            leader_gain=float(K),
-        )
+        return cls(n, a, delays, "classic_chain", v_init, v0=v0, leader_gain=float(K))
 
     @classmethod
     def unidirectional_ring(cls, n: int, K: float, delays, v_init) -> "TrafficSpec":
         a = np.zeros((n, n))
         for i in range(n):
             a[i, (i - 1) % n] = K
-        return cls(n, a, np.broadcast_to(np.asarray(delays, dtype=float), (n,)).copy(),
-                   "unidirectional_ring", np.asarray(v_init, dtype=float))
+        return cls(n, a, delays, "unidirectional_ring", v_init)
 
     @classmethod
     def bidirectional_ring(cls, n: int, a_gain: float, delays, v_init) -> "TrafficSpec":
@@ -156,14 +146,7 @@ class TrafficSpec:
         for i in range(n):
             a[i, (i - 1) % n] = a_gain
             a[i, (i + 1) % n] = a_gain
-        return cls(n, a, np.broadcast_to(np.asarray(delays, dtype=float), (n,)).copy(),
-                   "bidirectional_ring", np.asarray(v_init, dtype=float))
-
-    @classmethod
-    def custom(cls, adjacency, delays, v_init) -> "TrafficSpec":
-        a = np.asarray(adjacency, dtype=float)
-        return cls(a.shape[0], a, np.asarray(delays, dtype=float),
-                   "custom", np.asarray(v_init, dtype=float))
+        return cls(n, a, delays, "bidirectional_ring", v_init)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,18 +232,18 @@ def run_traffic(spec: TrafficSpec, config: SimConfig) -> TrafficRun:
 
 def _traffic_spec(d: dict) -> TrafficSpec:
     preset = d.get("topology_preset", "custom")
-    n = integer("n", d["n"]) if "n" in d else len(d.get("v_init", ()))
-    if preset == "classic_chain":
-        return TrafficSpec.classic_chain(
-            n, float(d["K"]), d["delays"], d["v_init"], float(d.get("v0", 0.0))
-        )
-    if preset == "unidirectional_ring":
-        return TrafficSpec.unidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
-    if preset == "bidirectional_ring":
-        return TrafficSpec.bidirectional_ring(n, float(d["K"]), d["delays"], d["v_init"])
+    delays, v_init = field(d, "delays"), field(d, "v_init")
     if preset == "custom":
-        return TrafficSpec.custom(d["adjacency"], d["delays"], d["v_init"])
-    raise BadDimensions(f"unknown topology preset {preset!r}")
+        a = numbers("adjacency", field(d, "adjacency"))
+        return TrafficSpec(integer("n", d.get("n", len(a))), a, delays, "custom", v_init)
+    if preset not in _PRESETS:
+        raise BadDimensions(f"unknown topology preset {preset!r}")
+    n, K = integer("n", d.get("n", len(numbers("v_init", v_init)))), number("K", field(d, "K"))
+    if preset == "classic_chain":
+        return TrafficSpec.classic_chain(n, K, delays, v_init, d.get("v0", 0.0))
+    if preset == "unidirectional_ring":
+        return TrafficSpec.unidirectional_ring(n, K, delays, v_init)
+    return TrafficSpec.bidirectional_ring(n, K, delays, v_init)
 
 
 def _traffic_job(spec: TrafficSpec, config: SimConfig) -> _Job:
@@ -296,14 +279,13 @@ class PlatoonSpec:
     def __post_init__(self):
         n = self.gains.n
         for name in ("s", "q_init", "v_init", "a_init"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = numbers(name, getattr(self, name))
             if arr.shape != (n,):
                 raise DimensionMismatch(f"{name} must have length {n}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name in ("s", "v0", "q0_init", "q_init", "v_init", "a_init"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise BadDimensions(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("v0", "q0_init"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
         if np.any(self.s <= 0.0):
             raise BadDimensions("desired gaps s must be positive")
 
@@ -418,13 +400,16 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
     return run_scenarios([("platoon", spec, config)])[0]
 
 
+def _gains(d) -> CaccGainSet:
+    """The `gains` block of a platoon scenario or a certify file."""
+    keys = ("mu", "eta", "nu", "tau")
+    d = json_object("gains", d, keys)
+    return CaccGainSet.build(*(numbers(f"gains: {k}", field(d, k, "gains: ")) for k in keys))
+
+
 def _platoon_spec(d: dict) -> PlatoonSpec:
-    gd = d["gains"]
-    return PlatoonSpec(
-        gains=CaccGainSet.build(gd["mu"], gd["eta"], gd["nu"], gd["tau"]),
-        s=d["s"], v0=float(d["v0"]), q0_init=float(d.get("q0_init", 0.0)),
-        q_init=d["q_init"], v_init=d["v_init"], a_init=d["a_init"],
-    )
+    fields = {k: field(d, k) for k in ("s", "v0", "q_init", "v_init", "a_init")}
+    return PlatoonSpec(_gains(field(d, "gains")), q0_init=d.get("q0_init", 0.0), **fields)
 
 
 def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
@@ -517,17 +502,15 @@ def harmonic_counterexample(
 
 
 def _harmonic_spec(d: dict) -> dict:
-    return {"omega1": float(d["omega1"]), "omega2": float(d["omega2"]), "k": float(d["k"])}
+    return {k: field(d, k) for k in ("omega1", "omega2", "k")}
 
 
 def _harmonic_job(spec: dict, config: SimConfig) -> _Job:
-    omega1, omega2, k = spec["omega1"], spec["omega2"], spec["k"]
-    if not (math.isfinite(omega1) and math.isfinite(omega2)):
-        raise BadDimensions(f"omega1 and omega2 must be finite, got {omega1}, {omega2}")
+    omega1, omega2, k = (number(key, spec[key]) for key in ("omega1", "omega2", "k"))
     if omega1 == omega2:
         raise BadDimensions("the two natural frequencies must differ")
-    if not (math.isfinite(k) and k > 0.0):
-        raise BadDimensions(f"coupling gain k must be finite and positive, got {k}")
+    if not k > 0.0:
+        raise BadDimensions(f"coupling gain k must be positive, got {k}")
     w_tf = RationalTF.from_coeffs([0.0, k], [omega1**2, k, 1.0])
     w_at = eval_freq(w_tf, omega2)
     ratio = abs(w_at)
@@ -547,14 +530,8 @@ def _harmonic_job(spec: dict, config: SimConfig) -> _Job:
         tail = v[sim.times >= sim.times[-1] - 0.25 * (sim.times[-1] - sim.times[0])]
         amp = 0.5 * (tail.max(axis=0) - tail.min(axis=0))
         observed = float(amp[0] / amp[1]) if amp[1] > 0 else math.inf
-        return HarmonicRun(
-            omega1=float(omega1),
-            omega2=float(omega2),
-            k=float(k),
-            amplitude_ratio=float(ratio),
-            observed_ratio=observed,
-            sim=sim,
-        )
+        return HarmonicRun(omega1=omega1, omega2=omega2, k=k, amplitude_ratio=float(ratio),
+                           observed_ratio=observed, sim=sim)
 
     return _Job((agents, Plain(g), replace(config, initial_states=x0)), finish)
 
@@ -614,14 +591,14 @@ def all_to_all_counterexample(
 
 
 def _all_to_all_spec(d: dict) -> dict:
-    spec = {k: float(d[k]) for k in ("p", "q", "kappa")}
-    return dict(spec, n_agents=integer("n_agents", d["n_agents"]))
+    return {k: field(d, k) for k in ("p", "q", "n_agents", "kappa")}
 
 
 def _all_to_all_job(spec: dict, config: SimConfig) -> _Job:
-    p, q, n_agents, kappa = spec["p"], spec["q"], spec["n_agents"], spec["kappa"]
-    if not all(math.isfinite(x) and x > 0.0 for x in (p, q, kappa)):
-        raise BadDimensions(f"p, q, kappa must be finite and positive, got {p}, {q}, {kappa}")
+    p, q, kappa = (number(key, spec[key]) for key in ("p", "q", "kappa"))
+    n_agents = integer("n_agents", spec["n_agents"])
+    if not min(p, q, kappa) > 0.0:
+        raise BadDimensions(f"p, q, kappa must be positive, got {p}, {q}, {kappa}")
     predicted = all_to_all_bound(p, q, n_agents, kappa)
     a = kappa * (np.ones((n_agents, n_agents)) - np.eye(n_agents))
     g = build_digraph(a)
@@ -639,16 +616,8 @@ def _all_to_all_job(spec: dict, config: SimConfig) -> _Job:
         )
     return _Job(
         (agents, Plain(g), replace(config, initial_states=x0)),
-        lambda sim: AllToAllRun(
-            p=float(p),
-            q=float(q),
-            n_agents=int(n_agents),
-            kappa=float(kappa),
-            predicted=bool(predicted),
-            observed=bool(sim.metrics.synchronized),
-            sim=sim,
-            note=note,
-        ),
+        lambda sim: AllToAllRun(p=p, q=q, n_agents=n_agents, kappa=kappa, predicted=predicted,
+                                observed=bool(sim.metrics.synchronized), sim=sim, note=note),
     )
 
 
@@ -683,19 +652,11 @@ def _kind(name) -> _Kind:
 
 
 def _sim_config(base: SimConfig, d) -> SimConfig:
-    """`base` with the settings of a `sim` block, read as numbers (record_stride
-    through `integer`); BadDimensions names a block or field of the wrong type."""
-    if not isinstance(d, dict):
-        raise BadDimensions(f"sim must be a JSON object, got {type(d).__name__}")
-    over = {}
-    for name in ("dt", "t_final", "tol", "blowup"):
-        if name in d:
-            v = d[name]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise BadDimensions(f"{name} must be a number, got {type(v).__name__}")
-            over[name] = float(v)
-    if "record_stride" in d:
-        over["record_stride"] = integer("record_stride", d["record_stride"])
+    """`base` with the settings of a `sim` block: finite numbers, record_stride
+    an integer; BadDimensions names a block or field of the wrong type and an
+    unknown field."""
+    d = json_object("sim", d, ("dt", "t_final", "tol", "blowup", "record_stride"))
+    over = {k: integer(k, v) if k == "record_stride" else number(k, v) for k, v in d.items()}
     return replace(base, **over)
 
 
@@ -705,9 +666,7 @@ def scenario_from_dict(d: dict):
     For "remark1" and "harmonic" the spec is the parameter dict consumed by
     the corresponding counterexample function.
     """
-    if "scenario_type" not in d:
-        raise BadDimensions("scenario JSON needs a scenario_type field")
-    name = d["scenario_type"]
+    name = field(d, "scenario_type")
     kind = _kind(name)
     config = _sim_config(kind.sim, d.get("sim", {}))
     return name, kind.read(d), config

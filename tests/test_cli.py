@@ -135,9 +135,11 @@ NOT_AN_OBJECT = [
 ]
 
 REFERENCE = {"type": "reference", "b": [1.0, 0.0]}
+LTI_0, LTI_1 = INTEGRATOR_PAIR["agents"]
 
-# simulate inputs with a field of the wrong JSON type: (name, network
-# fields, expected stderr)
+# simulate inputs with a field of the wrong JSON type or a missing one:
+# (name, network fields, expected stderr); fields that are not a JSON object
+# are the whole file
 WRONG_TYPE_NETWORK = [
     ("protocol_number", {"protocol": 5}, "input error: protocol must be a JSON object, got int\n"),
     ("sim_list", {"sim": [0.01]}, "input error: sim must be a JSON object, got list\n"),
@@ -151,6 +153,47 @@ WRONG_TYPE_NETWORK = [
      "input error: u_bar[1]: a time function is a number or an object, got list\n"),
     ("initial_histories_number", {"initial_histories": 5},
      "input error: initial_histories must be a list, got int\n"),
+    ("adjacency_strings", {"adjacency": [["0", "1"], ["1", "0"]]},
+     "input error: adjacency must be a list of numbers\n"),
+    ("delay_string", {"agents": [{"type": "delayed_integrator", "delay": "0.01"}, LTI_1]},
+     "input error: agent 0: delay must be a number, got str\n"),
+    ("x0_strings", {"agents": [{**LTI_0, "x0": ["1"]}, LTI_1]},
+     "input error: agent 0: x0 must be a list of numbers\n"),
+    ("num_strings", {"agents": [LTI_0, {**LTI_1, "num": ["1"]}]},
+     "input error: agent 1: num must be a list of numbers\n"),
+    ("vehicle_without_mu", {"agents": [{"type": "vehicle", "tau": 0.1}, LTI_1]},
+     "input error: agent 0: missing field 'mu'\n"),
+    ("b_string_and_boolean", {"protocol": {**REFERENCE, "b": ["1", False], "y_bar": 1.0}},
+     "input error: b must be a list of numbers\n"),
+    ("y_bar_sin_without_omega", {"protocol": {**REFERENCE, "y_bar": {"kind": "sin"}}},
+     "input error: y_bar: missing field 'omega'\n"),
+    ("ramp_slope_boolean", {"protocol": {**REFERENCE, "y_bar": {"kind": "ramp", "slope": True}}},
+     "input error: y_bar: slope must be a number, got bool\n"),
+    ("sim_unknown_field", {"sim": {"dt": 0.01, "t_final": 1.0, "tfinal": 2.0}},
+     "input error: sim: unknown field 'tfinal'\n"),
+    ("top_level_list", [INTEGRATOR_PAIR],
+     "input error: simulate needs a network object, got a JSON list\n"),
+    ("top_level_number", 5, "input error: simulate needs a network object, got a JSON int\n"),
+]
+
+# certify inputs with a field of the wrong JSON type or a missing one: (name,
+# network fields, expected stderr)
+WRONG_TYPE_CERTIFY = [
+    ("adjacency_strings", {"adjacency": [["0", "1"], ["1", "0"]], "alpha": [0.1, 0.1]},
+     "input error: adjacency must be a list of numbers\n"),
+    ("alpha_string_and_boolean", {"alpha": ["0.1", True]},
+     "input error: alpha must be a list of numbers\n"),
+    ("alpha_booleans", {"alpha": [True, False]}, "input error: alpha must be a list of numbers\n"),
+    ("vehicle_tau_string", {"agents": [{"type": "vehicle", "tau": "0.1", "mu": 2.0}] * 2},
+     "input error: agent 0: tau must be a number, got str\n"),
+    ("gains_list", {"alpha": [0.1, 0.1], "gains": [1]},
+     "input error: gains must be a JSON object, got list\n"),
+    ("gains_without_nu", {"alpha": [0.1, 0.1], "gains": {"mu": [2.0] * 2, "eta": [0.4] * 2,
+                                                         "tau": [0.1] * 2}},
+     "input error: gains: missing field 'nu'\n"),
+    ("gains_unknown_field", {"alpha": [0.1, 0.1], "gains": {
+        "mu": [2.0] * 2, "eta": [0.4] * 2, "nu": [0.5], "tau": [0.1] * 2, "extra": 1}},
+     "input error: gains: unknown field 'extra'\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
@@ -182,6 +225,15 @@ PLATOON_TINY = {
 
 REMARK1_TINY = {**REMARK1_DIVERGENT, "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10}}
 
+# the certify input of test_platoon_gain_block_checked_alongside, with --reference
+CERTIFY_PLATOON = {
+    "adjacency": [[0, 0.5, 0], [0.5, 0, 0.5], [0, 1.0, 0]],
+    "alpha": [0.25, 0.25, 0.25],
+    "b": [0.4, 0.0, 0.0],
+    "gains": {"mu": [2.0, 2.0, 2.0], "eta": [0.4, 0.5, 1.0], "nu": [0.5, 0.5],
+              "tau": [0.1, 0.1, 0.1]},
+}
+
 # scenario files that cannot be read: (name, extra argv, file content,
 # expected stderr)
 BAD_SCENARIO_FILE = [
@@ -194,6 +246,30 @@ BAD_SCENARIO_FILE = [
      "input error: sim must be a JSON object, got str\n"),
     ("scenario_type_unknown", (), {"scenario_type": "pendulum"},
      "input error: unknown scenario_type 'pendulum'\n"),
+    ("harmonic_omega1_string", (), {**HARMONIC_TINY, "omega1": "1.0", "k": True},
+     "input error: omega1 must be a number, got str\n"),
+    ("harmonic_k_boolean", (), {**HARMONIC_TINY, "k": True},
+     "input error: k must be a number, got bool\n"),
+    ("harmonic_without_omega1", (), {k: v for k, v in HARMONIC_TINY.items() if k != "omega1"},
+     "input error: missing field 'omega1'\n"),
+    ("traffic_K_string", (), {**TRAFFIC_RING, "K": "0.5"},
+     "input error: K must be a number, got str\n"),
+    ("traffic_delays_strings", (), {**TRAFFIC_RING, "delays": ["0.1", "0.1", "0.1"]},
+     "input error: delays must be a list of numbers\n"),
+    ("traffic_n_string", (), {**TRAFFIC_RING, "n": "3"},
+     "input error: n must be a number, got str\n"),
+    ("remark1_n_agents_string", (), {**REMARK1_TINY, "n_agents": "3"},
+     "input error: n_agents must be a number, got str\n"),
+    ("record_stride_string", (), {**HARMONIC_TINY, "sim": {"record_stride": "10"}},
+     "input error: record_stride must be a number, got str\n"),
+    ("platoon_gains_list", (), {**PLATOON_TINY, "gains": [1]},
+     "input error: gains must be a JSON object, got list\n"),
+    ("platoon_gains_without_nu", (), {**PLATOON_TINY, "gains": {
+        k: v for k, v in PLATOON_TINY["gains"].items() if k != "nu"}},
+     "input error: gains: missing field 'nu'\n"),
+    ("platoon_gains_unknown_field", (), {**PLATOON_TINY, "gains": {
+        **PLATOON_TINY["gains"], "extra": 1}},
+     "input error: gains: unknown field 'extra'\n"),
 ]
 
 # scenario files with one non-finite field: (name, base scenario, field, value)
@@ -327,13 +403,7 @@ class TestCertifyCommand:
         assert np.allclose(json.loads(out)["weak_coupling"]["slack"], [-0.1, 0.3])
 
     def test_platoon_gain_block_checked_alongside(self, tmp_path, capsys):
-        f = write_json(tmp_path / "net.json", {
-            "adjacency": [[0, 0.5, 0], [0.5, 0, 0.5], [0, 1.0, 0]],
-            "alpha": [0.25, 0.25, 0.25],
-            "b": [0.4, 0.0, 0.0],
-            "gains": {"mu": [2.0, 2.0, 2.0], "eta": [0.4, 0.5, 1.0],
-                      "nu": [0.5, 0.5], "tau": [0.1, 0.1, 0.1]},
-        })
+        f = write_json(tmp_path / "net.json", CERTIFY_PLATOON)
         code, out = run_cli(capsys, "certify", str(f), "--reference")
         assert code == 0
         report = json.loads(out)
@@ -407,7 +477,9 @@ class TestCertifyCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "fields, message", [c[1:] for c in NOT_AN_OBJECT], ids=[c[0] for c in NOT_AN_OBJECT]
+        "fields, message",
+        [c[1:] for c in NOT_AN_OBJECT + WRONG_TYPE_CERTIFY],
+        ids=[c[0] for c in NOT_AN_OBJECT + WRONG_TYPE_CERTIFY],
     )
     def test_agent_that_is_not_an_object_exits_input_error(self, tmp_path, capsys, fields,
                                                            message):
@@ -562,7 +634,8 @@ class TestSimulateCommand:
     )
     def test_entry_that_is_not_an_object_exits_input_error(self, tmp_path, capsys, fields,
                                                            message):
-        f = write_json(tmp_path / "bad.json", {**INTEGRATOR_PAIR, **fields})
+        content = {**INTEGRATOR_PAIR, **fields} if isinstance(fields, dict) else fields
+        f = write_json(tmp_path / "bad.json", content)
         code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1

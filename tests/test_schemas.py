@@ -1,8 +1,9 @@
-"""The JSON Schemas in docs/ accept every shipped config and CLI test fixture
-and reject the simulation settings the loader rejects."""
+"""The JSON Schemas in docs/ accept every shipped config and CLI test fixture,
+and reject the fields of the wrong type that the loader rejects."""
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -10,10 +11,11 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from ifpsync.cli import load_network
+from ifpsync.cli import load_network, main
 from ifpsync.scenarios import scenario_from_dict
 from test_cli import (
     BAD_SIM_SETTINGS,
+    CERTIFY_PLATOON,
     CUBIC_TF,
     DIVERGING_TRIO,
     HARMONIC_TINY,
@@ -88,17 +90,95 @@ def test_shipped_config_validates(path):
         ("scenario", HARMONIC_TINY),
         ("scenario", TRAFFIC_RING),
         ("scenario", REMARK1_DIVERGENT),
+        ("certify", CERTIFY_PLATOON),
     ],
 )
 def test_cli_fixture_validates(name, doc):
     validator(name).validate(doc)
 
 
-@pytest.mark.parametrize("key, value", BAD_SIM_SETTINGS)
-def test_schema_rejects_sim_settings_the_loader_rejects(key, value):
-    for name, doc in [("network", INTEGRATOR_PAIR), ("scenario", HARMONIC_TINY)]:
-        assert schema_accepts(name, doc)
-        assert not schema_accepts(name, {**doc, "sim": {**doc["sim"], key: value}})
+def with_field(doc, path: tuple, value):
+    """A copy of doc with the field at path (keys and list indices) set to
+    value; the empty path replaces the whole document."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# the command that loads each schema's documents
+COMMANDS = {
+    "tf": ["ifp"],
+    "network": ["simulate", "--output-dir", "out"],
+    "scenario": ["scenario", "--output-dir", "out"],
+    "certify": ["certify", "--reference"],
+}
+
+# fields of the wrong JSON type: (name, schema, valid document, path, value);
+# a quoted number, a boolean and a top-level list are not what the schema asks
+BAD_FIELDS = [
+    ("tf_num_strings", "tf", CUBIC_TF, ("num",), ["1"]),
+    ("tf_top_level_list", "tf", CUBIC_TF, (), [CUBIC_TF]),
+    ("network_adjacency_string", "network", INTEGRATOR_PAIR, ("adjacency", 0, 1), "1"),
+    ("network_x0_strings", "network", INTEGRATOR_PAIR, ("agents", 0, "x0"), ["1"]),
+    ("network_num_strings", "network", INTEGRATOR_PAIR, ("agents", 1, "num"), ["1"]),
+    ("network_delay_string", "network", VECTOR_PAIR, ("agents", 0, "delay"), "0.01"),
+    ("network_dim_string", "network", VECTOR_PAIR, ("agents", 1, "dim"), "2"),
+    ("network_b_string_and_boolean", "network",
+     {**INTEGRATOR_PAIR, "protocol": {"type": "reference", "b": [1.0, 0.0], "y_bar": 1.0}},
+     ("protocol", "b"), ["1", False]),
+    ("network_y_bar_string", "network",
+     {**INTEGRATOR_PAIR, "protocol": {"type": "reference", "b": [1.0, 0.0], "y_bar": 1.0}},
+     ("protocol", "y_bar"), "1"),
+    ("network_top_level_list", "network", INTEGRATOR_PAIR, (), [INTEGRATOR_PAIR]),
+    ("scenario_K_string", "scenario", TRAFFIC_RING, ("K",), "0.5"),
+    ("scenario_n_string", "scenario", TRAFFIC_RING, ("n",), "3"),
+    ("scenario_delays_strings", "scenario", TRAFFIC_RING, ("delays",), ["0.1", "0.1", "0.1"]),
+    ("scenario_omega1_string", "scenario", HARMONIC_TINY, ("omega1",), "1.0"),
+    ("scenario_k_boolean", "scenario", HARMONIC_TINY, ("k",), True),
+    ("scenario_n_agents_string", "scenario", REMARK1_TINY, ("n_agents",), "3"),
+    ("scenario_gains_mu_strings", "scenario", PLATOON_TINY, ("gains", "mu"), ["2", "2"]),
+    ("scenario_v0_string", "scenario", PLATOON_TINY, ("v0",), "15"),
+    ("certify_adjacency_string", "certify", CERTIFY_PLATOON, ("adjacency", 1, 0), "0.5"),
+    ("certify_alpha_strings", "certify", CERTIFY_PLATOON, ("alpha",), ["0.1", "0.1", "0.1"]),
+    ("certify_b_string_and_boolean", "certify", CERTIFY_PLATOON, ("b",), ["1", False, 0.0]),
+    ("certify_gains_nu_strings", "certify", CERTIFY_PLATOON, ("gains", "nu"), ["0.5", "0.5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(
+            [("network", INTEGRATOR_PAIR, ("sim", key), value),
+             ("scenario", HARMONIC_TINY, ("sim", key), value)],
+            id=f"{key}-{value}",
+        )
+        for key, value in BAD_SIM_SETTINGS
+    ] + [pytest.param([c[1:]], id=c[0]) for c in BAD_FIELDS],
+)
+def test_schema_rejects_sim_settings_the_loader_rejects(tmp_path, capsys, monkeypatch, cases):
+    # the schema rejects the document and the loader exits 1 with one line
+    # that names the field, before it writes anything
+    monkeypatch.chdir(tmp_path)
+    for schema, doc, path, value in cases:
+        bad = with_field(doc, path, value)
+        assert schema_accepts(schema, doc)
+        assert not schema_accepts(schema, bad)
+        command, *flags = COMMANDS[schema]
+        (tmp_path / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+        code = main([command, "bad.json", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+        named = [key for key in path if isinstance(key, str)]
+        assert not named or named[-1] in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 def test_every_sim_property_reaches_the_run_config():
