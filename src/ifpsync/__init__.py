@@ -63,6 +63,7 @@ from .netsim import (
     SimConfig,
     SimResult,
     SyncMetrics,
+    TimeFn,
     Vehicle3rd,
     simulate,
     simulate_batch,
@@ -110,7 +111,7 @@ __all__ = [
     "all_to_all_bound", "diffusive_power_identity", "dissipation_margin",
     # simulation
     "AgentModel", "LtiSiso", "DelayedIntegrator", "Vehicle3rd", "Plain",
-    "Reference", "SimConfig", "SimResult", "SyncMetrics", "simulate",
+    "Reference", "SimConfig", "SimResult", "SyncMetrics", "TimeFn", "simulate",
     "simulate_batch", "sync_metrics",
     # scenarios
     "TrafficSpec", "TrafficCertificate", "TrafficRun", "build_traffic",

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .certify import (
 )
 from .errors import (
     IfpSyncError, MuTauViolation, NotCertifiable, field, integer, json_list, json_object,
-    number, numbers,
+    number, numbers, where,
 )
 from .graphnet import build_digraph
 from .netsim import (
@@ -49,6 +49,7 @@ from .netsim import (
     Reference,
     SimConfig,
     SimResult,
+    TimeFn,
     Vehicle3rd,
     simulate,
 )
@@ -68,36 +69,46 @@ EXIT_DIVERGED = 4
 # JSON -> objects
 # ---------------------------------------------------------------------------
 
-def time_fn_from_dict(d, prefix: str = "") -> Callable[[float], float]:
+# the keys of each JSON object the loader reads, as docs/network.schema.json
+# and docs/tf.schema.json list them
+_NETWORK_KEYS = ("adjacency", "agents", "protocol", "sim", "initial_histories")
+_PROTOCOL_KEYS = ("type", "b", "y_bar", "u_bar")
+_AGENT_KEYS = ("type", "num", "den", "delay", "dim", "tau", "mu", "x0")
+_TIME_FN_KEYS = ("kind", "value", "offset", "slope", "amplitude", "omega", "phase")
+_TF_KEYS = ("num", "den")
+
+
+def time_fn_from_dict(d, name: str = "time function") -> TimeFn:
     """Deserialize a time function: a bare number is a constant; otherwise a
     dict with kind 'constant' {value}, 'ramp' {offset, slope}, or 'sin'
     {amplitude, omega, phase}. Every parameter must be a finite number. An
-    error starts with `prefix` ("y_bar: "), which names the field."""
+    error starts with the field's `name` ("y_bar: ")."""
+    prefix = f"{name}: "
     if isinstance(d, (int, float)):  # number() refuses a boolean
-        return lambda t, c=number(f"{prefix}value", d): c
+        return TimeFn(number(f"{prefix}value", d))
     if not isinstance(d, dict):
         raise IfpSyncError(
             f"{prefix}a time function is a number or an object, got {type(d).__name__}"
         )
-    kind = field(d, "kind", prefix)
+    kind = field(json_object(name, d, _TIME_FN_KEYS), "kind", prefix)
 
     def param(key: str, default=None) -> float:
         v = field(d, key, prefix) if default is None else d.get(key, default)
         return number(prefix + key, v)
 
     if kind == "constant":
-        return lambda t, c=param("value"): c
+        return TimeFn(param("value"))
     if kind == "ramp":
-        return lambda t, a=param("offset", 0.0), b=param("slope", 0.0): a + b * t
+        return TimeFn(param("offset", 0.0), param("slope", 0.0))
     if kind == "sin":
-        amp, omega, phase = param("amplitude", 1.0), param("omega"), param("phase", 0.0)
-        return lambda t, a=amp, w=omega, p=phase: a * math.sin(w * t + p)
+        return TimeFn(amplitude=param("amplitude", 1.0), omega=param("omega"),
+                      phase=param("phase", 0.0))
     raise IfpSyncError(f"{prefix}unknown time-function kind {kind!r}")
 
 
 def _time_fns(name: str, value) -> tuple:
     """A list of optional time functions, entry i named name[i] in errors."""
-    return tuple(None if x is None else time_fn_from_dict(x, f"{name}[{i}]: ")
+    return tuple(None if x is None else time_fn_from_dict(x, f"{name}[{i}]")
                  for i, x in enumerate(json_list(name, value)))
 
 
@@ -124,7 +135,7 @@ def _coeffs(d: dict, prefix: str = "") -> tuple:
 def _agents_from_json(d: dict) -> list[AgentModel]:
     """The network's `agents` list, each entry a JSON object named by its index."""
     entries = json_list("agents", field(d, "agents"))
-    return [agent_from_dict(json_object(f"agent {i}", a), f"agent {i}: ")
+    return [agent_from_dict(json_object(f"agent {i}", a, _AGENT_KEYS), f"agent {i}: ")
             for i, a in enumerate(entries)]
 
 
@@ -140,20 +151,22 @@ def load_network(d: dict):
     list, each optionally carrying x0), protocol ({'type': 'plain'} or
     {'type': 'reference', b, u_bar, y_bar}), sim (dt, t_final,
     record_stride, tol, blowup), initial_histories (per-agent time function
-    giving the pre-start input of delayed agents).
+    giving the pre-start input of delayed agents). A key that the schema does
+    not list, at the top level, in the protocol, an agent or a time
+    function, is refused.
     """
-    g = build_digraph(field(d, "adjacency"))
+    g = build_digraph(field(json_object("network", d, _NETWORK_KEYS), "adjacency"))
     agents = _agents_from_json(d)
     if g.n != len(agents):
         raise IfpSyncError(f"adjacency is {g.n}x{g.n} but {len(agents)} agents given")
 
-    proto_d = json_object("protocol", d.get("protocol", {"type": "plain"}))
+    proto_d = json_object("protocol", d.get("protocol", {"type": "plain"}), _PROTOCOL_KEYS)
     pkind = proto_d.get("type", "plain")
     if pkind == "plain":
         protocol = Plain(g)
     elif pkind == "reference":
         b = _pinning(proto_d, g.n)
-        y_bar = time_fn_from_dict(proto_d["y_bar"], "y_bar: ") if "y_bar" in proto_d else None
+        y_bar = time_fn_from_dict(proto_d["y_bar"], "y_bar") if "y_bar" in proto_d else None
         u_bar = _time_fns("u_bar", proto_d["u_bar"]) if "u_bar" in proto_d else None
         protocol = Reference(g, b=b, u_bar=u_bar, y_bar=y_bar)
     else:
@@ -374,7 +387,8 @@ def _read_object(args, what: str) -> dict:
 
 
 def cmd_ifp(args) -> int:
-    tf = RationalTF.from_coeffs(*_coeffs(_read_object(args, "transfer-function")))
+    d = json_object("transfer function", _read_object(args, "transfer-function"), _TF_KEYS)
+    tf = RationalTF.from_coeffs(*_coeffs(d))
     try:
         cert = ifp_index(tf)
     except NotCertifiable as e:
@@ -400,13 +414,11 @@ def _alphas_from_json(d: dict) -> list[float]:
     certs = iter(ifp_indices([a.tf for a in agents if isinstance(a, LtiSiso)]))
     alphas = []
     for i, agent in enumerate(agents):
-        try:
+        with where(f"agent {i}: "):
             cert = next(certs) if isinstance(agent, LtiSiso) else None
             if isinstance(cert, NotCertifiable):
                 raise cert
             alphas.append(agent.ifp_index() if cert is None else cert.alpha)
-        except (NotCertifiable, MuTauViolation) as e:
-            raise type(e)(f"agent {i}: {e}") from None
     return alphas
 
 
@@ -452,12 +464,17 @@ def cmd_scenario(args) -> int:
             raise IfpSyncError("--sweep expects the input file to hold a JSON list of scenarios")
         data = [json_object(f"scenario {i}", d) for i, d in enumerate(data)]
         stems = [f"{in_path.stem}_{i:03d}" for i in range(len(data))]
+        names = [f"scenario {i}: " for i in range(len(data))]
     elif isinstance(data, list):
         raise IfpSyncError("input holds a scenario list; pass --sweep to run it")
     else:
-        data, stems = [json_object("scenario", data)], [in_path.stem]
-    entries = [scenario_from_dict(d) for d in data]
-    runs = run_scenarios([(k, spec, _apply_overrides(cfg, args)) for k, spec, cfg in entries])
+        data, stems, names = [json_object("scenario", data)], [in_path.stem], [""]
+    entries = []
+    for name, d in zip(names, data):
+        with where(name):
+            kind, spec, config = scenario_from_dict(d)
+            entries.append((kind, spec, _apply_overrides(config, args)))
+    runs = run_scenarios(entries, names)
     summaries = write_artifacts(
         _output_dir(args),
         [(stem, run.sim, run.to_json_dict()) for stem, run in zip(stems, runs)],

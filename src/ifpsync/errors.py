@@ -8,6 +8,7 @@ decide, for every loader, what a value read from parsed JSON may be.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from numbers import Real
 
 import numpy as np
@@ -106,7 +107,12 @@ def number(name: str, value) -> float:
     """A finite number; neither a boolean nor a numeric string is one."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise BadDimensions(f"{name} must be a number, got {type(value).__name__}")
-    v = float(value)  # OverflowError for an integer beyond the float range
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise BadDimensions(
+            f"{name} must be finite, got an integer beyond the float range"
+        ) from None
     if not math.isfinite(v):
         raise BadDimensions(f"{name} must be finite, got {v}")
     return v
@@ -134,3 +140,13 @@ def numbers(name: str, value, finite: bool = True) -> np.ndarray:
     if finite and not np.isfinite(a).all():
         raise BadDimensions(f"{name} must be finite, got {a}")
     return a
+
+
+@contextmanager
+def where(prefix: str):
+    """Start the message of an IfpSyncError raised inside with `prefix`
+    ("scenario 3: "), keeping its type."""
+    try:
+        yield
+    except IfpSyncError as e:
+        raise type(e)(f"{prefix}{e}") from None

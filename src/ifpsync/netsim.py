@@ -30,8 +30,8 @@ before t = 0 come from a prehistory table of the initial-history functions,
 filled before the step loop. The reference offsets b_i y_bar(t) + u_bar_i(t)
 come from an offset table of the stage times of the next `_CHUNK` steps,
 filled ahead of the state a chunk at a time, so its memory does not grow
-with the horizon. Both tables sample their time functions through one
-helper, `_sample`, which is the only place a time function is called.
+with the horizon. Time functions are `TimeFn` values, and each table
+evaluates them on its whole array of times at once.
 
 `simulate_batch` takes any runs. It checks them all first, then groups them
 by a key (per-agent state dimension and input delay, m, h, the step count
@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensions, DimensionMismatch, EmptyTrajectory, MuTauViolation
+from .errors import BadDimensions, DimensionMismatch, EmptyTrajectory, MuTauViolation, number
 from .graphnet import Digraph, laplacian
 from .passivity import RationalTF, ifp_index
 
@@ -68,6 +68,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SyncMetrics",
+    "TimeFn",
     "simulate",
     "simulate_batch",
     "sync_metrics",
@@ -207,6 +208,52 @@ class Vehicle3rd(AgentModel):
 
 
 # ---------------------------------------------------------------------------
+# time functions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TimeFn:
+    """A scalar function of time, held as data:
+
+        f(t) = offset + slope*t + amplitude*sin(omega*t + phase).
+
+    TimeFn(c) is the constant c, TimeFn(a, b) the ramp a + b*t, and
+    TimeFn(amplitude=a, omega=w, phase=p) a sinusoid. Called on a float or
+    on an array of times, it evaluates the expression with numpy; the sine
+    term is left out when its amplitude is zero. Every parameter must be a
+    finite number."""
+
+    offset: float = 0.0
+    slope: float = 0.0
+    amplitude: float = 0.0
+    omega: float = 0.0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, number(f.name, getattr(self, f.name)))
+
+    def __call__(self, t):
+        v = self.offset + self.slope * t
+        if self.amplitude != 0.0:
+            v = v + self.amplitude * np.sin(self.omega * t + self.phase)
+        return v
+
+
+def _check_time_fn(name: str, fn) -> None:
+    if fn is not None and not isinstance(fn, TimeFn):
+        raise BadDimensions(f"{name} must be a TimeFn or None, got {type(fn).__name__}")
+
+
+def _time_fn_tuple(name: str, fns) -> tuple:
+    """fns as a tuple whose entries are each a TimeFn or None."""
+    fns = tuple(fns)
+    for i, fn in enumerate(fns):
+        _check_time_fn(f"{name}[{i}]", fn)
+    return fns
+
+
+# ---------------------------------------------------------------------------
 # coupling protocols
 # ---------------------------------------------------------------------------
 
@@ -224,18 +271,15 @@ class Reference:
         u_i = u_bar_i(t) + b_i (y_bar(t) - y_i) + sum_j a_ij (y_j - y_i).
 
     b_i > 0 marks agent i as pinned; y_bar is required whenever any b_i > 0.
-    u_bar entries may be None (treated as zero).
-
-    y_bar and the u_bar entries are scalar, pure functions of t; each value
-    is broadcast across the m output dimensions. A run samples them in
-    blocks of steps computed ahead of the state, and again at the recorded
-    times for u and the metrics, never one call per integration step.
+    y_bar and the u_bar entries are TimeFn values; a u_bar entry may be None
+    (treated as zero). Each value is broadcast across the m output
+    dimensions.
     """
 
     g: Digraph
     b: NDArray[np.float64]
-    u_bar: Optional[tuple[Optional[Callable[[float], float]], ...]] = None
-    y_bar: Optional[Callable[[float], float]] = None
+    u_bar: Optional[tuple[Optional[TimeFn], ...]] = None
+    y_bar: Optional[TimeFn] = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -246,8 +290,11 @@ class Reference:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "b", b)
-        if self.u_bar is not None and len(self.u_bar) != self.g.n:
-            raise DimensionMismatch(f"u_bar must have {self.g.n} entries")
+        if self.u_bar is not None:
+            object.__setattr__(self, "u_bar", _time_fn_tuple("u_bar", self.u_bar))
+            if len(self.u_bar) != self.g.n:
+                raise DimensionMismatch(f"u_bar must have {self.g.n} entries")
+        _check_time_fn("y_bar", self.y_bar)
         if self.y_bar is None and np.any(b > 0.0):
             raise BadDimensions("y_bar is required when any pinning gain is positive")
 
@@ -255,22 +302,16 @@ class Reference:
 Protocol = Plain | Reference
 
 
-def _sample(fn: Callable[[float], float], ts: NDArray[np.float64]) -> NDArray[np.float64]:
-    """fn at each time of ts, as a float array. Every time function of a run
-    (y_bar, u_bar_i, the initial histories) is evaluated through here."""
-    return np.fromiter(map(fn, ts.tolist()), float, len(ts))
-
-
 def _reference_offsets(proto: Reference, ts: NDArray[np.float64], m: int) -> NDArray[np.float64]:
     """b_i * y_bar(t) + u_bar_i(t) at each time of ts, as a (len(ts), n, m)
     array; each scalar time function is broadcast across the m dimensions."""
     off = np.zeros((len(ts), proto.g.n, m))
     if proto.y_bar is not None:
-        off += _sample(proto.y_bar, ts)[:, None, None] * proto.b[:, None]
+        off += proto.y_bar(ts)[:, None, None] * proto.b[:, None]
     if proto.u_bar is not None:
         for i, fn in enumerate(proto.u_bar):
             if fn is not None:
-                off[:, i] += _sample(fn, ts)[:, None]
+                off[:, i] += fn(ts)[:, None]
     return off
 
 
@@ -300,23 +341,25 @@ class SimConfig:
     (default zero) and input prehistories (default zero), recording stride,
     synchronization tolerance, and the state norm treated as divergence.
 
-    An initial history gives agent i's input u_i(t) for t < 0. Like the
-    Reference time functions it is a scalar, pure function of t, broadcast
-    across the m input dimensions, and sampled once per run, before the
-    first step, at every time the delayed reads ask for.
+    An initial history gives agent i's input u_i(t) for t < 0: a TimeFn,
+    broadcast across the m input dimensions, or None (zero).
 
     Raises BadDimensions unless dt, tol and blowup are finite and positive,
-    t_final is finite and exceeds dt, and record_stride >= 1."""
+    t_final is finite and exceeds dt, record_stride >= 1, and every initial
+    history is a TimeFn or None."""
 
     dt: float
     t_final: float
     initial_states: Optional[Sequence[Sequence[float]]] = None
-    initial_histories: Optional[Sequence[Optional[Callable[[float], float]]]] = None
+    initial_histories: Optional[tuple[Optional[TimeFn], ...]] = None
     record_stride: int = 1
     tol: float = 1e-3
     blowup: float = 1e12
 
     def __post_init__(self):
+        if self.initial_histories is not None:
+            hist = _time_fn_tuple("initial_histories", self.initial_histories)
+            object.__setattr__(self, "initial_histories", hist)
         for name in ("dt", "tol", "blowup"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -378,11 +421,12 @@ class SimResult:
         return self.y[:, :, 0]
 
 
-def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, tol: float = 1e-3) -> SyncMetrics:
+def sync_metrics(result_raw, y_bar: Optional[TimeFn] = None, tol: float = 1e-3) -> SyncMetrics:
     """Metrics from raw trajectories.
 
     `result_raw` is a (times, y) pair; y may be (n_rec, n) or (n_rec, n, m).
     """
+    _check_time_fn("y_bar", y_bar)
     times, y = result_raw
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -425,7 +469,7 @@ def sync_metrics(result_raw, y_bar: Optional[Callable[[float], float]] = None, t
 
     l2_ref = None
     if y_bar is not None:
-        dev = y - _sample(y_bar, times)[:, None, None]
+        dev = y - y_bar(times)[:, None, None]
         sq = (dev * dev).sum(axis=2)
         l2_ref = np.array(
             [np.trapezoid(sq[:, i], times) if n_rec >= 2 else 0.0 for i in range(n)]
@@ -674,7 +718,7 @@ class _DelayedInputs:
                 if fn is None:
                     continue
                 ks, rs = np.nonzero(pre_read & (col == c))
-                self.pre_val[ks, b, target[rs]] = _sample(fn, pre_t[ks, rs])
+                self.pre_val[ks, b, target[rs]] = fn(pre_t[ks, rs])
 
     def write(self, k: int, u: NDArray[np.float64]) -> None:
         """Record u(k*dt), u((k+1)*dt), ... from u shaped (rows, B, n*m)."""

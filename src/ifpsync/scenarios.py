@@ -33,7 +33,9 @@ from .certify import (
     check_weak_coupling,
     check_weak_coupling_pinned,
 )
-from .errors import BadDimensions, DimensionMismatch, field, integer, json_object, number, numbers
+from .errors import (
+    BadDimensions, DimensionMismatch, field, integer, json_object, number, numbers, where,
+)
 from .graphnet import build_digraph
 from .netsim import (
     DelayedIntegrator,
@@ -42,8 +44,9 @@ from .netsim import (
     Reference,
     SimConfig,
     SimResult,
+    TimeFn,
     Vehicle3rd,
-    _sample,
+    _check_member,
     simulate,
     simulate_batch,
 )
@@ -297,8 +300,10 @@ class PlatoonSpec:
         """Cumulative desired distances behind the leader, s[0]+...+s[i]."""
         return np.cumsum(self.s)
 
-    def leader_position(self, t: float) -> float:
-        return self.q0_init + self.v0 * t
+    @property
+    def leader(self) -> TimeFn:
+        """The leader's position, the ramp q0_init + v0*t."""
+        return TimeFn(self.q0_init, self.v0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +363,8 @@ def build_platoon(spec: PlatoonSpec):
     protocol = Reference(
         g,
         b=b,
-        u_bar=tuple((lambda t, c=m * spec.v0: c) for m in spec.gains.mu),
-        y_bar=spec.leader_position,
+        u_bar=tuple(TimeFn(m * spec.v0) for m in spec.gains.mu),
+        y_bar=spec.leader,
     )
     return agents, protocol, cert
 
@@ -420,8 +425,8 @@ def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
         c = gains.mu[i] * spec.v0 - gains.eta[i] * spec.s[i]
         if i < n - 1:
             c += gains.nu[i] * spec.s[i + 1]
-        u_bar.append(lambda t, c=c: c)
-    protocol = Reference(g, b=b, u_bar=tuple(u_bar), y_bar=spec.leader_position)
+        u_bar.append(TimeFn(c))
+    protocol = Reference(g, b=b, u_bar=tuple(u_bar), y_bar=spec.leader)
     x0 = [[q, v, a] for q, v, a in zip(spec.q_init, spec.v_init, spec.a_init)]
     return _Job(
         (agents, protocol, replace(config, initial_states=x0)),
@@ -432,7 +437,7 @@ def _platoon_job(spec: PlatoonSpec, config: SimConfig) -> _Job:
 
 def _finish_platoon(spec: PlatoonSpec, cert: PlatoonCertificate, sim: SimResult) -> PlatoonRun:
     q = sim.y_scalar()
-    leader = _sample(spec.leader_position, sim.times)
+    leader = spec.leader(sim.times)
     pred = np.concatenate([leader[:, None], q[:, :-1]], axis=1)
     spacing = pred - q - spec.s[None, :]
     vel = np.stack([sim.states[i][:, 1] for i in range(spec.n)], axis=1) - spec.v0
@@ -672,15 +677,22 @@ def scenario_from_dict(d: dict):
     return name, kind.read(d), config
 
 
-def run_scenarios(entries: Sequence[tuple[str, object, SimConfig]]) -> list:
+def run_scenarios(
+    entries: Sequence[tuple[str, object, SimConfig]], names: Optional[Sequence[str]] = None
+) -> list:
     """Run (kind, spec, config) entries as `scenario_from_dict` returns them;
     one run object per entry, in order.
 
-    Every entry is built (and its certificate checked) before any is
-    simulated, and `simulate_batch` checks every simulation before it
-    integrates any, so a bad entry raises before any integration. Each
-    result equals the entry's own run bit for bit.
+    Every entry is built, its certificate and its simulation checked, before
+    any is simulated, so a bad entry raises before any integration. When
+    `names` is given, an error raised while building entry i starts with
+    names[i] ("scenario 3: "). Each result equals the entry's own run bit
+    for bit.
     """
-    jobs = [_kind(kind).job(spec, config) for kind, spec, config in entries]
+    jobs = []
+    for i, (kind, spec, config) in enumerate(entries):
+        with where(names[i] if names else ""):
+            jobs.append(_kind(kind).job(spec, config))
+            _check_member(*jobs[-1].member)
     sims = simulate_batch([job.member for job in jobs], [job.offsets for job in jobs])
     return [job.finish(sim) for job, sim in zip(jobs, sims)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import re
 import shutil
 import subprocess
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from ifpsync.cli import load_network, main, time_fn_from_dict, write_csv
-from ifpsync.netsim import SimResult, sync_metrics
+from ifpsync.netsim import SimResult, TimeFn, sync_metrics
 
 CUBIC_TF = {"num": [1.0], "den": [0.0, 3.0, 2.0, 1.0]}
 
@@ -174,6 +173,21 @@ WRONG_TYPE_NETWORK = [
     ("top_level_list", [INTEGRATOR_PAIR],
      "input error: simulate needs a network object, got a JSON list\n"),
     ("top_level_number", 5, "input error: simulate needs a network object, got a JSON int\n"),
+    # a key that the schema does not list, misspelt, in each object the loader reads
+    ("top_level_unknown_field", {"protcol": {"type": "plain"}},
+     "input error: network: unknown field 'protcol'\n"),
+    ("protocol_unknown_field", {"protocol": {**REFERENCE, "y_bar": 1.0, "B": [1.0, 0.0]}},
+     "input error: protocol: unknown field 'B'\n"),
+    ("agent_unknown_field", {"agents": [LTI_0, {**LTI_1, "xo": [1.0]}]},
+     "input error: agent 1: unknown field 'xo'\n"),
+    ("y_bar_unknown_field", {"protocol": {**REFERENCE, "y_bar": {"kind": "ramp", "slop": 1.0}}},
+     "input error: y_bar: unknown field 'slop'\n"),
+    ("u_bar_entry_unknown_field", {"protocol": {**REFERENCE, "y_bar": 1.0, "u_bar": [
+        None, {"kind": "sin", "omega": 1.0, "amplitud": 2.0}]}},
+     "input error: u_bar[1]: unknown field 'amplitud'\n"),
+    ("initial_history_unknown_field",
+     {"initial_histories": [{"kind": "constant", "value": 1.0, "vale": 2.0}, None]},
+     "input error: initial_histories[0]: unknown field 'vale'\n"),
 ]
 
 # certify inputs with a field of the wrong JSON type or a missing one: (name,
@@ -194,6 +208,9 @@ WRONG_TYPE_CERTIFY = [
     ("gains_unknown_field", {"alpha": [0.1, 0.1], "gains": {
         "mu": [2.0] * 2, "eta": [0.4] * 2, "nu": [0.5], "tau": [0.1] * 2, "extra": 1}},
      "input error: gains: unknown field 'extra'\n"),
+    ("agent_unknown_field",
+     {"agents": [{"type": "vehicle", "tau": 0.1, "mu": 2.0, "xo": [1]}] * 2},
+     "input error: agent 0: unknown field 'xo'\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
@@ -270,6 +287,21 @@ BAD_SCENARIO_FILE = [
     ("platoon_gains_unknown_field", (), {**PLATOON_TINY, "gains": {
         **PLATOON_TINY["gains"], "extra": 1}},
      "input error: gains: unknown field 'extra'\n"),
+    ("harmonic_k_beyond_the_float_range", (), {**HARMONIC_TINY, "k": 10**400},
+     "input error: k must be finite, got an integer beyond the float range\n"),
+    # an error of a sweep entry, read, built or checked, names the entry
+    ("sweep_entry_without_omega1", ("--sweep",),
+     [HARMONIC_TINY, {k: v for k, v in HARMONIC_TINY.items() if k != "omega1"}],
+     "input error: scenario 1: missing field 'omega1'\n"),
+    ("sweep_entry_sim_unknown_field", ("--sweep",),
+     [{**HARMONIC_TINY, "sim": {"dt": 0.01, "t_final": 1.0, "tfinal": 2.0}}],
+     "input error: scenario 0: sim: unknown field 'tfinal'\n"),
+    ("sweep_entry_equal_frequencies", ("--sweep",),
+     [HARMONIC_TINY, HARMONIC_TINY, {**HARMONIC_TINY, "omega2": 1.0}],
+     "input error: scenario 2: the two natural frequencies must differ\n"),
+    ("sweep_entry_step_above_the_delay", ("--sweep",),
+     [HARMONIC_TINY, {**TRAFFIC_RING, "sim": {"dt": 0.5, "t_final": 2.0}}],
+     "input error: scenario 1: dt=0.5 exceeds the smallest positive delay 0.2\n"),
 ]
 
 # scenario files with one non-finite field: (name, base scenario, field, value)
@@ -655,13 +687,16 @@ class TestSimulateCommand:
         assert captured.out == ""
 
     def test_time_function_kinds(self):
-        assert time_fn_from_dict(2.5)(7.0) == 2.5
-        assert time_fn_from_dict({"kind": "constant", "value": -1.0})(3.0) == -1.0
-        assert time_fn_from_dict({"kind": "ramp", "offset": 1.0, "slope": 2.0})(3.0) == 7.0
-        assert time_fn_from_dict({"kind": "ramp"})(3.0) == 0.0
+        # each kind is the TimeFn with its own terms; absent parameters
+        # take their defaults
+        assert time_fn_from_dict(2.5) == TimeFn(2.5)
+        assert time_fn_from_dict({"kind": "constant", "value": -1.0}) == TimeFn(-1.0)
+        ramp = time_fn_from_dict({"kind": "ramp", "offset": 1.0, "slope": 2.0})
+        assert ramp == TimeFn(1.0, 2.0) and ramp(3.0) == 7.0
+        assert time_fn_from_dict({"kind": "ramp"}) == TimeFn()
         sin = time_fn_from_dict({"kind": "sin", "amplitude": 2.0, "omega": 3.0, "phase": 0.5})
-        assert sin(1.0) == 2.0 * math.sin(3.5)
-        assert time_fn_from_dict({"kind": "sin", "omega": 1.0})(0.5) == math.sin(0.5)
+        assert sin == TimeFn(amplitude=2.0, omega=3.0, phase=0.5)
+        assert time_fn_from_dict({"kind": "sin", "omega": 1.0}) == TimeFn(amplitude=1.0, omega=1.0)
 
     def test_u_bar_list_feeds_each_agent_its_own_offset(self, tmp_path, capsys):
         # u_1 = -(y_1 - y_2) + 0.5 and u_2 = -(y_2 - y_1) at t = 0, with

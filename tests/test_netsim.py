@@ -28,6 +28,7 @@ from ifpsync import (
     Plain,
     Reference,
     SimConfig,
+    TimeFn,
     Vehicle3rd,
     build_digraph,
     check_weak_coupling,
@@ -38,6 +39,10 @@ from ifpsync import (
     sync_metrics,
 )
 from ifpsync.netsim import _CHUNK
+
+
+SIN = TimeFn(amplitude=1.0, omega=1.0)
+COS = TimeFn(amplitude=1.0, omega=1.0, phase=math.pi / 2)
 
 
 def integrator() -> LtiSiso:
@@ -146,8 +151,8 @@ def oracle_case(name: str):
             Reference(
                 build_digraph([[0, 0.5], [0.5, 0]]),
                 (0.6, 0.0),
-                u_bar=(None, lambda t: 0.2 * math.sin(3.0 * t)),
-                y_bar=lambda t: 1.0 + 0.1 * t,
+                u_bar=(None, TimeFn(amplitude=0.2, omega=3.0)),
+                y_bar=TimeFn(1.0, 0.1),
             ),
             SimConfig(dt=1e-3, t_final=5.0, initial_states=[[0.3, 0, 0], [-0.2, 0.1, 0]]),
         )
@@ -163,18 +168,94 @@ def oracle_case(name: str):
             Reference(
                 build_digraph(a),
                 (0.4, 0.0, 0.0, 0.0),
-                u_bar=(None, lambda t: 0.5, None, lambda t: math.cos(t)),
-                y_bar=lambda t: -0.3 + 0.2 * t,
+                u_bar=(None, TimeFn(0.5), None, COS),
+                y_bar=TimeFn(-0.3, 0.2),
             ),
             SimConfig(
                 dt=0.01,
                 t_final=3.0,
                 record_stride=3,
                 initial_states=rng.normal(size=(4, 3)).tolist(),
-                initial_histories=(lambda t: 0.7, np.sin, None, None),
+                initial_histories=(TimeFn(0.7), SIN, None, None),
             ),
         )
     raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# time functions
+# ---------------------------------------------------------------------------
+
+# finite parameters; adding 0.0 turns -0.0 into +0.0, which is the one value
+# a TimeFn does not reproduce (c + 0.0*t is +0.0 for c = -0.0 and t >= 0)
+PARAM = st.floats(-1e6, 1e6, allow_subnormal=False).map(lambda x: x + 0.0)
+
+
+def sample_times(seed: int) -> np.ndarray:
+    """Times on both sides of zero, zero itself included."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, -0.0], rng.uniform(-50.0, 50.0, 500), np.linspace(-3, 3, 61)])
+
+
+class TestTimeFn:
+    @given(c=PARAM, seed=st.integers(0, 1000))
+    def test_constant_on_an_array_equals_the_constant_bit_for_bit(self, c, seed):
+        ts = sample_times(seed)
+        got = TimeFn(c)(ts)
+        assert got.tobytes() == np.array([c for _ in ts.tolist()]).tobytes()
+        assert TimeFn(c)(0.5) == c
+
+    @given(a=PARAM, b=PARAM, seed=st.integers(0, 1000))
+    def test_ramp_on_an_array_equals_the_per_element_expression_bit_for_bit(self, a, b, seed):
+        ts = sample_times(seed)
+        got = TimeFn(a, b)(ts)
+        assert got.tobytes() == np.array([a + b * t for t in ts.tolist()]).tobytes()
+        assert [TimeFn(a, b)(t) for t in ts.tolist()] == [a + b * t for t in ts.tolist()]
+
+    @given(
+        amp=st.floats(-10.0, 10.0), omega=st.floats(-20.0, 20.0), phase=st.floats(-4.0, 4.0),
+        seed=st.integers(0, 1000),
+    )
+    def test_sin_on_an_array_is_within_one_ulp_of_math_sin(self, amp, omega, phase, seed):
+        # numpy's vector sin need not round like the C library's on every
+        # platform, so one unit in the last place is allowed
+        ts = sample_times(seed)
+        got = TimeFn(amplitude=amp, omega=omega, phase=phase)(ts)
+        expected = np.array([amp * math.sin(omega * t + phase) for t in ts.tolist()])
+        np.testing.assert_array_max_ulp(got, expected, maxulp=1)
+
+    def test_zero_amplitude_leaves_the_sine_out(self):
+        ts = sample_times(0)
+        assert TimeFn(1.5, 0.0, 0.0, 7.0, 1.0)(ts).tobytes() == TimeFn(1.5)(ts).tobytes()
+        assert TimeFn() == TimeFn(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", True, None])
+    def test_parameter_that_is_not_a_finite_number_rejected(self, bad):
+        for name in ("offset", "slope", "amplitude", "omega", "phase"):
+            with pytest.raises(BadDimensions, match=name):
+                TimeFn(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "fn", [lambda t: 1.0, np.sin, math.cos, 1.0], ids=["lambda", "np.sin", "math.cos", "float"]
+    )
+    def test_anything_but_a_time_fn_refused(self, fn):
+        g = build_digraph([[0, 1], [1, 0]])
+        with pytest.raises(BadDimensions, match="y_bar must be a TimeFn or None"):
+            Reference(g, (1.0, 0.0), y_bar=fn)
+        with pytest.raises(BadDimensions, match=r"u_bar\[1\] must be a TimeFn or None"):
+            Reference(g, (0.0, 0.0), u_bar=(None, fn))
+        with pytest.raises(BadDimensions, match=r"initial_histories\[0\] must be a TimeFn"):
+            SimConfig(dt=0.01, t_final=1.0, initial_histories=[fn, None])
+        with pytest.raises(BadDimensions, match="y_bar must be a TimeFn or None"):
+            sync_metrics((np.arange(3.0), np.zeros((3, 2))), y_bar=fn)
+
+    def test_time_fn_lists_are_stored_as_tuples(self):
+        g = build_digraph([[0, 1], [1, 0]])
+        proto = Reference(g, (0.0, 0.0), u_bar=[TimeFn(1.0), None])
+        cfg = SimConfig(dt=0.01, t_final=1.0, initial_histories=[None, SIN])
+        assert proto.u_bar == (TimeFn(1.0), None)
+        assert cfg.initial_histories == (None, SIN)
+        assert replace(cfg, dt=0.02).initial_histories == (None, SIN)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +292,12 @@ class TestCouplePlain:
 
 class TestCoupleReference:
     def test_on_reference_fixed_point(self):
-        proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=lambda t: 5.0)
+        proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=TimeFn(5.0))
         u = inputs_at_outputs(proto, [5.0, 5.0])
         assert np.array_equal(u, np.zeros((2, 1)))
 
     def test_pinned_agent_pulled_toward_reference(self):
-        proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=lambda t: 1.0)
+        proto = Reference(build_digraph(np.zeros((2, 2))), (1.0, 0.0), y_bar=TimeFn(1.0))
         u = inputs_at_outputs(proto, [0.0, 0.0])
         assert np.array_equal(u, [[1.0], [0.0]])
 
@@ -227,7 +308,7 @@ class TestCoupleReference:
         g = build_digraph(random_strongly_connected_adjacency(rng, n))
         agents = [DelayedIntegrator(dim=2) for _ in range(n)]
         cfg = SimConfig(dt=0.01, t_final=0.5, initial_states=rng.normal(size=(n, 2)).tolist())
-        pinned = simulate(agents, Reference(g, np.zeros(n), y_bar=lambda t: 3.0), cfg)
+        pinned = simulate(agents, Reference(g, np.zeros(n), y_bar=TimeFn(3.0)), cfg)
         plain = simulate(agents, Plain(g), cfg)
         assert np.array_equal(pinned.y, plain.y)
         assert np.array_equal(pinned.u, plain.u)
@@ -236,12 +317,10 @@ class TestCoupleReference:
     def test_recorded_input_equals_the_protocol_row_by_row(self, m):
         # u = -K y, then the offset of each recorded row formed as zeros,
         # += b*y_bar(t), += u_bar_i(t): equal bit for bit
-        def y_bar(t):
-            return 1.0 + 0.1 * t
-
+        y_bar = TimeFn(1.0, 0.1)
         g = build_digraph([[0, 0.5, 0], [0.3, 0, 0.7], [0, 1.2, 0]])
         b = np.array([0.6, 0.0, 0.25])
-        u_bar = (None, math.sin, lambda t: -0.4 + 0.3 * t)
+        u_bar = (None, SIN, TimeFn(-0.4, 0.3))
         rng = np.random.default_rng(5)
         res = simulate(
             [DelayedIntegrator(dim=m) for _ in range(3)],
@@ -251,12 +330,15 @@ class TestCoupleReference:
         )
         k = laplacian(g) + np.diag(b)
         expected = -np.einsum("ij,rjm->rim", k, res.y)
-        for r, t in enumerate(res.times.tolist()):
+        # the time functions sampled at the recorded times, as one array each
+        y_t = y_bar(res.times)
+        u_t = [None if fn is None else fn(res.times) for fn in u_bar]
+        for r in range(len(res.times)):
             off = np.zeros((3, m))
-            off += b[:, None] * y_bar(t)
-            for i, fn in enumerate(u_bar):
-                if fn is not None:
-                    off[i] += fn(t)
+            off += b[:, None] * y_t[r]
+            for i, v in enumerate(u_t):
+                if v is not None:
+                    off[i] += v[r]
             expected[r] += off
         assert np.array_equal(res.u, expected)
 
@@ -287,10 +369,10 @@ class TestStepNetwork:
         c, delay, dt = 1.5, 0.05, 0.01
         agent = DelayedIntegrator(delay=delay)
         proto = Reference(
-            build_digraph(np.zeros((1, 1))), (0.0,), u_bar=(lambda t: c,), y_bar=lambda t: 0.0
+            build_digraph(np.zeros((1, 1))), (0.0,), u_bar=(TimeFn(c),), y_bar=TimeFn(0.0)
         )
         res = simulate(
-            [agent], proto, SimConfig(dt=dt, t_final=20 * dt, initial_histories=[lambda t: c])
+            [agent], proto, SimConfig(dt=dt, t_final=20 * dt, initial_histories=[TimeFn(c)])
         )
         steps = np.diff(res.y_scalar()[:, 0])
         assert steps.shape == (20,)
@@ -321,7 +403,7 @@ class TestParameterValidation:
     def test_reference_rejects_non_finite_pinning_gain(self, bad):
         g = build_digraph([[0, 1], [1, 0]])
         with pytest.raises(BadDimensions):
-            Reference(g, (bad, 0.0), y_bar=lambda t: 1.0)
+            Reference(g, (bad, 0.0), y_bar=TimeFn(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +494,8 @@ class TestSimulate:
             st.lists(
                 st.one_of(
                     st.none(),
-                    st.just(np.sin),
-                    st.floats(-2.0, 2.0).map(lambda c: lambda t: c),
+                    st.just(SIN),
+                    st.floats(-2.0, 2.0).map(TimeFn),
                 ),
                 min_size=n,
                 max_size=n,
@@ -463,11 +545,11 @@ class TestSimulate:
         proto = Reference(
             build_digraph(random_strongly_connected_adjacency(rng, n)),
             np.where(pinned, rng.uniform(0.1, 1.0, n), 0.0),
-            u_bar=tuple(None if rng.random() < 0.5 else np.cos for _ in range(n)),
-            y_bar=lambda t: 0.5 - 0.2 * t,
+            u_bar=tuple(None if rng.random() < 0.5 else COS for _ in range(n)),
+            y_bar=TimeFn(0.5, -0.2),
         )
         histories = tuple(
-            data.draw(st.sampled_from([None, np.sin, lambda t: 0.7]), label="history")
+            data.draw(st.sampled_from([None, SIN, TimeFn(0.7)]), label="history")
             for _ in range(n)
         )
         cfg = SimConfig(
@@ -508,7 +590,7 @@ def random_member(data, rng, delays, m, n_steps, stride, dt, kinds=MEMBER_KINDS)
     if kind == "plain":
         proto = Plain(g)
     elif kind == "unforced reference":
-        proto = Reference(g, np.zeros(n), y_bar=lambda t: 3.0)
+        proto = Reference(g, np.zeros(n), y_bar=TimeFn(3.0))
     else:
         c = rng.uniform(-2.0, 2.0)
         pinned = rng.random(n) < 0.5
@@ -516,11 +598,11 @@ def random_member(data, rng, delays, m, n_steps, stride, dt, kinds=MEMBER_KINDS)
         proto = Reference(
             g,
             np.where(pinned, rng.uniform(0.1, 1.0, n), 0.0),
-            u_bar=tuple(None if rng.random() < 0.5 else (lambda t, c=c: c) for _ in range(n)),
-            y_bar=lambda t, c=c: c + 0.5 * t,
+            u_bar=tuple(None if rng.random() < 0.5 else TimeFn(c) for _ in range(n)),
+            y_bar=TimeFn(c, 0.5),
         )
     histories = tuple(
-        data.draw(st.sampled_from([None, np.sin, lambda t: 0.7]), label="history")
+        data.draw(st.sampled_from([None, SIN, TimeFn(0.7)]), label="history")
         for _ in range(n)
     )
     config = SimConfig(
@@ -665,7 +747,7 @@ class TestSimulateBatch:
         if other_agents[0].output_dim == 2:
             other_agents = [DelayedIntegrator(dim=2), DelayedIntegrator(dim=2)]
             other_cfg = replace(other_cfg, initial_states=[[1.0, -1.0], [0.0, 0.5]])
-        pinned = Reference(build_digraph([[0, 2], [2, 0]]), b=[1.0, 0.0], y_bar=lambda t: 0.5)
+        pinned = Reference(build_digraph([[0, 2], [2, 0]]), b=[1.0, 0.0], y_bar=TimeFn(0.5))
         members = [
             (agents, proto, cfg),
             (other_agents, proto, other_cfg),
@@ -794,7 +876,7 @@ class TestSyncMetrics:
     def test_reference_error_integral(self):
         t = np.linspace(0.0, 10.0, 1001)
         y = np.stack([np.ones_like(t)], axis=1)[:, :, None]
-        m = sync_metrics((t, y), y_bar=lambda s: 0.0)
+        m = sync_metrics((t, y), y_bar=TimeFn(0.0))
         assert abs(m.l2_reference[0] - 10.0) < 1e-12
 
 
@@ -832,7 +914,7 @@ class TestClosedLoopInvariants:
         alphas = [a.ifp_index() for a in agents]
         assert check_weak_coupling_pinned(g, alphas, b).passes
         ref_value = 2.5
-        proto = Reference(g, b, y_bar=lambda t: ref_value)
+        proto = Reference(g, b, y_bar=TimeFn(ref_value))
         res = simulate(
             agents, proto, SimConfig(dt=1e-3, t_final=150.0, record_stride=10,
                                      initial_states=[[0.4, 0, 0], [-0.6, 0, 0]])
@@ -858,12 +940,12 @@ class TestClosedLoopInvariants:
         delay, y0 = 0.3, 0.7
         agents = [DelayedIntegrator(delay=delay)]
         proto = Reference(
-            build_digraph([[0.0]]), (0.0,), u_bar=(np.sin,), y_bar=lambda t: 0.0
+            build_digraph([[0.0]]), (0.0,), u_bar=(SIN,), y_bar=TimeFn(0.0)
         )
         res = simulate(
             agents,
             proto,
-            SimConfig(dt=1e-3, t_final=10.0, initial_states=[[y0]], initial_histories=[np.sin]),
+            SimConfig(dt=1e-3, t_final=10.0, initial_states=[[y0]], initial_histories=[SIN]),
         )
         t = np.asarray(res.times)
         y = np.asarray(res.y_scalar())[:, 0]

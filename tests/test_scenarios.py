@@ -203,7 +203,7 @@ class TestRunPlatoon:
         run = run_platoon(spec, TINY_SIM)
         assert len(calls) == 1
         expected = real((run.sim.times, run.sim.y_scalar() + spec.goal_offsets()[None, :]),
-                        y_bar=spec.leader_position, tol=TINY_SIM.tol)
+                        y_bar=spec.leader, tol=TINY_SIM.tol)
         assert run.sim.metrics.to_json_dict() == expected.to_json_dict()
 
     def test_report_dictionary_carries_terminal_errors(self):

@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from ifpsync import cli
 from ifpsync.cli import load_network, main
 from ifpsync.scenarios import scenario_from_dict
 from test_cli import (
@@ -147,6 +148,15 @@ BAD_FIELDS = [
     ("certify_alpha_strings", "certify", CERTIFY_PLATOON, ("alpha",), ["0.1", "0.1", "0.1"]),
     ("certify_b_string_and_boolean", "certify", CERTIFY_PLATOON, ("b",), ["1", False, 0.0]),
     ("certify_gains_nu_strings", "certify", CERTIFY_PLATOON, ("gains", "nu"), ["0.5", "0.5"]),
+    # a misspelt key in each object that lists its keys
+    ("tf_misspelt_key", "tf", CUBIC_TF, ("nmu",), [1.0]),
+    ("network_misspelt_key", "network", INTEGRATOR_PAIR, ("protcol",), {"type": "plain"}),
+    ("network_protocol_misspelt_key", "network", INTEGRATOR_PAIR, ("protocol", "tpye"), "plain"),
+    ("network_agent_misspelt_key", "network", INTEGRATOR_PAIR, ("agents", 0, "xo"), [1.0]),
+    ("network_time_fn_misspelt_key", "network",
+     {**INTEGRATOR_PAIR, "protocol": {"type": "reference", "b": [1.0, 0.0],
+                                      "y_bar": {"kind": "ramp", "slope": 1.0}}},
+     ("protocol", "y_bar", "slop"), 1.0),
 ]
 
 
@@ -179,6 +189,21 @@ def test_schema_rejects_sim_settings_the_loader_rejects(tmp_path, capsys, monkey
         named = [key for key in path if isinstance(key, str)]
         assert not named or named[-1] in captured.err
         assert not (tmp_path / "out").exists()
+
+
+def test_loader_key_sets_are_the_schema_properties():
+    # the loader refuses exactly the keys that the schema does not list
+    network = SCHEMAS["network"]
+    time_fn = network["definitions"]["timeFn"]["oneOf"][1]
+    for keys, schema in [
+        (cli._NETWORK_KEYS, network),
+        (cli._PROTOCOL_KEYS, network["properties"]["protocol"]),
+        (cli._AGENT_KEYS, network["definitions"]["agent"]),
+        (cli._TIME_FN_KEYS, time_fn),
+        (cli._TF_KEYS, SCHEMAS["tf"]),
+    ]:
+        assert schema["additionalProperties"] is False
+        assert sorted(keys) == sorted(schema["properties"])
 
 
 def test_every_sim_property_reaches_the_run_config():
