@@ -100,9 +100,9 @@ class AgentModel(abc.ABC):
         """(A, B, C) shaped (state_dim, state_dim), (state_dim, output_dim)
         and (output_dim, state_dim)."""
 
+    @abc.abstractmethod
     def ifp_index(self) -> float:
         """Passivity deficit of the agent, used by certificate builders."""
-        raise NotImplementedError(f"{type(self).__name__} has no passivity index rule")
 
 
 class LtiSiso(AgentModel):

@@ -14,7 +14,8 @@ positive-real-lemma conditions with the same infimum. Rescaling by the
 largest pole magnitude makes results and tolerances free of the time unit.
 ``ifp_indices`` does this for many transfer functions at once, as array
 operations over groups of equal shape; ``ifp_index`` and ``prl_conditions``
-are its one-member calls.
+are its one-member calls. One evaluator of W(iw), with its pole test, serves
+both the batch and ``eval_freq``.
 
 Pole and residue classification works on the num/den pair as given; callers
 are expected to supply transfer functions in lowest terms (common factors
@@ -105,20 +106,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
-    def __call__(self, x):
-        r = 0.0 * x  # promotes to complex when x is complex
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
     def descending(self) -> np.ndarray:
         """Coefficients in highest-first order (np.roots/np.polyval layout)."""
         return np.array(self.coeffs[::-1], dtype=float)
-
-    def magnitude_at(self, w: float) -> float:
-        """sum_k |c_k| |w|^k — the natural magnitude scale of an evaluation."""
-        aw = abs(w)
-        return float(sum(abs(c) * aw**k for k, c in enumerate(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -203,17 +193,17 @@ class IfpShift:
 
 
 def eval_freq(tf: RationalTF, omega: float) -> complex:
-    """Evaluate W(i*omega).
+    """Evaluate W(i*omega): the one-member call of the batch's evaluator.
 
-    Raises PoleOnAxis when |den(i*omega)| is below 1e-14 of the denominator's
-    own magnitude scale at that frequency.
+    Raises PoleOnAxis unless |den(i*omega)| exceeds 1e-14 of the
+    denominator's own magnitude scale sum_k |den_k| |omega|^k there.
     """
-    s = 1j * float(omega)
-    d = tf.den(s)
-    scale = tf.den.magnitude_at(omega)
-    if abs(d) < _POLE_RTOL * scale:
+    with np.errstate(all="ignore"):
+        val, ok = _freq_response(np.array([tf.num.coeffs]), np.array([tf.den.coeffs]),
+                                 np.array([[float(omega)]]))
+    if not ok[0, 0]:
         raise PoleOnAxis(f"denominator vanishes at omega = {omega}")
-    return tf.num(s) / d
+    return complex(val[0, 0])
 
 
 def routh_hurwitz(p: Polynomial) -> bool:
@@ -249,40 +239,20 @@ def routh_hurwitz(p: Polynomial) -> bool:
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of c (ascending) at the points in the same row of x, in
-    Polynomial.__call__ order."""
+    """Each row of c (ascending) at the points in the same row of x."""
     r = 0.0 * x
     for k in range(c.shape[1] - 1, -1, -1):
         r = r * x + c[:, k, None]
     return r
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in CPython's complex arithmetic, which rounds
-    every product (numpy's complex multiply fuses them)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cquot(ar, ai, br, bi):
-    """(ar + i ai)/(br + i bi) by Smith's method as CPython divides complex
-    numbers (numpy multiplies by a reciprocal instead)."""
-    big = np.abs(br) >= np.abs(bi)
-    ratio = np.where(big, bi / br, br / bi)
-    denom = np.where(big, br + bi * ratio, br * ratio + bi)
-    return (np.where(big, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(big, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
-def _horner_iw(c: np.ndarray, w: np.ndarray):
-    """(Re, Im) of each row of c at i*w, with the Python complex arithmetic
-    of Polynomial.__call__ (adding a float c leaves (re + c, im + 0.0)), so
-    the values equal eval_freq's bit for bit."""
-    xr, xi = _cmul(0.0, 1.0, w, 0.0)
-    rr, ri = _cmul(0.0, 0.0, xr, xi)
-    for k in range(c.shape[1] - 1, -1, -1):
-        rr, ri = _cmul(rr, ri, xr, xi)
-        rr, ri = rr + c[:, k, None], ri + 0.0
-    return rr, ri
+def _freq_response(num: np.ndarray, den: np.ndarray, w: np.ndarray):
+    """W(iw) for each row pair of num and den (ascending) at the points in
+    the same row of w, and a mask that is true where w is no pole:
+    |den(iw)| > _POLE_RTOL * sum_k |den_k| |w|^k."""
+    s = 1j * w
+    d = _horner(den, s)
+    return _horner(num, s) / d, np.abs(d) > _POLE_RTOL * _horner(np.abs(den), np.abs(w))
 
 
 def _roots(p: np.ndarray) -> np.ndarray:
@@ -303,16 +273,11 @@ def _at_iw(c: np.ndarray) -> np.ndarray:
 
 
 def _conv_even(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re np.convolve(a, v)[::2] for each row pair, summed by the same BLAS
-    dot per output index that np.convolve calls, so the sums round alike."""
-    if v.shape[1] > a.shape[1]:
-        a, v = v, a
-    la, lv = a.shape[1], v.shape[1]
-    out = np.empty((len(a), (la + lv) // 2))
-    for k in range(0, la + lv - 1, 2):
-        i = np.arange(max(0, k - lv + 1), min(k, la - 1) + 1)
-        out[:, k // 2] = (a[:, None, i] @ v[:, k - i, None])[:, 0, 0].real
-    return out
+    """Re of the even-power coefficients of each row pair's product a*v."""
+    out = np.zeros((len(a), a.shape[1] + v.shape[1] - 1), complex)
+    for i in range(a.shape[1]):
+        out[:, i : i + v.shape[1]] += a[:, i, None] * v
+    return out[:, ::2].real
 
 
 def _divide(p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -363,11 +328,12 @@ def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
     # and an exact pole-zero cancellation (residue 0) passes
     dist = np.abs(roots[:, :, None] - roots[:, None, :])
     dist[:, np.arange(n), np.arange(n)] = np.inf
-    slope = _horner_iw(np.arange(1, ld) * den_s[:, 1:], roots.imag)
-    res = _cquot(*_cmul(rho[:, None], 0.0, *_horner_iw(num_s, roots.imag)), *slope)
-    tol = _RESIDUE_RTOL * rho[:, None] * _horner(np.abs(num_s), w0) / np.hypot(*slope)
-    pole_ok = (dist.min(axis=2, initial=np.inf) > _SIMPLE_TOL) & (res[0] >= -tol) & (
-        np.abs(res[1]) <= tol)
+    iw = 1j * roots.imag
+    slope = _horner(np.arange(1, ld) * den_s[:, 1:], iw)
+    res = rho[:, None] * _horner(num_s, iw) / slope
+    tol = _RESIDUE_RTOL * rho[:, None] * _horner(np.abs(num_s), w0) / np.abs(slope)
+    pole_ok = (dist.min(axis=2, initial=np.inf) > _SIMPLE_TOL) & (res.real >= -tol) & (
+        np.abs(res.imag) <= tol)
     imag_ok = np.all(pole_ok | ~on_axis, axis=1)
 
     # Re W(iw) = R(x)/Q(x) in x = w^2 with Q = |den(iw)|^2, once each
@@ -387,7 +353,7 @@ def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
         last = np.where(kept[:, j], upper[:, j], last)
     pair = kept & (upper.imag > _SIMPLE_TOL)
     pole_c = np.zeros((b, n))
-    pole_c[pair] = [v**2 for v in upper.imag[pair].tolist()]  # libm pow, as float ** 2
+    pole_c[pair] = upper.imag[pair] ** 2
     dead, dead_w = np.zeros(b, bool), np.zeros(b)
     for j in np.flatnonzero(kept.any(axis=0)):
         c, once, twice = pole_c[:, j], kept[:, j, None], pair[:, j, None]
@@ -428,10 +394,9 @@ def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
     at_pole = np.zeros(x.shape, bool)
     at_pole[:, 1 : n + 1] = True
     w = np.sqrt(x)
-    d = _horner_iw(den_s, w)
-    on_freq = ~at_pole & (np.hypot(*d) > _POLE_RTOL * _horner(np.abs(den_s), w))
+    resp, on_freq = _freq_response(num_s, den_s, w)
     rx, qx = _horner(r, x), _horner(q, x)
-    v = np.where(on_freq, _cquot(*_horner_iw(num_s, w), *d)[0], np.where(
+    v = np.where(on_freq & ~at_pole, resp.real, np.where(
         np.abs(qx) > _AXIS_RTOL * _horner(np.abs(q), x), rx / qx,
         np.where(rx < 0.0, -np.inf, np.inf)))
     v[np.isnan(v)] = np.inf

@@ -631,22 +631,30 @@ def _all_to_all_job(spec: dict, config: SimConfig) -> _Job:
 # ---------------------------------------------------------------------------
 
 class _Kind(NamedTuple):
-    """read(scenario dict) -> spec, job(spec, config) -> _Job, default settings."""
+    """read(scenario dict) -> spec, job(spec, config) -> _Job, default
+    settings, and the keys a scenario of the kind may hold."""
 
     read: Callable[[dict], object]
     job: Callable[[object, SimConfig], _Job]
     sim: SimConfig
+    keys: tuple[str, ...]
 
 
 _KINDS = {
     "traffic": _Kind(_traffic_spec, _traffic_job,
-                     SimConfig(dt=1e-3, t_final=100.0, record_stride=10)),
+                     SimConfig(dt=1e-3, t_final=100.0, record_stride=10),
+                     ("scenario_type", "topology_preset", "n", "K", "adjacency", "delays",
+                      "v_init", "v0", "sim")),
     "platoon": _Kind(_platoon_spec, _platoon_job,
-                     SimConfig(dt=2e-3, t_final=200.0, record_stride=10)),
+                     SimConfig(dt=2e-3, t_final=200.0, record_stride=10),
+                     ("scenario_type", "gains", "s", "v0", "q_init", "v_init", "a_init",
+                      "q0_init", "sim")),
     "remark1": _Kind(_all_to_all_spec, _all_to_all_job,
-                     SimConfig(dt=5e-3, t_final=150.0, record_stride=20)),
+                     SimConfig(dt=5e-3, t_final=150.0, record_stride=20),
+                     ("scenario_type", "p", "q", "n_agents", "kappa", "sim")),
     "harmonic": _Kind(_harmonic_spec, _harmonic_job,
-                      SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1)),
+                      SimConfig(dt=1e-3, t_final=60.0, record_stride=5, tol=0.1),
+                      ("scenario_type", "omega1", "omega2", "k", "sim")),
 }
 
 
@@ -673,6 +681,7 @@ def scenario_from_dict(d: dict):
     """
     name = field(d, "scenario_type")
     kind = _kind(name)
+    json_object(name, d, kind.keys)
     config = _sim_config(kind.sim, d.get("sim", {}))
     return name, kind.read(d), config
 

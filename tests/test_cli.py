@@ -289,6 +289,15 @@ BAD_SCENARIO_FILE = [
      "input error: gains: unknown field 'extra'\n"),
     ("harmonic_k_beyond_the_float_range", (), {**HARMONIC_TINY, "k": 10**400},
      "input error: k must be finite, got an integer beyond the float range\n"),
+    # a key that the kind's schema does not list, misspelt
+    ("traffic_misspelt_key", (), {**TRAFFIC_CHAIN_TINY, "vo": 20.0},
+     "input error: traffic: unknown field 'vo'\n"),
+    ("platoon_misspelt_key", (), {**PLATOON_TINY, "q0_int": 5.0},
+     "input error: platoon: unknown field 'q0_int'\n"),
+    ("remark1_misspelt_key", (), {**REMARK1_TINY, "kapa": 0.5},
+     "input error: remark1: unknown field 'kapa'\n"),
+    ("harmonic_misspelt_key", (), {**HARMONIC_TINY, "omega_1": 1.0},
+     "input error: harmonic: unknown field 'omega_1'\n"),
     # an error of a sweep entry, read, built or checked, names the entry
     ("sweep_entry_without_omega1", ("--sweep",),
      [HARMONIC_TINY, {k: v for k, v in HARMONIC_TINY.items() if k != "omega1"}],
@@ -423,6 +432,16 @@ class TestCertifyCommand:
         code, out = run_cli(capsys, "certify", str(f))
         assert code == 0
         assert np.allclose(json.loads(out)["alpha"], [0.25, 0.25], atol=1e-6)
+
+    def test_delayed_integrator_deficit_is_its_delay(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", {
+            "adjacency": [[0, 1], [1, 0]],
+            "agents": [{"type": "delayed_integrator", "delay": 0.1},
+                       {"type": "delayed_integrator", "delay": 0.3, "dim": 2}],
+        })
+        code, out = run_cli(capsys, "certify", str(f))
+        assert code == 0
+        assert json.loads(out)["alpha"] == [0.1, 0.3]
 
     def test_pinned_variant_uses_the_tightened_bound(self, tmp_path, capsys):
         f = write_json(tmp_path / "net.json", {

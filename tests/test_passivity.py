@@ -74,7 +74,7 @@ def grid_infimum(tf: RationalTF, lo: float = 1e-9, hi: float = 1e9, points: int 
 
     def re_w(u: float) -> float:
         s = 1j * math.exp(u)
-        return (tf.num(s) / tf.den(s)).real
+        return (np.polyval(tf.num.descending(), s) / np.polyval(tf.den.descending(), s)).real
 
     for k in np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1:
         best = min(best, golden_min(re_w, math.log(w[k - 1]), math.log(w[k + 1]), 1e-12)[1])
@@ -132,6 +132,12 @@ class TestEvalFreq:
     def test_imaginary_pole_detected(self):
         with pytest.raises(PoleOnAxis):
             eval_freq(RationalTF.from_coeffs([1.0], [1.0, 0.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("den", [[0.0, 1.0], [0.0, 0.0, 1.0]], ids=["1/s", "1/s^2"])
+    def test_origin_pole_detected(self, den):
+        # the magnitude scale sum_k |den_k| |w|^k is 0 at w = 0 itself
+        with pytest.raises(PoleOnAxis):
+            eval_freq(RationalTF.from_coeffs([1.0], den), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from referencing import Registry, Resource
 
 from ifpsync import cli
 from ifpsync.cli import load_network, main
-from ifpsync.scenarios import scenario_from_dict
+from ifpsync.scenarios import _KINDS, scenario_from_dict
 from test_cli import (
     BAD_SIM_SETTINGS,
     CERTIFY_PLATOON,
@@ -157,6 +157,10 @@ BAD_FIELDS = [
      {**INTEGRATOR_PAIR, "protocol": {"type": "reference", "b": [1.0, 0.0],
                                       "y_bar": {"kind": "ramp", "slope": 1.0}}},
      ("protocol", "y_bar", "slop"), 1.0),
+    ("scenario_traffic_misspelt_key", "scenario", TRAFFIC_RING, ("vo",), 20.0),
+    ("scenario_platoon_misspelt_key", "scenario", PLATOON_TINY, ("q0_int",), 5.0),
+    ("scenario_remark1_misspelt_key", "scenario", REMARK1_TINY, ("kapa",), 0.5),
+    ("scenario_harmonic_misspelt_key", "scenario", HARMONIC_TINY, ("omega_1",), 1.0),
 ]
 
 
@@ -201,7 +205,7 @@ def test_loader_key_sets_are_the_schema_properties():
         (cli._AGENT_KEYS, network["definitions"]["agent"]),
         (cli._TIME_FN_KEYS, time_fn),
         (cli._TF_KEYS, SCHEMAS["tf"]),
-    ]:
+    ] + [(kind.keys, SCHEMAS["scenario"]["definitions"][name]) for name, kind in _KINDS.items()]:
         assert schema["additionalProperties"] is False
         assert sorted(keys) == sorted(schema["properties"])
 
