@@ -57,8 +57,8 @@ def main() -> int:
 
     out_dir = args.output_dir or args.config.parent
     try:
-        (summary,) = write_artifacts(out_dir, [(args.config.stem, run.sim, None)],
-                                     plot=True, force=args.force)
+        (summary,), _ = write_artifacts(out_dir, [(args.config.stem, run.sim, None)],
+                                        plot=True, force=args.force)
     except FileExistsError as e:
         print(e, file=sys.stderr)
         return 1

@@ -405,11 +405,16 @@ def run_platoon(spec: PlatoonSpec, config: SimConfig) -> PlatoonRun:
     return run_scenarios([("platoon", spec, config)])[0]
 
 
+# the keys of a gains block, as docs/certify.schema.json lists them
+_GAINS_KEYS = ("mu", "eta", "nu", "tau")
+
+
 def _gains(d) -> CaccGainSet:
     """The `gains` block of a platoon scenario or a certify file."""
-    keys = ("mu", "eta", "nu", "tau")
-    d = json_object("gains", d, keys)
-    return CaccGainSet.build(*(numbers(f"gains: {k}", field(d, k, "gains: ")) for k in keys))
+    d = json_object("gains", d, _GAINS_KEYS)
+    return CaccGainSet.build(
+        *(numbers(f"gains: {k}", field(d, k, "gains: ")) for k in _GAINS_KEYS)
+    )
 
 
 def _platoon_spec(d: dict) -> PlatoonSpec:
@@ -664,11 +669,15 @@ def _kind(name) -> _Kind:
     raise BadDimensions(f"unknown scenario_type {name!r}")
 
 
+# the keys of a sim block, as docs/network.schema.json lists them
+_SIM_KEYS = ("dt", "t_final", "tol", "blowup", "record_stride")
+
+
 def _sim_config(base: SimConfig, d) -> SimConfig:
     """`base` with the settings of a `sim` block: finite numbers, record_stride
     an integer; BadDimensions names a block or field of the wrong type and an
     unknown field."""
-    d = json_object("sim", d, ("dt", "t_final", "tol", "blowup", "record_stride"))
+    d = json_object("sim", d, _SIM_KEYS)
     over = {k: integer(k, v) if k == "record_stride" else number(k, v) for k, v in d.items()}
     return replace(base, **over)
 

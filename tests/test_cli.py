@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
 import re
 import shutil
 import subprocess
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ifpsync import cli
 from ifpsync.cli import load_network, main, time_fn_from_dict, write_csv
 from ifpsync.netsim import SimResult, TimeFn, sync_metrics
 
@@ -211,6 +216,10 @@ WRONG_TYPE_CERTIFY = [
     ("agent_unknown_field",
      {"agents": [{"type": "vehicle", "tau": 0.1, "mu": 2.0, "xo": [1]}] * 2},
      "input error: agent 0: unknown field 'xo'\n"),
+    # misspelt, a gains block would be skipped and the file would pass
+    ("misspelt_gains_key", {"alpha": [0.1, 0.1], "gain": {
+        "mu": [2.0] * 2, "eta": [0.4] * 2, "nu": [0.5], "tau": [0.1] * 2}},
+     "input error: certify: unknown field 'gain'\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
@@ -298,6 +307,17 @@ BAD_SCENARIO_FILE = [
      "input error: remark1: unknown field 'kapa'\n"),
     ("harmonic_misspelt_key", (), {**HARMONIC_TINY, "omega_1": 1.0},
      "input error: harmonic: unknown field 'omega_1'\n"),
+    # sizes and values that the scenario builders refuse
+    ("traffic_delays_shorter_than_n", (), {**TRAFFIC_RING, "delays": [0.2, 0.3]},
+     "input error: delays and v_init must have length n\n"),
+    ("remark1_one_agent", (), {**REMARK1_TINY, "n_agents": 1},
+     "input error: all-to-all coupling needs at least 2 agents\n"),
+    ("platoon_one_vehicle", (), {
+        **PLATOON_TINY, "gains": {"mu": [2.0], "eta": [0.4], "nu": [], "tau": [0.1]},
+        "s": [20.0], "q_init": [-22.0], "v_init": [15.0], "a_init": [0.0]},
+     "input error: a platoon needs at least 2 vehicles\n"),
+    ("platoon_gap_zero", (), {**PLATOON_TINY, "s": [20.0, 0.0]},
+     "input error: desired gaps s must be positive\n"),
     # an error of a sweep entry, read, built or checked, names the entry
     ("sweep_entry_without_omega1", ("--sweep",),
      [HARMONIC_TINY, {k: v for k, v in HARMONIC_TINY.items() if k != "omega1"}],
@@ -516,6 +536,14 @@ class TestCertifyCommand:
         assert code == 1
         assert captured.err == "input error: alpha must be a list of numbers\n"
         assert captured.out == ""
+
+    def test_network_file_certifies_as_it_is(self, tmp_path, capsys):
+        # protocol, sim and initial_histories are simulate's; certify accepts them
+        f = write_json(tmp_path / "net.json",
+                       {**INTEGRATOR_PAIR, "initial_histories": [0.0, None]})
+        code, out = run_cli(capsys, "certify", str(f))
+        assert code == 0
+        assert json.loads(out)["passes"] is True
 
     def test_network_without_alpha_or_agents_exits_input_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "net.json", {"adjacency": [[0, 1], [1, 0]]})
@@ -955,6 +983,72 @@ class TestScenarioCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "bad.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# artifact writing
+# ---------------------------------------------------------------------------
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"),
+                       '"quoted"', "back\\slash", "na\u00efve \u2713", "two\nlines", ""])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+REPORT_KEYS = st.text(max_size=6) | st.sampled_from(["metrics", "artifacts", "metrics\"", ""])
+
+
+@given(st.lists(st.tuples(st.dictionaries(REPORT_KEYS, JSON_VALUES, max_size=4), JSON_VALUES),
+                max_size=3))
+def test_spliced_metrics_text_equals_one_dumps_of_the_summary(entries):
+    dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
+    texts = [cli._splice(head, dumps(metrics)) for head, metrics in entries]
+    summaries = [dict(head, metrics=metrics) for head, metrics in entries]
+    assert texts == [dumps(summary) for summary in summaries]
+    assert cli._json_list(texts) == dumps(summaries)
+
+
+def test_sweep_writes_the_same_bytes_with_one_cpu_and_with_two(tmp_path, capsys, monkeypatch):
+    # with two usable CPUs, one worker process writes the odd entries' CSVs
+    # and SVGs; the stdout and every artifact are the serial write's bytes
+    entries = [HARMONIC_TINY, REMARK1_TINY, TRAFFIC_CHAIN_TINY, PLATOON_TINY]
+    real_start, started = cli._start_worker, []
+    monkeypatch.setattr(cli, "_start_worker", lambda *a: started.append(a) or real_start(*a))
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda n=cpus: n)
+        work = tmp_path / f"cpus{cpus}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        write_json(work / "mix.json", entries)
+        code, out = run_cli(capsys, "scenario", "mix.json", "--sweep", "--plot",
+                            "--output-dir", "out")
+        files = {p.name: p.read_bytes() for p in (work / "out").iterdir()}
+        outputs.append((code, out, files))
+        assert len(started) == cpus - 1
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2]) == 4 * len(entries)
+    assert multiprocessing.active_children() == []
+
+
+def test_write_error_in_the_worker_exits_input_error(tmp_path, capsys, monkeypatch):
+    # sw_001.csv is written by the worker process; its error reaches main
+    # as the same exception a serial write raises
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sw.json", [HARMONIC_TINY] * 3)
+    (tmp_path / "out" / "sw_001.csv").mkdir(parents=True)
+    code = main(["scenario", "sw.json", "--sweep", "--force", "--output-dir", "out"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "input error: [Errno 21] Is a directory: 'out/sw_001.csv'\n"
+    assert captured.out == ""
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

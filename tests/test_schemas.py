@@ -11,7 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from ifpsync import cli
+from ifpsync import cli, scenarios
 from ifpsync.cli import load_network, main
 from ifpsync.scenarios import _KINDS, scenario_from_dict
 from test_cli import (
@@ -92,6 +92,7 @@ def test_shipped_config_validates(path):
         ("scenario", TRAFFIC_RING),
         ("scenario", REMARK1_DIVERGENT),
         ("certify", CERTIFY_PLATOON),
+        ("certify", {**INTEGRATOR_PAIR, "initial_histories": [0.0, None]}),
     ],
 )
 def test_cli_fixture_validates(name, doc):
@@ -161,6 +162,7 @@ BAD_FIELDS = [
     ("scenario_platoon_misspelt_key", "scenario", PLATOON_TINY, ("q0_int",), 5.0),
     ("scenario_remark1_misspelt_key", "scenario", REMARK1_TINY, ("kapa",), 0.5),
     ("scenario_harmonic_misspelt_key", "scenario", HARMONIC_TINY, ("omega_1",), 1.0),
+    ("certify_misspelt_key", "certify", CERTIFY_PLATOON, ("gain",), CERTIFY_PLATOON["gains"]),
 ]
 
 
@@ -195,19 +197,46 @@ def test_schema_rejects_sim_settings_the_loader_rejects(tmp_path, capsys, monkey
         assert not (tmp_path / "out").exists()
 
 
+# the key set the loader passes for each object of each schema, by the
+# object's JSON pointer
+LOADER_KEYS = {
+    ("certify", ""): cli._CERTIFY_KEYS,
+    ("certify", "/properties/gains"): scenarios._GAINS_KEYS,
+    ("network", ""): cli._NETWORK_KEYS,
+    ("network", "/definitions/agent"): cli._AGENT_KEYS,
+    ("network", "/definitions/timeFn/oneOf/1"): cli._TIME_FN_KEYS,
+    ("network", "/properties/protocol"): cli._PROTOCOL_KEYS,
+    ("network", "/properties/sim"): scenarios._SIM_KEYS,
+    ("tf", ""): cli._TF_KEYS,
+    **{("scenario", f"/definitions/{name}"): kind.keys for name, kind in _KINDS.items()},
+}
+
+
+def schema_objects(node, pointer=""):
+    """(JSON pointer, object schema) of every object a schema describes."""
+    if isinstance(node, dict):
+        if node.get("type") == "object" or "properties" in node:
+            yield pointer, node
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from schema_objects(child, f"{pointer}/{key}")
+
+
 def test_loader_key_sets_are_the_schema_properties():
-    # the loader refuses exactly the keys that the schema does not list
-    network = SCHEMAS["network"]
-    time_fn = network["definitions"]["timeFn"]["oneOf"][1]
-    for keys, schema in [
-        (cli._NETWORK_KEYS, network),
-        (cli._PROTOCOL_KEYS, network["properties"]["protocol"]),
-        (cli._AGENT_KEYS, network["definitions"]["agent"]),
-        (cli._TIME_FN_KEYS, time_fn),
-        (cli._TF_KEYS, SCHEMAS["tf"]),
-    ] + [(kind.keys, SCHEMAS["scenario"]["definitions"][name]) for name, kind in _KINDS.items()]:
-        assert schema["additionalProperties"] is False
-        assert sorted(keys) == sorted(schema["properties"])
+    # every object of every schema refuses unknown keys, and the loader
+    # refuses exactly the keys that the object does not list
+    seen = set()
+    for name, schema in SCHEMAS.items():
+        for pointer, obj in schema_objects(schema):
+            assert (name, pointer) in LOADER_KEYS, f"no loader key set for {name}{pointer}"
+            assert obj["additionalProperties"] is False
+            assert sorted(LOADER_KEYS[name, pointer]) == sorted(obj["properties"])
+            seen.add((name, pointer))
+    assert seen == set(LOADER_KEYS)
 
 
 def test_every_sim_property_reaches_the_run_config():
