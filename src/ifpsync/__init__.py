@@ -22,7 +22,6 @@ from .errors import (
 from .graphnet import (
     ConnectivityReport,
     Digraph,
-    PerronWeights,
     build_digraph,
     connectivity,
     degrees,
@@ -50,7 +49,6 @@ from .certify import (
     all_to_all_bound,
     check_platoon_gains,
     check_weak_coupling,
-    check_weak_coupling_pinned,
     diffusive_power_identity,
     dissipation_margin,
 )
@@ -99,14 +97,14 @@ __all__ = [
     "BOutOfRange", "DimensionMismatch", "BadDimensions", "CertificateFailed",
     "MuTauViolation", "EmptyTrajectory",
     # graphs
-    "Digraph", "ConnectivityReport", "PerronWeights", "build_digraph",
+    "Digraph", "ConnectivityReport", "build_digraph",
     "connectivity", "degrees", "laplacian", "perron_weights",
     # passivity
     "Polynomial", "RationalTF", "IfpCertificate", "PrlReport", "IfpShift",
     "eval_freq", "routh_hurwitz", "ifp_index", "ifp_indices", "prl_conditions", "ifp_shift",
     "ifp_shift_identity_check",
     # certificates
-    "WeakCouplingVerdict", "check_weak_coupling", "check_weak_coupling_pinned",
+    "WeakCouplingVerdict", "check_weak_coupling",
     "CaccGainSet", "PlatoonGainVerdict", "check_platoon_gains",
     "all_to_all_bound", "diffusive_power_identity", "dissipation_margin",
     # simulation

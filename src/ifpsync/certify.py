@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensions, CertificateFailed, NotStronglyConnected
+from .errors import BadDimensions, CertificateFailed
 from .graphnet import Digraph, _perron_vector, connectivity, degrees, perron_weights
 from .passivity import Polynomial, routh_hurwitz
 
@@ -32,7 +32,6 @@ __all__ = [
     "CaccGainSet",
     "PlatoonGainVerdict",
     "check_weak_coupling",
-    "check_weak_coupling_pinned",
     "check_platoon_gains",
     "all_to_all_bound",
     "diffusive_power_identity",
@@ -76,13 +75,20 @@ def _as_nonnegative_vector(name: str, values, n: int) -> NDArray[np.float64]:
     return v
 
 
-def _verdict(
-    g: Digraph, slack: NDArray[np.float64], extra_reasons: Sequence[str] = ()
-) -> tuple[WeakCouplingVerdict, Optional[NDArray[np.float64]]]:
-    """The verdict for per-node slacks, and the Perron weights it used (None
-    on a graph that is not strongly connected)."""
+def _verdict(g: Digraph, alphas, b=None) -> tuple[WeakCouplingVerdict, Optional[NDArray]]:
+    """The verdict of check_weak_coupling, and the Perron weights it used
+    (None on a graph that is not strongly connected)."""
+    alphas = _as_nonnegative_vector("alpha", alphas, g.n)
+    d_plus, _ = degrees(g)
+    reasons = []
+    if b is None:
+        slack = 0.5 - alphas * d_plus
+    else:
+        b = _as_nonnegative_vector("b", b, g.n)
+        slack = 0.5 - alphas * (d_plus + 2.0 * b)
+        if not b.any():
+            reasons.append("no_pinned_agent")
     conn = connectivity(g)
-    reasons = list(extra_reasons)
     offending = tuple(int(j) for j in np.flatnonzero(slack <= 0.0))
     if not conn.strongly_connected:
         reasons.append("not_strongly_connected")
@@ -93,7 +99,6 @@ def _verdict(
         p = _perron_vector(g)
         kappa = p * slack
         kappa.setflags(write=False)
-    slack = slack.copy()
     slack.setflags(write=False)
     verdict = WeakCouplingVerdict(
         passes=not reasons,
@@ -106,35 +111,21 @@ def _verdict(
     return verdict, p
 
 
-def _plain_slack(g: Digraph, alphas) -> NDArray[np.float64]:
-    alphas = _as_nonnegative_vector("alphas", alphas, g.n)
-    d_plus, _ = degrees(g)
-    return 0.5 - alphas * d_plus
-
-
-def check_weak_coupling(g: Digraph, alphas) -> WeakCouplingVerdict:
-    """Certificate for plain diffusive coupling: alpha_j * d_plus[j] < 1/2 on a
-    strongly connected digraph.
+def check_weak_coupling(g: Digraph, alphas, b=None) -> WeakCouplingVerdict:
+    """Weak-coupling certificate on a strongly connected digraph:
+    alpha_j * d_plus[j] < 1/2 for diffusive coupling, or, with pinning gains
+    b (the reference-tracking protocol), alpha_j * (d_plus[j] + 2 b_j) < 1/2
+    with at least one b_j > 0.
 
     Parameters
     ----------
     g : Digraph
     alphas : array_like
         Per-agent IFP indices, non-negative, length g.n.
+    b : array_like, optional
+        Per-agent pinning gains, non-negative, length g.n.
     """
-    return _verdict(g, _plain_slack(g, alphas))[0]
-
-
-def check_weak_coupling_pinned(g: Digraph, alphas, b) -> WeakCouplingVerdict:
-    """Certificate for the reference-tracking protocol with pinning gains b:
-    alpha_j * (d_plus[j] + 2 b_j) < 1/2, at least one b_j > 0, strongly
-    connected graph."""
-    alphas = _as_nonnegative_vector("alphas", alphas, g.n)
-    b = _as_nonnegative_vector("b", b, g.n)
-    d_plus, _ = degrees(g)
-    slack = 0.5 - alphas * (d_plus + 2.0 * b)
-    extra = () if b.sum() > 0.0 else ("no_pinned_agent",)
-    return _verdict(g, slack, extra)[0]
+    return _verdict(g, alphas, b)[0]
 
 
 @dataclass(frozen=True)
@@ -146,13 +137,14 @@ class CaccGainSet:
     vehicle i which has a successor); tau: drivetrain lags.
     """
 
-    n: int
     mu: tuple[float, ...]
     eta: tuple[float, ...]
     nu: tuple[float, ...]
     tau: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("mu", "eta", "nu", "tau"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if self.n < 2:
             raise BadDimensions("a platoon needs at least 2 vehicles")
         for name, seq, length in (
@@ -166,15 +158,9 @@ class CaccGainSet:
             if not all(math.isfinite(x) and x > 0.0 for x in seq):
                 raise BadDimensions(f"{name} entries must be finite and positive")
 
-    @classmethod
-    def build(cls, mu, eta, nu, tau) -> "CaccGainSet":
-        return cls(
-            n=len(mu),
-            mu=tuple(float(x) for x in mu),
-            eta=tuple(float(x) for x in eta),
-            nu=tuple(float(x) for x in nu),
-            tau=tuple(float(x) for x in tau),
-        )
+    @property
+    def n(self) -> int:
+        return len(self.mu)
 
 
 @dataclass(frozen=True)
@@ -240,10 +226,13 @@ def _coupling_inputs(g: Digraph, y: NDArray[np.float64]) -> NDArray[np.float64]:
     return g.adjacency @ y - d_plus[:, None] * y
 
 
-def _stack_outputs(y) -> NDArray[np.float64]:
+def _stack_outputs(g: Digraph, y) -> NDArray[np.float64]:
+    """Outputs y as an (n, m) array, one row per node (a 1-D y is scalar outputs)."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.shape[0] != g.n:
+        raise BadDimensions(f"need {g.n} output vectors, got {arr.shape[0]}")
     return arr
 
 
@@ -261,10 +250,8 @@ def diffusive_power_identity(g: Digraph, y) -> float:
     ------
     NotStronglyConnected
     """
-    y = _stack_outputs(y)
-    if y.shape[0] != g.n:
-        raise BadDimensions(f"need {g.n} output vectors, got {y.shape[0]}")
-    p = perron_weights(g).p
+    y = _stack_outputs(g, y)
+    p = perron_weights(g)
     u = _coupling_inputs(g, y)
     lhs = float(np.sum(p * np.einsum("ik,ik->i", y, u)))
     rhs = -0.5 * _pairwise_quadratic(g, p, y)
@@ -287,14 +274,12 @@ def dissipation_margin(g: Digraph, alphas, y) -> float:
     CertificateFailed
         If the weak-coupling certificate does not hold for (g, alphas).
     """
-    verdict, p = _verdict(g, _plain_slack(g, alphas))
+    verdict, p = _verdict(g, alphas)
     if not verdict.passes:
         raise CertificateFailed(
             f"weak-coupling certificate fails: {', '.join(verdict.reasons)}"
         )
-    y = _stack_outputs(y)
-    if y.shape[0] != g.n:
-        raise BadDimensions(f"need {g.n} output vectors, got {y.shape[0]}")
+    y = _stack_outputs(g, y)
     alphas = np.asarray(alphas, dtype=float)
     u = _coupling_inputs(g, y)
     lhs = float(

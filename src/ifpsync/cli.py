@@ -33,11 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import (
-    check_platoon_gains,
-    check_weak_coupling,
-    check_weak_coupling_pinned,
-)
+from .certify import check_platoon_gains, check_weak_coupling
 from .errors import (
     IfpSyncError, MuTauViolation, NotCertifiable, field, integer, json_list, json_object,
     number, numbers, where,
@@ -148,6 +144,17 @@ def _agents_from_json(d: dict) -> list[AgentModel]:
 def _pinning(d: dict, n: int) -> np.ndarray:
     """The pinning gains `b` of a protocol or a certify file; zeros when absent."""
     return numbers("b", d["b"]) if "b" in d else np.zeros(n)
+
+
+def _certify_pinning(d: dict, n: int) -> np.ndarray:
+    """The pinning gains of `certify --reference`: the top-level `b`, else the
+    `b` of a `reference` protocol, else zeros."""
+    proto = json_object("protocol", d.get("protocol", {}), _PROTOCOL_KEYS)
+    if proto.get("type") == "reference" and "b" in proto:
+        if "b" in d:
+            raise IfpSyncError("b is given both at the top level and in protocol; give it once")
+        d = proto
+    return _pinning(d, n)
 
 
 def load_network(d: dict):
@@ -520,10 +527,8 @@ def cmd_certify(args) -> int:
     json_object("certify", d, _CERTIFY_KEYS)
     del d["adjacency"]  # free the parsed lists before the heavy work
     alphas = _alphas_from_json(d)
-    if args.reference:
-        verdict = check_weak_coupling_pinned(g, alphas, _pinning(d, g.n))
-    else:
-        verdict = check_weak_coupling(g, alphas)
+    b = _certify_pinning(d, g.n) if args.reference else None
+    verdict = check_weak_coupling(g, alphas, b)
     report = {"weak_coupling": verdict.to_json_dict(), "alpha": alphas}
     passes = verdict.passes
     if "gains" in d:

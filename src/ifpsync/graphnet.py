@@ -19,7 +19,6 @@ from .errors import (
 __all__ = [
     "Digraph",
     "ConnectivityReport",
-    "PerronWeights",
     "build_digraph",
     "degrees",
     "connectivity",
@@ -53,13 +52,6 @@ class ConnectivityReport:
     strongly_connected: bool
     quasi_strongly_connected: bool
     scc_count: int
-
-
-@dataclass(frozen=True, eq=False)
-class PerronWeights:
-    """Positive left null vector of the Laplacian, normalized to sum 1."""
-
-    p: NDArray[np.float64]
 
 
 def build_digraph(adjacency) -> Digraph:
@@ -185,8 +177,9 @@ def connectivity(g: Digraph) -> ConnectivityReport:
     )
 
 
-def perron_weights(g: Digraph) -> PerronWeights:
-    """Left null vector p of the Laplacian: p^T L = 0, p > 0, sum(p) = 1.
+def perron_weights(g: Digraph) -> NDArray[np.float64]:
+    """Left null vector p of the Laplacian: p^T L = 0, p > 0, sum(p) = 1,
+    returned read-only.
 
     Exists with strictly positive entries exactly when the graph is strongly
     connected; computed by one LU solve of L^T bordered with a row of ones.
@@ -197,7 +190,7 @@ def perron_weights(g: Digraph) -> PerronWeights:
     """
     if not connectivity(g).strongly_connected:
         raise NotStronglyConnected("Perron weights require a strongly connected digraph")
-    return PerronWeights(p=_perron_vector(g))
+    return _perron_vector(g)
 
 
 def _perron_vector(g: Digraph) -> NDArray[np.float64]:

@@ -222,8 +222,6 @@ def routh_hurwitz(p: Polynomial) -> bool:
         a = [-x for x in a]
     row_prev = a[0::2]
     row_cur = a[1::2]
-    if row_prev[0] <= 0.0:
-        return False
     while row_cur:
         pivot = row_cur[0]
         if pivot <= 0.0:

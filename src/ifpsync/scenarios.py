@@ -31,7 +31,6 @@ from .certify import (
     all_to_all_bound,
     check_platoon_gains,
     check_weak_coupling,
-    check_weak_coupling_pinned,
 )
 from .errors import (
     BadDimensions, DimensionMismatch, field, integer, json_object, number, numbers, where,
@@ -343,7 +342,7 @@ def _platoon_network(spec: PlatoonSpec):
     b = np.zeros(n)
     b[0] = gains.eta[0]
     cert = PlatoonCertificate(
-        pinned=check_weak_coupling_pinned(g, [ag.ifp_index() for ag in agents], b),
+        pinned=check_weak_coupling(g, [ag.ifp_index() for ag in agents], b),
         gains=check_platoon_gains(gains),
     )
     return agents, g, b, cert
@@ -412,9 +411,7 @@ _GAINS_KEYS = ("mu", "eta", "nu", "tau")
 def _gains(d) -> CaccGainSet:
     """The `gains` block of a platoon scenario or a certify file."""
     d = json_object("gains", d, _GAINS_KEYS)
-    return CaccGainSet.build(
-        *(numbers(f"gains: {k}", field(d, k, "gains: ")) for k in _GAINS_KEYS)
-    )
+    return CaccGainSet(*(numbers(f"gains: {k}", field(d, k, "gains: ")) for k in _GAINS_KEYS))
 
 
 def _platoon_spec(d: dict) -> PlatoonSpec:

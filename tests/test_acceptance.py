@@ -373,7 +373,7 @@ def test_acceptance_07_certified_networks_synchronize(capsys):
 
 def test_acceptance_08_platoon_convergence_and_transform(capsys):
     spec = PlatoonSpec(
-        gains=CaccGainSet.build(
+        gains=CaccGainSet(
             mu=[2.0, 2.0, 2.0], eta=[0.4, 0.5, 1.0], nu=[0.5, 0.5], tau=[0.1, 0.1, 0.1]
         ),
         s=[20.0, 20.0, 20.0],
@@ -456,10 +456,10 @@ def test_acceptance_10_numerics_hygiene(capsys):
     for k in range(100):
         n = int(rng.integers(2, 9))
         g = build_digraph(random_strongly_connected_adjacency(rng, n))
-        w = perron_weights(g)
-        residual = np.max(np.abs(w.p @ laplacian(g)))
-        if np.min(w.p) <= 0 or residual >= 1e-10:
-            failures.append(f"digraph {k}: min weight {np.min(w.p):.3e}, residual {residual:.3e}")
+        p = perron_weights(g)
+        residual = np.max(np.abs(p @ laplacian(g)))
+        if np.min(p) <= 0 or residual >= 1e-10:
+            failures.append(f"digraph {k}: min weight {np.min(p):.3e}, residual {residual:.3e}")
 
     # Routh array against companion-matrix eigenvalues
     checked = 0

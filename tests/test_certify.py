@@ -20,7 +20,6 @@ from ifpsync import (
     build_digraph,
     check_platoon_gains,
     check_weak_coupling,
-    check_weak_coupling_pinned,
     diffusive_power_identity,
     dissipation_margin,
     perron_weights,
@@ -75,13 +74,13 @@ class TestWeakCoupling:
 
 
 # ---------------------------------------------------------------------------
-# check_weak_coupling_pinned
+# check_weak_coupling with pinning gains
 # ---------------------------------------------------------------------------
 
 class TestWeakCouplingPinned:
     def test_pinned_pair_passes(self):
         g = build_digraph([[0, 1], [1, 0]])
-        v = check_weak_coupling_pinned(g, [0.1, 0.1], [1.0, 0.0])
+        v = check_weak_coupling(g, [0.1, 0.1], [1.0, 0.0])
         assert v.passes
         assert np.allclose(v.slack, [0.2, 0.4], atol=1e-15)
 
@@ -89,17 +88,17 @@ class TestWeakCouplingPinned:
     def test_non_finite_pinning_gain_rejected(self, bad):
         g = build_digraph([[0, 1], [1, 0]])
         with pytest.raises(BadDimensions):
-            check_weak_coupling_pinned(g, [0.1, 0.1], [bad, 0.1])
+            check_weak_coupling(g, [0.1, 0.1], [bad, 0.1])
 
     def test_no_pinned_agent_rejected(self):
         g = build_digraph([[0, 1], [1, 0]])
-        v = check_weak_coupling_pinned(g, [0.1, 0.1], [0.0, 0.0])
+        v = check_weak_coupling(g, [0.1, 0.1], [0.0, 0.0])
         assert not v.passes
         assert "no_pinned_agent" in v.reasons
 
     def test_pinning_gain_tightens_the_bound(self):
         g = build_digraph([[0, 1], [1, 0]])
-        v = check_weak_coupling_pinned(g, [0.2, 0.2], [1.0, 0.0])
+        v = check_weak_coupling(g, [0.2, 0.2], [1.0, 0.0])
         assert not v.passes
         assert v.offending == (0,)
         assert np.allclose(v.slack, [0.5 - 0.6, 0.3], atol=1e-15)
@@ -110,7 +109,7 @@ class TestWeakCouplingPinned:
         g = build_digraph(random_strongly_connected_adjacency(rng, n))
         alphas = rng.uniform(0.0, 0.6, n)
         plain = check_weak_coupling(g, alphas)
-        pinned = check_weak_coupling_pinned(g, alphas, np.zeros(n))
+        pinned = check_weak_coupling(g, alphas, np.zeros(n))
         assert np.allclose(plain.slack, pinned.slack, atol=0)
         assert not pinned.passes  # zero pinning gain can never certify
         assert "no_pinned_agent" in pinned.reasons
@@ -122,7 +121,7 @@ class TestWeakCouplingPinned:
 
 class TestPlatoonGains:
     def test_reference_gain_set_passes(self):
-        gains = CaccGainSet.build(
+        gains = CaccGainSet(
             mu=[2.0, 2.0, 2.0], eta=[0.4, 0.5, 1.0], nu=[0.5, 0.5], tau=[0.1, 0.1, 0.1]
         )
         v = check_platoon_gains(gains)
@@ -130,13 +129,13 @@ class TestPlatoonGains:
         assert v.per_vehicle == (True, True, True)
 
     def test_slow_powertrain_rejected(self):
-        gains = CaccGainSet.build(mu=[1.0, 1.0], eta=[0.1, 0.1], nu=[0.1], tau=[0.6, 0.1])
+        gains = CaccGainSet(mu=[1.0, 1.0], eta=[0.1, 0.1], nu=[0.1], tau=[0.6, 0.1])
         v = check_platoon_gains(gains)
         assert not v.passes
         assert v.per_vehicle[0] is False
 
     def test_lead_vehicle_spacing_gains_too_large(self):
-        gains = CaccGainSet.build(mu=[2.0, 2.0], eta=[1.0, 0.1], nu=[0.5], tau=[0.1, 0.1])
+        gains = CaccGainSet(mu=[2.0, 2.0], eta=[1.0, 0.1], nu=[0.5], tau=[0.1, 0.1])
         v = check_platoon_gains(gains)
         assert not v.passes
         assert v.per_vehicle == (False, True)
@@ -146,11 +145,11 @@ class TestPlatoonGains:
         gains = {"mu": [2.0, 2.0], "eta": [0.1, 0.1], "nu": [0.1], "tau": [0.1, 0.1]}
         gains[field][0] = float("nan")
         with pytest.raises(BadDimensions):
-            CaccGainSet.build(**gains)
+            CaccGainSet(**gains)
 
     def test_follower_gain_vector_length_checked(self):
         with pytest.raises(BadDimensions):
-            CaccGainSet.build(mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5, 0.5], tau=[0.1, 0.1])
+            CaccGainSet(mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5, 0.5], tau=[0.1, 0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +188,15 @@ class TestPowerIdentity:
         g = build_digraph([[0, 1], [1, 0]])
         y = [np.array([1.0]), np.array([0.0])]
         # both sides equal -1/2 here: weights (1/2, 1/2), u = (-1, 1)
-        p = perron_weights(g).p
+        p = perron_weights(g)
         u = [y[1] - y[0], y[0] - y[1]]
         lhs = sum(p[i] * float(y[i] @ u[i]) for i in range(2))
         assert np.isclose(lhs, -0.5, atol=1e-15)
         assert diffusive_power_identity(g, y) < 1e-15
+        # a flat list is one scalar output per node, and each node needs one
+        assert diffusive_power_identity(g, [1.0, 0.0]) == diffusive_power_identity(g, y)
+        with pytest.raises(BadDimensions):
+            diffusive_power_identity(g, [1.0])
 
     def test_consensus_point(self):
         g = build_digraph([[0, 2, 1], [1, 0, 1], [2, 1, 0]])

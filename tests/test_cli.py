@@ -220,6 +220,16 @@ WRONG_TYPE_CERTIFY = [
     ("misspelt_gains_key", {"alpha": [0.1, 0.1], "gain": {
         "mu": [2.0] * 2, "eta": [0.4] * 2, "nu": [0.5], "tau": [0.1] * 2}},
      "input error: certify: unknown field 'gain'\n"),
+    # sizes and values that the graph, the certificate and the IFP index refuse;
+    # `ifp` reads a transfer function through the same RationalTF and index
+    ("adjacency_ragged", {"adjacency": [[0, 1], [1]], "alpha": [0.1, 0.1]},
+     "input error: adjacency must be a list of numbers\n"),
+    ("alpha_longer_than_the_graph", {"alpha": [0.1, 0.1, 0.1]},
+     "input error: alpha must have shape (2,), got (3,)\n"),
+    ("lti_den_zero", {"agents": [{"type": "lti", "num": [1.0], "den": [0]}, LTI_1]},
+     "input error: denominator is identically zero\n"),
+    ("lti_num_overflow", {"agents": [{"type": "lti", "num": [1e308], "den": [1e-308, 1]}, LTI_1]},
+     "input error: numerator coefficients overflow when rescaled to the pole scale\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
@@ -233,6 +243,26 @@ BAD_NETWORK = [
      "input error: y_bar: unknown time-function kind 'square'\n"),
     ("adjacency_size", {"adjacency": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]},
      "input error: adjacency is 3x3 but 2 agents given\n"),
+    # one row per guard of the agents, the protocol, the sim settings and the
+    # initial states
+    ("lti_biproper", {"agents": [{"type": "lti", "num": [1.0, 1.0], "den": [1.0, 1.0]}, LTI_1]},
+     "input error: LtiSiso requires a strictly proper transfer function\n"),
+    ("dim_zero", {"agents": [{"type": "delayed_integrator", "dim": 0}, LTI_1]},
+     "input error: dim must be >= 1, got 0\n"),
+    ("b_one_entry", {"protocol": {**REFERENCE, "b": [1.0], "y_bar": 1.0}},
+     "input error: b must have shape (2,), got (1,)\n"),
+    ("u_bar_one_entry", {"protocol": {**REFERENCE, "y_bar": 1.0, "u_bar": [0.1]}},
+     "input error: u_bar must have 2 entries\n"),
+    ("pinned_without_y_bar", {"protocol": REFERENCE},
+     "input error: y_bar is required when any pinning gain is positive\n"),
+    ("t_final_equal_to_dt", {"sim": {"dt": 0.01, "t_final": 0.01}},
+     "input error: t_final must be finite and exceed dt, got 0.01\n"),
+    ("record_stride_zero", {"sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 0}},
+     "input error: record_stride must be >= 1, got 0\n"),
+    ("output_dims_differ", {"agents": [{"type": "delayed_integrator", "dim": 2}, LTI_1]},
+     "input error: all agents must share one output dimension\n"),
+    ("x0_longer_than_the_state", {"agents": [{**LTI_0, "x0": [1.0, 2.0]}, LTI_1]},
+     "input error: agent 0 initial state has shape (2,), expected (1,)\n"),
 ]
 
 TRAFFIC_CHAIN_TINY = {
@@ -318,6 +348,13 @@ BAD_SCENARIO_FILE = [
      "input error: a platoon needs at least 2 vehicles\n"),
     ("platoon_gap_zero", (), {**PLATOON_TINY, "s": [20.0, 0.0]},
      "input error: desired gaps s must be positive\n"),
+    ("traffic_custom_adjacency_size", (),
+     {**TRAFFIC_RING, "topology_preset": "custom", "adjacency": [[0, 1], [1, 0]]},
+     "input error: adjacency must be 3x3, got (2, 2)\n"),
+    ("platoon_s_one_entry", (), {**PLATOON_TINY, "s": [20.0]},
+     "input error: s must have length 2, got (1,)\n"),
+    ("remark1_p_zero", (), {**REMARK1_TINY, "p": 0},
+     "input error: p, q, kappa must be positive, got 0.0, 1.0, 1.0\n"),
     # an error of a sweep entry, read, built or checked, names the entry
     ("sweep_entry_without_omega1", ("--sweep",),
      [HARMONIC_TINY, {k: v for k, v in HARMONIC_TINY.items() if k != "omega1"}],
@@ -544,6 +581,25 @@ class TestCertifyCommand:
         code, out = run_cli(capsys, "certify", str(f))
         assert code == 0
         assert json.loads(out)["passes"] is True
+
+    def test_reference_reads_the_pinning_of_a_network_file(self, tmp_path, capsys):
+        # the reference protocol pins agents 0 and 3: b = [0.7, 0, 0, 0.4]
+        config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "tracking.json"
+        code, out = run_cli(capsys, "certify", str(config), "--reference")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passes"] is True
+        assert np.allclose(report["weak_coupling"]["slack"], [0.37, 0.368, 0.42, 0.5],
+                           rtol=0, atol=1e-15)
+        net = json.loads(config.read_text(encoding="utf-8"))
+        f = write_json(tmp_path / "net.json", {**net, "b": [0.7, 0.0, 0.0, 0.4]})
+        code = main(["certify", str(f), "--reference"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "input error: b is given both at the top level and in protocol; give it once\n"
+        )
+        assert captured.out == ""
 
     def test_network_without_alpha_or_agents_exits_input_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "net.json", {"adjacency": [[0, 1], [1, 0]]})

@@ -155,7 +155,7 @@ def ring_with_hidden_weight(x: float) -> Digraph:
 class TestPerronWeights:
     def test_symmetric_graph_gives_uniform_weights(self):
         a = np.array([[0, 1, 0.5], [1, 0, 2], [0.5, 2, 0]])
-        p = perron_weights(build_digraph(a)).p
+        p = perron_weights(build_digraph(a))
         assert np.allclose(p, 1 / 3, atol=1e-12)
 
     def test_unidirectional_ring_gives_uniform_weights(self):
@@ -163,26 +163,27 @@ class TestPerronWeights:
         a = np.zeros((n, n))
         for i in range(n):
             a[i, (i - 1) % n] = 1.0
-        p = perron_weights(build_digraph(a)).p
+        p = perron_weights(build_digraph(a))
         assert np.allclose(p, 1 / n, atol=1e-12)
 
     def test_dense_three_node_solution(self):
         g = build_digraph([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
-        p = perron_weights(g).p
+        p = perron_weights(g)
         assert np.allclose(p, [6 / 11, 3 / 11, 2 / 11], atol=1e-12)
         assert np.max(np.abs(p @ laplacian(g))) < 1e-12
+        assert not p.flags.writeable
 
     def test_rejects_non_strongly_connected(self):
         with pytest.raises(NotStronglyConnected):
             perron_weights(build_digraph([[0, 1], [0, 0]]))
 
     def test_single_node(self):
-        assert np.array_equal(perron_weights(build_digraph([[0.0]])).p, [1.0])
+        assert np.array_equal(perron_weights(build_digraph([[0.0]])), [1.0])
 
     def test_matches_svd_oracle_at_n_300(self):
         rng = np.random.default_rng(300)
         a = random_strongly_connected_adjacency(rng, 300)
-        p = perron_weights(build_digraph(a)).p
+        p = perron_weights(build_digraph(a))
         q = svd_perron_oracle(a)
         assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
 
@@ -219,17 +220,17 @@ def test_laplacian_row_sums_vanish(seed, n):
 def test_perron_weights_positive_with_small_residual(seed, n):
     rng = np.random.default_rng(seed)
     g = build_digraph(random_strongly_connected_adjacency(rng, n))
-    w = perron_weights(g)
-    assert np.min(w.p) > 0
-    assert abs(np.sum(w.p) - 1.0) < 1e-12
-    assert np.max(np.abs(w.p @ laplacian(g))) < 1e-10
+    p = perron_weights(g)
+    assert np.min(p) > 0
+    assert abs(np.sum(p) - 1.0) < 1e-12
+    assert np.max(np.abs(p @ laplacian(g))) < 1e-10
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
 def test_perron_weights_match_svd_oracle(seed, n):
     rng = np.random.default_rng(seed)
     a = random_strongly_connected_adjacency(rng, n)
-    p = perron_weights(build_digraph(a)).p
+    p = perron_weights(build_digraph(a))
     q = svd_perron_oracle(a)
     assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
 
@@ -238,9 +239,9 @@ def test_perron_weights_match_svd_oracle(seed, n):
 def test_perron_weights_invariant_under_weight_scaling(seed, n):
     rng = np.random.default_rng(seed)
     a = random_strongly_connected_adjacency(rng, n)
-    p = perron_weights(build_digraph(a)).p
+    p = perron_weights(build_digraph(a))
     for scale in (1e-12, 1e-6, 1e6, 1e12):
-        ps = perron_weights(build_digraph(a * scale)).p
+        ps = perron_weights(build_digraph(a * scale))
         assert np.max(np.abs(ps - p)) <= 1e-12 * np.max(p), scale
 
 

@@ -32,7 +32,6 @@ from ifpsync import (
     Vehicle3rd,
     build_digraph,
     check_weak_coupling,
-    check_weak_coupling_pinned,
     laplacian,
     simulate,
     simulate_batch,
@@ -912,7 +911,7 @@ class TestClosedLoopInvariants:
         g = build_digraph([[0, 0.5], [0.5, 0]])
         b = (0.6, 0.0)
         alphas = [a.ifp_index() for a in agents]
-        assert check_weak_coupling_pinned(g, alphas, b).passes
+        assert check_weak_coupling(g, alphas, b).passes
         ref_value = 2.5
         proto = Reference(g, b, y_bar=TimeFn(ref_value))
         res = simulate(

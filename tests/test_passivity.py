@@ -159,6 +159,9 @@ class TestRouthHurwitz:
         with pytest.raises(ZeroPolynomial):
             routh_hurwitz(Polynomial((0.0, 0.0)))
 
+    def test_nonzero_constant_has_no_roots(self):
+        assert routh_hurwitz(Polynomial([2.0]))
+
     @given(seed=st.integers(0, 100_000), deg=st.integers(1, 6))
     def test_agrees_with_companion_matrix_roots(self, seed, deg):
         rng = np.random.default_rng(seed)

@@ -35,7 +35,7 @@ TINY_SIM = SimConfig(dt=0.01, t_final=1.0, record_stride=10, tol=0.1)
 
 
 def reference_gains() -> CaccGainSet:
-    return CaccGainSet.build(
+    return CaccGainSet(
         mu=[2.0, 2.0, 2.0], eta=[0.4, 0.5, 1.0], nu=[0.5, 0.5], tau=[0.1, 0.1, 0.1]
     )
 
@@ -155,9 +155,7 @@ class TestBuildPlatoon:
         assert np.allclose(protocol.b, [0.4, 0.0, 0.0], atol=0)
 
     def test_slow_powertrain_invalidates_the_deficit_formula(self):
-        gains = CaccGainSet.build(
-            mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5], tau=[0.3, 0.1]
-        )
+        gains = CaccGainSet(mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5], tau=[0.3, 0.1])
         spec = PlatoonSpec(
             gains=gains, s=[20.0, 20.0], v0=0.5,
             q_init=[-20.0, -40.0], v_init=[0.5, 0.5], a_init=[0.0, 0.0],

@@ -68,3 +68,30 @@ def test_artifact_digest_reports_number_changes_and_flags_the_rest():
     assert (max_abs, max_rel, flags) == (0.25, 0.2, [])
     _, flags = changes("a.csv", "t,y_1\n0.0,1.0\n", "t,y_2\n0.0,1.0\n")
     assert flags == ["CSV header differs"]
+
+
+def test_reach_counts_each_line_for_its_innermost_statement(tmp_path):
+    # the statement map only: tracing here would end the trace of a reach run
+    spec = importlib.util.spec_from_file_location("reach", SCRIPTS / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "LIMIT = 3\n"
+        "def f(x):\n"
+        "    if x > LIMIT:\n"
+        "        return [i for i in\n"
+        "                range(x)]\n"
+        "    try:\n"
+        "        y = x\n"
+        "    except ValueError:\n"
+        "        y = 0\n"
+        "    return y\n",
+        encoding="utf-8",
+    )
+    statements = reach.function_statements(src)
+    assert sorted(statements) == [3, 4, 6, 7, 9, 10]
+    assert {4, 5} >= statements[4] and 8 in statements[6]
+    tracer = reach.Reach(tmp_path)
+    tracer.lines[str(src)] = {3, 6, 7, 10}
+    assert tracer.unreached(src) == [4, 9]
