@@ -117,21 +117,22 @@ def _time_fns(name: str, value) -> tuple:
 def agent_from_dict(d: dict, prefix: str = "") -> AgentModel:
     """Deserialize one agent: type 'lti' {num, den}, 'delayed_integrator'
     {delay, dim}, or 'vehicle' {tau, mu}. Polynomial coefficients ascending.
-    An error starts with `prefix` ("agent 3: ")."""
-    kind = d.get("type", "lti")
-    if kind == "lti":
-        return LtiSiso.from_coeffs(*_coeffs(d, prefix))
-    if kind == "delayed_integrator":
-        return DelayedIntegrator(delay=number(f"{prefix}delay", d.get("delay", 0.0)),
-                                 dim=integer(f"{prefix}dim", d.get("dim", 1)))
-    if kind == "vehicle":
-        return Vehicle3rd(*(number(prefix + k, field(d, k, prefix)) for k in ("tau", "mu")))
-    raise IfpSyncError(f"unknown agent type {kind!r}")
+    An error, also one the model raises, starts with `prefix` ("agent 3: ")."""
+    with where(prefix):
+        kind = d.get("type", "lti")
+        if kind == "lti":
+            return LtiSiso.from_coeffs(*_coeffs(d))
+        if kind == "delayed_integrator":
+            return DelayedIntegrator(delay=number("delay", d.get("delay", 0.0)),
+                                     dim=integer("dim", d.get("dim", 1)))
+        if kind == "vehicle":
+            return Vehicle3rd(*(number(k, field(d, k)) for k in ("tau", "mu")))
+        raise IfpSyncError(f"unknown agent type {kind!r}")
 
 
-def _coeffs(d: dict, prefix: str = "") -> tuple:
+def _coeffs(d: dict) -> tuple:
     """A transfer function's `num` and `den` lists (Polynomial names a non-finite entry)."""
-    return tuple(numbers(prefix + k, field(d, k, prefix), finite=False) for k in ("num", "den"))
+    return tuple(numbers(k, field(d, k), finite=False) for k in ("num", "den"))
 
 
 def _agents_from_json(d: dict) -> list[AgentModel]:
@@ -478,8 +479,11 @@ def _apply_overrides(config: SimConfig, args) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 def _read_object(args, what: str) -> dict:
-    """The input file of a command that takes one JSON object."""
-    d = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    """The input file of a command that takes one JSON object; a square
+    `adjacency` of numbers is read as one array (see jsontext)."""
+    from . import jsontext  # here, so that importing the CLI (and scenario) does not load it
+
+    d = jsontext.loads(Path(args.input).read_text(encoding="utf-8"))
     if not isinstance(d, dict):
         raise IfpSyncError(f"{args.command} needs a {what} object, got a JSON {type(d).__name__}")
     return d
@@ -515,7 +519,7 @@ def _alphas_from_json(d: dict) -> list[float]:
     for i, agent in enumerate(agents):
         with where(f"agent {i}: "):
             cert = next(certs) if isinstance(agent, LtiSiso) else None
-            if isinstance(cert, NotCertifiable):
+            if isinstance(cert, IfpSyncError):
                 raise cert
             alphas.append(agent.ifp_index() if cert is None else cert.alpha)
     return alphas
@@ -525,7 +529,7 @@ def cmd_certify(args) -> int:
     d = _read_object(args, "network")
     g = build_digraph(field(d, "adjacency"))
     json_object("certify", d, _CERTIFY_KEYS)
-    del d["adjacency"]  # free the parsed lists before the heavy work
+    del d["adjacency"]  # free json's lists, where the reader fell back to them
     alphas = _alphas_from_json(d)
     b = _certify_pinning(d, g.n) if args.reference else None
     verdict = check_weak_coupling(g, alphas, b)

@@ -61,14 +61,19 @@ def build_digraph(adjacency) -> Digraph:
     ----------
     adjacency : array_like
         Square matrix with non-negative entries and zero diagonal; entry
-        (j, k) is the weight of the arc from node k into node j.
+        (j, k) is the weight of the arc from node k into node j. A read-only
+        float64 array (as `jsontext.loads` returns) is used without a copy.
 
     Raises
     ------
     NotSquare, BadDimensions (an entry that is not a finite number),
     NegativeWeight, SelfLoop
     """
-    a = numbers("adjacency", adjacency, finite=False)  # one conversion, also of a JSON list
+    if isinstance(adjacency, np.ndarray) and adjacency.dtype == np.float64 \
+            and not adjacency.flags.writeable:
+        a = adjacency  # it cannot change under the Digraph
+    else:
+        a = numbers("adjacency", adjacency, finite=False)  # one conversion, also of a JSON list
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -1,0 +1,177 @@
+"""JSON text of an input file, with a dense adjacency read as one array.
+
+`loads(text)` returns what ``json.loads(text)`` returns, except that the
+`adjacency` of a top-level object, when it is a square matrix of numbers,
+comes back as one read-only float64 array, bit-equal to what
+``errors.numbers("adjacency", ...)`` makes of json's nested list, whose zero
+cells never become Python floats. json's own scanner parses every other
+value.
+
+The matrix is read in blocks of whole rows, about 512 KB of text each, so a
+block's arrays stay in the L2 cache. A block with at least one digit 1-9 per
+two cells is mostly nonzero: one ``json.loads`` reads its rows as they stand.
+In any other block, numpy comparisons check the layout: the separators must
+be ``[``, n - 1 commas and ``]`` per row, and each cell must hold one run of
+number characters (``0-9 + - . e E``) between spaces. Cells that read
+exactly ``0`` or ``0.0`` are skipped, and one ``json.loads`` parses the other
+tokens of the block. Either way the numbers must come back as an int64 or a
+float64 array, the types numpy also gives the whole matrix then. Anything
+else (non-ASCII text, tabs or newlines in a mostly zero block, strings,
+nested or ragged rows, a token json refuses, booleans alone, an integer
+beyond int64 that numpy does not read as a float) sends the whole value to
+json's scanner, and text that json refuses goes to ``json.loads`` itself. So
+every value read is the one json reads, and every error is json's or the
+typed readers'.
+"""
+
+from __future__ import annotations
+
+import json
+from json.decoder import WHITESPACE, JSONDecoder, scanstring
+
+import numpy as np
+
+_scan_once = JSONDecoder().scan_once
+_ws = WHITESPACE.match
+
+#: characters of matrix text per block
+_BLOCK = 1 << 19
+
+_PAD = np.frombuffer(b"   ", np.uint8)
+
+
+class _Decline(Exception):
+    """The text is not read here; json reads it instead."""
+
+
+def loads(text: str):
+    """json.loads(text), with a top-level object's square `adjacency` matrix
+    of numbers as a read-only float64 array."""
+    try:
+        return _object(text)
+    except (_Decline, json.JSONDecodeError, StopIteration):
+        return json.loads(text)  # json's value, or json's error
+
+
+def _object(text: str) -> dict:
+    """The top-level object of text, parsed as json.decoder.JSONObject does:
+    pairs in order, so a repeated key keeps its first place and last value."""
+    i = _ws(text, 0).end()
+    if not text.startswith("{", i):
+        raise _Decline
+    pairs = []
+    i = _ws(text, i + 1).end()
+    while True:
+        if not text.startswith('"', i):
+            raise _Decline
+        key, i = scanstring(text, i + 1)
+        i = _ws(text, i).end()
+        if not text.startswith(":", i):
+            raise _Decline
+        i = _ws(text, i + 1).end()
+        value, i = (key == "adjacency" and _matrix(text, i)) or _scan_once(text, i)
+        pairs.append((key, value))
+        i = _ws(text, i).end()
+        if not text.startswith(",", i):
+            break
+        i = _ws(text, i + 1).end()
+    if not text.startswith("}", i) or _ws(text, i + 1).end() != len(text):
+        raise _Decline
+    return dict(pairs)
+
+
+def _matrix(text: str, i: int):
+    """(array, end) for the square matrix of numbers whose text starts at i,
+    or None where the blocks do not read it."""
+    if not text.startswith("[", i):
+        return None
+    pos = _ws(text, i + 1).end()
+    first = text.find("]", pos)
+    if not text.startswith("[", pos) or first < 0:
+        return None
+    n = text.count(",", pos, first) + 1
+    # each of the n*n cells takes at least a character and a separator, so
+    # the array is never more than about four times the text
+    if n * (2 * n + 1) > len(text) - i:
+        return None
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    rows_per_block = max(1, _BLOCK // (first - pos + 2))
+    row = 0
+    while True:
+        k = min(rows_per_block, n - row)
+        stop = pos
+        for _ in range(k):  # one past the k-th "]": the end of k whole rows
+            stop = text.find("]", stop) + 1
+            if not stop:
+                return None
+        if not _block(text[pos:stop], n, k, flat[row * n:(row + k) * n]):
+            return None
+        row += k
+        i = _ws(text, stop).end()
+        if row == n:
+            if not text.startswith("]", i):
+                return None
+            out.setflags(write=False)
+            return out, i + 1
+        if not text.startswith(",", i):
+            return None
+        pos = _ws(text, i + 1).end()
+
+
+def _numbers(text: str):
+    """json's numbers in text as one int64 or float64 array, or None where
+    numpy would give them another type (a boolean or string, or an integer
+    outside int64, whose type would then depend on the rest of the matrix)."""
+    try:
+        a = np.array(json.loads(text))
+    except ValueError:  # not JSON (a JSONDecodeError), or ragged rows
+        return None
+    return a if a.dtype in (np.int64, np.float64) else None
+
+
+def _block(block: str, n: int, k: int, out: np.ndarray) -> bool:
+    """Read the k rows of n cells in block into out (flat, left zero where a
+    cell reads 0 or 0.0, see the module docstring); False, with out
+    unspecified, where they are not read here."""
+    try:
+        b = np.frombuffer(block.encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        return False
+    if 2 * np.count_nonzero((b - 49) < 9) >= k * n:
+        # at least one digit 1-9 per two cells: mostly nonzero, so json
+        # reads the rows as they stand
+        rows = _numbers("[" + block + "]")
+        if rows is None or rows.shape != (k, n):
+            return False
+        out.reshape(k, n)[...] = rows
+        return True
+
+    b = np.concatenate((b, _PAD))  # so that b[t + 3] exists for every token t
+    num = ((b - 48) < 10) | (b == 46) | (b == 101) | (b == 69) | (b == 45) | (b == 43)
+    sep = (b == 91) | (b == 44) | (b == 93)  # [ , ]
+    if np.count_nonzero(num) + np.count_nonzero(sep) + np.count_nonzero(b == 32) != b.size:
+        return False
+    start = num.copy()
+    start[1:] &= ~num[:-1]
+    # events: every separator and token start, one token between separators
+    events = np.flatnonzero(sep | start)
+    if events.size != k * (2 * n + 2) - 1:
+        return False
+    marks = np.append(b[events], 44)  # and the comma that would follow the last row
+    marks[:-1][start[events]] = 84  # "T"
+    row = np.frombuffer(b"[T" + b",T" * (n - 1) + b"],", np.uint8)
+    if not (marks.reshape(k, -1) == row).all():
+        return False
+
+    # a token that reads 0 (a non-number character next) or 0.0 is skipped
+    zero = (b[:-3] == 48) & (~num[1:-2] | ((b[1:-2] == 46) & (b[2:-1] == 48) & ~num[3:]))
+    keep = np.flatnonzero((start[:-3] & ~zero)[events])  # event index of each token kept
+    if keep.size:
+        ends = events[keep + 1].tolist()  # the separator after the token
+        tokens = ",".join([block[s:e] for s, e in zip(events[keep].tolist(), ends)])
+        values = _numbers("[" + tokens + "]")
+        if values is None:
+            return False
+        out.reshape(k, n)[keep // (2 * n + 2), keep % (2 * n + 2) // 2] = values
+    return True

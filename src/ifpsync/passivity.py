@@ -309,8 +309,8 @@ def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
     top = np.where(den != 0.0, np.frexp(den)[1] + ek, np.iinfo(int).min).max(axis=1)
     shift = ek - top[:, None]
     num_s, den_s = np.ldexp(num, shift[:, : num.shape[1]]), np.ldexp(den, shift)
-    if not np.isfinite(num_s).all():
-        raise BadDimensions("numerator coefficients overflow when rescaled to the pole scale")
+    finite = np.isfinite(num_s).all(axis=1)
+    num_s[~finite] = 0.0  # _analyse reports these members; keep the others' arithmetic finite
     rho = np.ldexp(1.0, e)
     roots = poles / rho[:, None]
 
@@ -405,13 +405,14 @@ def _analyse_group(num: np.ndarray, den: np.ndarray, tz: int):
     biproper = (num.shape[1] == ld) & (num[:, -1] != 0.0)
     limit = np.where(biproper, num[:, -1] / den[:, -1], 0.0)
     wins = limit < infimum
-    return (no_unstable, imag_ok, np.where(wins, limit, infimum),
+    return (finite, no_unstable, imag_ok, np.where(wins, limit, infimum),
             np.where(wins, np.inf, omega))
 
 
-def _analyse(tfs: Sequence[RationalTF]) -> list[tuple[bool, bool, float, float]]:
+def _analyse(tfs: Sequence[RationalTF]) -> list:
     """Per transfer function: (no unstable poles, imaginary-axis poles ok,
-    inf_w Re W(iw), argmin), argmin math.inf for the w -> infinity limit.
+    inf_w Re W(iw), argmin), argmin math.inf for the w -> infinity limit; or
+    a BadDimensions where the numerator overflows at the pole scale.
 
     Transfer functions with equal len(num), len(den) and number of zero
     low-order den coefficients (the roots np.roots strips) form one array
@@ -427,14 +428,16 @@ def _analyse(tfs: Sequence[RationalTF]) -> list[tuple[bool, bool, float, float]]
         for (_, _, tz), idx in groups.items():
             cols = _analyse_group(np.array([tfs[k].num.coeffs for k in idx]),
                                   np.array([tfs[k].den.coeffs for k in idx]), tz)
-            for k, *row in zip(idx, *(c.tolist() for c in cols)):
-                out[k] = tuple(row)
+            for k, finite, *row in zip(idx, *(c.tolist() for c in cols)):
+                out[k] = tuple(row) if finite else BadDimensions(
+                    "numerator coefficients overflow when rescaled to the pole scale")
     return out
 
 
 def ifp_indices(tfs: Sequence[RationalTF]) -> list:
     """IFP index of every transfer function, as one batch: per member an
-    IfpCertificate, or the NotCertifiable that ifp_index would raise.
+    IfpCertificate, or the NotCertifiable or BadDimensions that ifp_index
+    would raise.
 
     alpha = max(0, -inf_w Re W(iw)) is exact up to rounding (see the module
     docstring): it does not depend on the time unit, and omega_star scales
@@ -443,7 +446,11 @@ def ifp_indices(tfs: Sequence[RationalTF]) -> list:
     is not non-negative real.
     """
     out = []
-    for no_unstable, imag_ok, infimum, omega_star in _analyse(tfs):
+    for row in _analyse(tfs):
+        if isinstance(row, BadDimensions):
+            out.append(row)
+            continue
+        no_unstable, imag_ok, infimum, omega_star = row
         if not no_unstable:
             out.append(NotCertifiable("transfer function has a pole with positive real part"))
         elif not imag_ok:
@@ -463,9 +470,11 @@ def ifp_index(tf: RationalTF) -> IfpCertificate:
     NotCertifiable
         If W has a pole with positive real part, or an imaginary-axis pole
         that is repeated or has a residue that is not non-negative real.
+    BadDimensions
+        If the numerator overflows when rescaled to the pole scale.
     """
     (cert,) = ifp_indices([tf])
-    if isinstance(cert, NotCertifiable):
+    if isinstance(cert, IfpSyncError):
         raise cert
     return cert
 
@@ -478,7 +487,10 @@ def prl_conditions(tf: RationalTF, alpha: float) -> PrlReport:
     w, taking the exact infimum of ifp_index (-inf where a repeated
     imaginary-axis pole drives Re W(iw) to -inf).
     """
-    ((no_unstable, imag_ok, infimum, _),) = _analyse([tf])
+    (row,) = _analyse([tf])
+    if isinstance(row, BadDimensions):
+        raise row
+    no_unstable, imag_ok, infimum, _ = row
     return PrlReport(
         no_unstable_poles=no_unstable,
         imaginary_poles_ok=imag_ok,

@@ -227,16 +227,16 @@ WRONG_TYPE_CERTIFY = [
     ("alpha_longer_than_the_graph", {"alpha": [0.1, 0.1, 0.1]},
      "input error: alpha must have shape (2,), got (3,)\n"),
     ("lti_den_zero", {"agents": [{"type": "lti", "num": [1.0], "den": [0]}, LTI_1]},
-     "input error: denominator is identically zero\n"),
+     "input error: agent 0: denominator is identically zero\n"),
     ("lti_num_overflow", {"agents": [{"type": "lti", "num": [1e308], "den": [1e-308, 1]}, LTI_1]},
-     "input error: numerator coefficients overflow when rescaled to the pole scale\n"),
+     "input error: agent 0: numerator coefficients overflow when rescaled to the pole scale\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
 # fields, expected stderr)
 BAD_NETWORK = [
     ("agent_type_unknown", {"agents": [{"type": "pendulum"}, INTEGRATOR_PAIR["agents"][1]]},
-     "input error: unknown agent type 'pendulum'\n"),
+     "input error: agent 0: unknown agent type 'pendulum'\n"),
     ("protocol_type_unknown", {"protocol": {"type": "leader"}},
      "input error: unknown protocol type 'leader'\n"),
     ("time_function_kind_unknown", {"protocol": {**REFERENCE, "y_bar": {"kind": "square"}}},
@@ -246,9 +246,9 @@ BAD_NETWORK = [
     # one row per guard of the agents, the protocol, the sim settings and the
     # initial states
     ("lti_biproper", {"agents": [{"type": "lti", "num": [1.0, 1.0], "den": [1.0, 1.0]}, LTI_1]},
-     "input error: LtiSiso requires a strictly proper transfer function\n"),
+     "input error: agent 0: LtiSiso requires a strictly proper transfer function\n"),
     ("dim_zero", {"agents": [{"type": "delayed_integrator", "dim": 0}, LTI_1]},
-     "input error: dim must be >= 1, got 0\n"),
+     "input error: agent 0: dim must be >= 1, got 0\n"),
     ("b_one_entry", {"protocol": {**REFERENCE, "b": [1.0], "y_bar": 1.0}},
      "input error: b must have shape (2,), got (1,)\n"),
     ("u_bar_one_entry", {"protocol": {**REFERENCE, "y_bar": 1.0, "u_bar": [0.1]}},
@@ -528,6 +528,21 @@ class TestCertifyCommand:
         })
         assert main(["certify", str(f)]) == 2
 
+    @pytest.mark.parametrize("first, code, message", [
+        ({"type": "vehicle", "tau": 0.3, "mu": 2.0}, 2,
+         "not certifiable: agent 0: mu*tau = 0.6 >= 1/2"),
+        ({"type": "lti", "num": [1.0], "den": [0.0, 1.0]}, 1,
+         "input error: agent 1: numerator coefficients overflow when rescaled to the pole scale"),
+    ], ids=["slow_vehicle_first", "passive_first"])
+    def test_numerator_overflow_is_its_agents_own_outcome(self, tmp_path, capsys, first, code,
+                                                           message):
+        # the overflowing agent does not abort the batch of the agent before it
+        overflow = {"type": "lti", "num": [1e308], "den": [1e-308, 1]}
+        f = write_json(tmp_path / "net.json",
+                       {"adjacency": [[0, 1], [1, 0]], "agents": [first, overflow]})
+        assert main(["certify", str(f)]) == code
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("lti_first", [True, False])
     def test_first_failing_agent_in_input_order_is_named(self, tmp_path, capsys, lti_first):
         unstable = {"type": "lti", "num": [1.0], "den": [-1.0, 1.0]}
@@ -557,7 +572,7 @@ class TestCertifyCommand:
         code = main(["certify", str(f)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("input error: improper transfer function")
+        assert captured.err.startswith("input error: agent 1: improper transfer function")
 
     def test_network_list_exits_input_error(self, tmp_path, capsys):
         f = write_json(tmp_path / "net.json", [{"adjacency": [[0]], "alpha": [0.1]}])

@@ -394,8 +394,8 @@ def mixed_tf(draw) -> RationalTF:
 
 
 def certificate_bits(result) -> tuple:
-    if isinstance(result, NotCertifiable):
-        return ("NotCertifiable", str(result))
+    if isinstance(result, (NotCertifiable, BadDimensions)):
+        return (type(result).__name__, str(result))
     return (result.alpha.hex(), result.omega_star.hex(), result.raw_infimum.hex(), result.method)
 
 
@@ -412,16 +412,28 @@ class TestIfpIndices:
         ([2.0, 1.0], [1.0, 1.0]), ([1.0, 3.0, 1.0], [2.0, 1.0, 1.0]),  # biproper
         ([1.0], [0.0, 2.0, 3.0, 1.0]), ([1.0], [0.0, 1.0, 0.5, 1.0]),  # cubic lags
     ]])
+    # a numerator that overflows at the pole scale is its member's own outcome
+    @example([RationalTF.from_coeffs(num, den) for num, den in [
+        ([1.0], [0.5, 1.0]), ([1e308], [1e-308, 1.0]), ([3.0], [2.0, 1.0]),
+    ]])
     def test_every_member_equals_its_own_one_element_call(self, tfs):
         for tf, got in zip(tfs, ifp_indices(tfs)):
             try:
                 alone = ifp_index(tf)
-            except NotCertifiable as e:
+            except (NotCertifiable, BadDimensions) as e:
                 alone = e
             assert certificate_bits(got) == certificate_bits(alone)
 
     def test_empty_batch(self):
         assert ifp_indices([]) == []
+
+    def test_numerator_overflow_is_refused_by_both_analyses(self):
+        tf = RationalTF.from_coeffs([1e308], [1e-308, 1.0])
+        (got,) = ifp_indices([tf])
+        assert isinstance(got, BadDimensions)
+        for analysis in (ifp_index, lambda w: prl_conditions(w, 0.1)):
+            with pytest.raises(BadDimensions, match="numerator coefficients overflow"):
+                analysis(tf)
 
 
 # ---------------------------------------------------------------------------
