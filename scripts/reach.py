@@ -10,7 +10,9 @@ function of `src/ifpsync` none of whose lines ran, then a count:
     python3 scripts/reach.py [PYTEST_ARG ...]
 
 Extra arguments go to pytest (for example `-x` or a test path). The exit
-status is pytest's. Only the standard library is used: no coverage package.
+status is pytest's where that is not 0; where the tests passed, it is 1 if a
+statement never ran and 0 otherwise. Only the standard library is used: no
+coverage package.
 
 A statement's lines are those of the compiled code that belong to it and not
 to a statement nested in it, so an `if` owns its condition and a `try` its
@@ -120,7 +122,7 @@ def main(argv: list[str]) -> int:
             missed += 1
             print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
     print(f"{missed} of {total} statements inside functions of src/ifpsync never ran")
-    return code
+    return code or int(missed > 0)
 
 
 if __name__ == "__main__":

@@ -249,9 +249,16 @@ _PALETTE = (
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+
+
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) with lo < hi: an empty span widens by 1 on each side, or by
+    the float spacing at lo where the two sides +-1 round to one value."""
+    if hi > lo:
+        return lo, hi
+    w = 1.0 if lo - 1.0 < hi + 1.0 else math.ulp(lo)
+    return lo - w, hi + w
 
 
 def write_svg(path: Path, result: SimResult) -> None:
@@ -271,16 +278,10 @@ def write_svg(path: Path, result: SimResult) -> None:
     t = t[idx]
     ys = ys[idx]
 
-    t_lo, t_hi = float(t[0]), float(t[-1])
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
-        finite = ys[np.isfinite(ys)]
-        y_lo = float(finite.min()) if finite.size else -1.0
-        y_hi = float(finite.max()) if finite.size else 1.0
-    if y_hi <= y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    t_lo, t_hi = _span(float(t[0]), float(t[-1]))
+    finite = ys[np.isfinite(ys)]
+    y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+    y_lo, y_hi = _span(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -344,11 +345,7 @@ def write_svg(path: Path, result: SimResult) -> None:
 
 
 def _output_dir(args) -> Path:
-    if getattr(args, "output_dir", None):
-        return Path(args.output_dir)
-    if os.environ.get("IFPSYNC_OUTPUT_DIR"):
-        return Path(os.environ["IFPSYNC_OUTPUT_DIR"])
-    return Path.cwd()
+    return Path(args.output_dir or os.environ.get("IFPSYNC_OUTPUT_DIR") or Path.cwd())
 
 
 def _write_trajectories(items: Sequence[tuple[SimResult, dict]], plot: bool) -> None:

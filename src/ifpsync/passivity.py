@@ -89,11 +89,9 @@ class Polynomial:
         for k, x in enumerate(c):
             if not math.isfinite(x):
                 raise BadDimensions(f"coefficient of x^{k} must be finite, got {x}")
-        while len(c) > 1 and c[-1] == 0.0:
+        while c and c[-1] == 0.0:
             c.pop()
-        if not c:
-            c = [0.0]
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", tuple(c or [0.0]))
 
     @property
     def degree(self) -> int:

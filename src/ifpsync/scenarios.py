@@ -235,12 +235,17 @@ def run_traffic(spec: TrafficSpec, config: SimConfig) -> TrafficRun:
 def _traffic_spec(d: dict) -> TrafficSpec:
     preset = d.get("topology_preset", "custom")
     delays, v_init = field(d, "delays"), field(d, "v_init")
-    if preset == "custom":
-        a = numbers("adjacency", field(d, "adjacency"))
-        return TrafficSpec(integer("n", d.get("n", len(a))), a, delays, "custom", v_init)
     if preset not in _PRESETS:
         raise BadDimensions(f"unknown topology preset {preset!r}")
-    n, K = integer("n", d.get("n", len(numbers("v_init", v_init)))), number("K", field(d, "K"))
+    a = numbers("adjacency", field(d, "adjacency")) if preset == "custom" else None
+    n = integer("n", d.get("n", len(numbers("v_init", v_init) if a is None else a)))
+    if n < 1:
+        raise BadDimensions(f"n must be >= 1, got {n}")
+    if a is not None:
+        return TrafficSpec(n, a, delays, "custom", v_init)
+    K = number("K", field(d, "K"))
+    if K <= 0.0:
+        raise BadDimensions(f"K must be positive, got {K}")
     if preset == "classic_chain":
         return TrafficSpec.classic_chain(n, K, delays, v_init, d.get("v0", 0.0))
     if preset == "unidirectional_ring":

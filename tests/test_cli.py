@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
+import os
 import re
 import shutil
 import subprocess
@@ -348,6 +349,16 @@ BAD_SCENARIO_FILE = [
      "input error: a platoon needs at least 2 vehicles\n"),
     ("platoon_gap_zero", (), {**PLATOON_TINY, "s": [20.0, 0.0]},
      "input error: desired gaps s must be positive\n"),
+    # n >= 1 and K > 0, as docs/scenario.schema.json requires
+    ("traffic_n_zero", (), {**TRAFFIC_RING, "n": 0}, "input error: n must be >= 1, got 0\n"),
+    ("traffic_n_negative", (), {**TRAFFIC_RING, "n": -1},
+     "input error: n must be >= 1, got -1\n"),
+    ("traffic_K_negative", (), {**TRAFFIC_RING, "K": -0.1},
+     "input error: K must be positive, got -0.1\n"),
+    ("traffic_K_zero", (), {**TRAFFIC_RING, "K": 0}, "input error: K must be positive, got 0.0\n"),
+    ("traffic_custom_n_zero", (), {**TRAFFIC_RING, "topology_preset": "custom", "n": 0,
+                                   "adjacency": [[0, 1], [1, 0]]},
+     "input error: n must be >= 1, got 0\n"),
     ("traffic_custom_adjacency_size", (),
      {**TRAFFIC_RING, "topology_preset": "custom", "adjacency": [[0, 1], [1, 0]]},
      "input error: adjacency must be 3x3, got (2, 2)\n"),
@@ -400,6 +411,11 @@ def write_json(path: Path, payload) -> Path:
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def svg_value_labels(svg: str) -> list[str]:
+    """The tick labels of an SVG plot's value axis, bottom to top."""
+    return re.findall(r'text-anchor="end" font-family="sans-serif">([^<]*)<', svg)
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +726,86 @@ class TestSimulateCommand:
         svg = (tmp_path / "pair.svg").read_text(encoding="utf-8")
         assert svg.count("<polyline") == 2
         assert "time [s]" in svg and "output" in svg
+
+    @pytest.mark.parametrize("t_final, stride, points, x_last", [
+        (0.5, 1000, 1, "424.00"), (2.001, 1, 1002, "784.00"),
+    ])
+    def test_plot_thins_to_at_most_2000_points_and_keeps_the_last(self, tmp_path, capsys,
+                                                                   t_final, stride, points,
+                                                                   x_last):
+        # one sample (the stride exceeds the step count), in the middle of a
+        # time axis widened to t = -1..1; and 2002 samples, of which every
+        # second one is drawn, then the last at the right end of the time axis
+        net = {**INTEGRATOR_PAIR, "sim": {"dt": 0.001, "t_final": t_final,
+                                          "record_stride": stride}}
+        f = write_json(tmp_path / "pair.json", net)
+        assert main(["simulate", str(f), "--output-dir", str(tmp_path), "--plot"]) == 0
+        capsys.readouterr()
+        svg = (tmp_path / "pair.svg").read_text(encoding="utf-8")
+        lines = [pts.split() for pts in re.findall(r'points="([^"]*)"', svg)]
+        assert [len(pts) for pts in lines] == [points, points]
+        assert lines[0][-1].startswith(x_last + ",")
+        coords = [float(v) for pts in lines for xy in pts for v in xy.split(",")]
+        assert all(np.isfinite(coords))
+
+    def test_plot_of_a_flat_trace_far_from_zero(self, tmp_path, capsys):
+        # 1e17 - 1.0 == 1e17: the empty value span widens by the float spacing
+        agent = {"type": "delayed_integrator", "x0": [1e17]}
+        net = {"adjacency": [[0, 1], [1, 0]], "agents": [agent, agent],
+               "sim": {"dt": 0.1, "t_final": 1, "blowup": 1e18}}
+        f = write_json(tmp_path / "flat.json", net)
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path / "out"), "--plot"])
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "flat.csv", "flat.metrics.json", "flat.svg",
+        ]
+        svg = (tmp_path / "out" / "flat.svg").read_text(encoding="utf-8")
+        ticks = [float(v) for v in re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)]
+        assert all(np.isfinite(ticks))
+        flat = [f"{64 + 72 * k:.2f},234.00" for k in range(11)]  # the middle of the value axis
+        assert [pts.split() for pts in re.findall(r'points="([^"]*)"', svg)] == [flat, flat]
+
+    def test_plot_leaves_non_finite_outputs_out(self, tmp_path, capsys):
+        # agent 0 outputs 1e300 * 1e9, which overflows to inf at every sample
+        net = {"adjacency": [[0, 0], [0, 0]], "agents": [
+            {"type": "lti", "num": [1e300], "den": [0, 1], "x0": [1e9]},
+            {"type": "lti", "num": [1], "den": [0, 1], "x0": [1]},
+        ], "sim": {"dt": 0.1, "t_final": 1}}
+        f = write_json(tmp_path / "inf.json", net)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["simulate", str(f), "--output-dir", str(tmp_path), "--plot"])
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        rows = (tmp_path / "inf.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1].split(",")[:3] == ["0.0", "inf", "1.0"]
+        svg = (tmp_path / "inf.svg").read_text(encoding="utf-8")
+        # the finite trace is flat at 1, the middle of the value axis 1 -+ 1 padded
+        assert re.findall(r'points="([^"]*)"', svg) == [
+            "", " ".join(f"{64 + 72 * k:.2f},234.00" for k in range(11)),
+        ]
+        assert svg_value_labels(svg) == ["-0.1", "0.45", "1", "1.55", "2.1"]
+
+    def test_svg_of_outputs_without_a_finite_value(self, tmp_path):
+        times = np.array([0.0, 1.0])
+        y = np.array([[[INF]], [[NAN]]])
+        result = SimResult(times=times, y=y, u=np.zeros_like(y), states=(y[:, 0, :],),
+                           metrics=sync_metrics((times, np.zeros_like(y))))
+        cli.write_svg(tmp_path / "x.svg", result)
+        svg = (tmp_path / "x.svg").read_text(encoding="utf-8")
+        assert re.findall(r'points="([^"]*)"', svg) == [""]
+        assert svg_value_labels(svg) == ["-1.1", "-0.55", "0", "0.55", "1.1"]
+
+    def test_artifacts_default_to_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("IFPSYNC_OUTPUT_DIR", raising=False)
+        write_json(tmp_path / "pair.json", INTEGRATOR_PAIR)
+        code, out = run_cli(capsys, "simulate", "pair.json")
+        assert code == 0
+        assert json.loads(out)["artifacts"]["csv"] == str(tmp_path / "pair.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pair.csv", "pair.json", "pair.metrics.json",
+        ]
 
     def test_divergence_exits_4_with_partial_trajectory(self, tmp_path, capsys):
         f = write_json(tmp_path / "trio.json", DIVERGING_TRIO)
@@ -1118,6 +1214,28 @@ def test_write_error_in_the_worker_exits_input_error(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "input error: [Errno 21] Is a directory: 'out/sw_001.csv'\n"
+    assert captured.out == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_sends_none_or_the_exception_it_raised():
+    recv, send = multiprocessing.Pipe(duplex=False)
+    cli._send_outcome(send, divmod, (7, 2))
+    assert recv.recv() is None
+    cli._send_outcome(send, divmod, (7, 0))
+    outcome = recv.recv()
+    assert isinstance(outcome, ZeroDivisionError)
+
+
+def test_worker_that_ends_without_reporting_exits_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_send_outcome", lambda conn, fn, args: os._exit(3))
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sw.json", [HARMONIC_TINY] * 2)
+    code = main(["scenario", "sw.json", "--sweep", "--output-dir", "out"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "input error: the CSV writer process ended with code 3\n"
     assert captured.out == ""
     assert multiprocessing.active_children() == []
 

@@ -22,6 +22,7 @@ from conftest import random_strongly_connected_adjacency
 from ifpsync import (
     BadDimensions,
     DelayedIntegrator,
+    Digraph,
     DimensionMismatch,
     EmptyTrajectory,
     LtiSiso,
@@ -766,6 +767,17 @@ class TestSimulateBatch:
     def test_empty_batch(self):
         assert simulate_batch([]) == []
 
+    def test_member_without_agents_rejected(self):
+        proto = Plain(Digraph(0, np.zeros((0, 0))))
+        with pytest.raises(BadDimensions, match="need at least one agent"):
+            simulate_batch([([], proto, SimConfig(dt=0.1, t_final=1.0))])
+
+    def test_initial_state_count_must_match_the_agents(self):
+        proto = Plain(build_digraph([[0, 1], [1, 0]]))
+        config = SimConfig(dt=0.1, t_final=1.0, initial_states=[[1.0]])
+        with pytest.raises(DimensionMismatch, match="initial_states must have 2 entries"):
+            simulate([integrator(), integrator()], proto, config)
+
     @pytest.mark.parametrize("k", range(-16, 7))
     def test_step_above_the_smallest_delay_rejected_at_every_scale(self, k):
         # delays, step and horizon in a time unit of s, gains in 1/s
@@ -818,6 +830,26 @@ class TestSyncMetrics:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(EmptyTrajectory):
             sync_metrics((np.array([]), np.zeros((0, 2, 1))))
+
+    @pytest.mark.parametrize("times, y", [
+        (np.zeros(3), np.zeros((2, 2))),
+        (np.zeros((3, 1)), np.zeros((3, 2))),
+        (np.zeros(3), np.zeros((3, 2, 1, 1))),
+    ])
+    def test_inconsistent_shapes_rejected(self, times, y):
+        with pytest.raises(DimensionMismatch, match="inconsistent trajectory shapes"):
+            sync_metrics((times, y))
+
+    def test_scalar_view_needs_scalar_outputs(self):
+        g = build_digraph([[0, 1], [1, 0]])
+        config = SimConfig(dt=0.1, t_final=1.0, initial_states=[[1.0], [0.0]])
+        scalar = simulate([integrator(), integrator()], Plain(g), config)
+        assert np.shares_memory(scalar.y_scalar(), scalar.y)
+        assert scalar.y_scalar().tolist() == scalar.y[:, :, 0].tolist()
+        vector = simulate([DelayedIntegrator(dim=2), DelayedIntegrator(dim=2)], Plain(g),
+                          replace(config, initial_states=None))
+        with pytest.raises(DimensionMismatch, match="outputs are not scalar"):
+            vector.y_scalar()
 
     @given(
         n=st.integers(1, 6),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ifpsync import (
     BadDimensions,
     BOutOfRange,
+    DimensionMismatch,
     NotCertifiable,
     PoleOnAxis,
     Polynomial,
@@ -158,6 +159,11 @@ class TestRouthHurwitz:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             routh_hurwitz(Polynomial((0.0, 0.0)))
+
+    def test_no_coefficients_is_the_zero_polynomial(self):
+        p = Polynomial([])
+        assert p.coeffs == (0.0,) and p.is_zero and p.degree == -1
+        assert Polynomial([0.0, 0.0]) == p
 
     def test_nonzero_constant_has_no_roots(self):
         assert routh_hurwitz(Polynomial([2.0]))
@@ -459,6 +465,10 @@ class TestIfpShift:
         with pytest.raises(BOutOfRange):
             ifp_shift(0.25, 0.0)
 
+    def test_negative_deficit_rejected(self):
+        with pytest.raises(BOutOfRange, match="alpha must be non-negative, got -0.1"):
+            ifp_shift(-0.1, 0.5)
+
     @given(
         alpha=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
         frac=st.floats(0.01, 0.99),
@@ -482,6 +492,10 @@ class TestShiftIdentity:
 
     def test_scalar_case(self):
         assert ifp_shift_identity_check(0.0, 0.5, (2.0,), (-1.0,)) < 1e-12
+
+    def test_samples_of_different_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"y shape \(2,\) != u shape \(1,\)"):
+            ifp_shift_identity_check(0.25, 1.0, (1.0, 0.0), (1.0,))
 
     def test_random_instances(self):
         rng = np.random.default_rng(42)

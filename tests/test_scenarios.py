@@ -325,6 +325,13 @@ class TestScenarioFromDict:
                 "n": 2, "K": 1.0, "delays": 0.1, "v_init": [0.0, 1.0],
             })
 
+    def test_traffic_spec_checks_its_own_preset(self):
+        args = (2, np.zeros((2, 2)), 0.1)
+        with pytest.raises(BadDimensions, match="unknown topology preset 'star'"):
+            TrafficSpec(*args, "star", [0.0, 1.0])
+        with pytest.raises(BadDimensions, match="classic_chain requires a leader_gain"):
+            TrafficSpec(*args, "classic_chain", [0.0, 1.0])
+
     def test_platoon_round_trip(self):
         kind, spec, cfg = scenario_from_dict({
             "scenario_type": "platoon",

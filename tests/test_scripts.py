@@ -6,7 +6,10 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -70,11 +73,16 @@ def test_artifact_digest_reports_number_changes_and_flags_the_rest():
     assert flags == ["CSV header differs"]
 
 
-def test_reach_counts_each_line_for_its_innermost_statement(tmp_path):
-    # the statement map only: tracing here would end the trace of a reach run
+def load_reach():
     spec = importlib.util.spec_from_file_location("reach", SCRIPTS / "reach.py")
     reach = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reach)
+    return reach
+
+
+def test_reach_counts_each_line_for_its_innermost_statement(tmp_path):
+    # the statement map only: tracing here would end the trace of a reach run
+    reach = load_reach()
     src = tmp_path / "mod.py"
     src.write_text(
         "LIMIT = 3\n"
@@ -95,3 +103,30 @@ def test_reach_counts_each_line_for_its_innermost_statement(tmp_path):
     tracer = reach.Reach(tmp_path)
     tracer.lines[str(src)] = {3, 6, 7, 10}
     assert tracer.unreached(src) == [4, 9]
+
+
+@pytest.mark.parametrize("pytest_code, ran, code", [
+    (0, {2, 3}, 0), (0, {2}, 1), (1, {2, 3}, 1), (1, {2}, 1), (2, {2}, 2),
+])
+def test_reach_exits_1_where_the_tests_passed_but_a_statement_never_ran(
+        tmp_path, capsys, monkeypatch, pytest_code, ran, code):
+    # pytest.main is replaced, so nothing is traced: tracing here would end
+    # the trace of a reach run
+    reach = load_reach()
+    package = tmp_path / "src" / "ifpsync"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("def f(x):\n    y = x\n    return y\n", encoding="utf-8")
+
+    def run_tests(args, plugins):
+        plugins[0].lines[str(package / "mod.py")] = set(ran)
+        return pytest_code
+
+    monkeypatch.setattr(reach, "ROOT", tmp_path)
+    monkeypatch.setattr(reach, "PACKAGE", package)
+    monkeypatch.setattr(reach, "pytest", types.SimpleNamespace(main=run_tests))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("PYTHONPATH", "")
+    assert reach.main([]) == code
+    missed = 2 - len(ran)
+    assert capsys.readouterr().out.endswith(
+        f"{missed} of 2 statements inside functions of src/ifpsync never ran\n")
