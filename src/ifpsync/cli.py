@@ -249,7 +249,15 @@ _PALETTE = (
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    """count evenly spaced values from lo to hi. They are formed on halved
+    operands, which is exact, so that a span beyond the float range does not
+    overflow."""
+    return [2.0 * (lo / 2 + (hi / 2 - lo / 2) * (k / (count - 1))) for k in range(count)]
+
+
+def _place(v: float, lo: float, hi: float) -> float:
+    """(v - lo) / (hi - lo), on halved operands like `_ticks`."""
+    return (v / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -282,14 +290,16 @@ def write_svg(path: Path, result: SimResult) -> None:
     finite = ys[np.isfinite(ys)]
     y_lo, y_hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
     y_lo, y_hi = _span(y_lo, y_hi)
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # the padded axis, clamped to the float range; pad is half the padding
+    pad = 0.05 * (y_hi / 2 - y_lo / 2)
+    big = sys.float_info.max
+    y_lo, y_hi = max(2.0 * (y_lo / 2 - pad), -big), min(2.0 * (y_hi / 2 + pad), big)
 
     def sx(v: float) -> float:
-        return ml + (v - t_lo) / (t_hi - t_lo) * (width - ml - mr)
+        return ml + _place(v, t_lo, t_hi) * (width - ml - mr)
 
     def sy(v: float) -> float:
-        return height - mb - (v - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+        return height - mb - _place(v, y_lo, y_hi) * (height - mt - mb)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

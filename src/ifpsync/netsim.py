@@ -34,13 +34,14 @@ with the horizon. Time functions are `TimeFn` values, and each table
 evaluates them on its whole array of times at once.
 
 `simulate_batch` takes any runs. It checks them all first, then groups them
-by a key (per-agent state dimension and input delay, m, h, the step count
-and the record stride) and integrates each group as one batch: stacked Φ and
-Γ, one ring with a column block per run, and one stacked matrix product per
-step. Each run keeps its own matrices, offsets, initial states and
-histories, tolerance and divergence threshold, and its result is bitwise
-equal to its own `simulate`, which is the one-run batch. Runs report
-trajectories plus synchronization metrics (pairwise tail supremum and
+by a key (per-agent state dimension and input delay, m, h, the step count,
+the record stride and whether the protocol adds reference offsets) and
+integrates each group as one batch: stacked Φ (and Γ when the group is
+forced), one ring with a column block per run, and one stacked matrix
+product per step. Each run keeps its own matrices, offsets, initial states
+and histories, tolerance and divergence threshold, and its result is
+bitwise equal to its own `simulate`, which is the one-run batch. Runs
+report trajectories plus synchronization metrics (pairwise tail supremum and
 trapezoidal L2 disagreement integrals).
 """
 
@@ -54,7 +55,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BadDimensions, DimensionMismatch, EmptyTrajectory, MuTauViolation, number
+from .errors import (
+    BadDimensions, DimensionMismatch, EmptyTrajectory, MuTauViolation, integer, number,
+)
 from .graphnet import Digraph, laplacian
 from .passivity import RationalTF, ifp_index
 
@@ -344,9 +347,10 @@ class SimConfig:
     An initial history gives agent i's input u_i(t) for t < 0: a TimeFn,
     broadcast across the m input dimensions, or None (zero).
 
-    Raises BadDimensions unless dt, tol and blowup are finite and positive,
-    t_final is finite and exceeds dt, record_stride >= 1, and every initial
-    history is a TimeFn or None."""
+    Raises BadDimensions unless dt, tol and blowup are finite positive
+    numbers, t_final is a finite number that exceeds dt (all four are stored
+    as floats), record_stride is an integer >= 1, and every initial history
+    is a TimeFn or None."""
 
     dt: float
     t_final: float
@@ -360,11 +364,14 @@ class SimConfig:
         if self.initial_histories is not None:
             hist = _time_fn_tuple("initial_histories", self.initial_histories)
             object.__setattr__(self, "initial_histories", hist)
+        for name in ("dt", "t_final", "tol", "blowup"):
+            object.__setattr__(self, name, number(name, getattr(self, name)))
+        object.__setattr__(self, "record_stride", integer("record_stride", self.record_stride))
         for name in ("dt", "tol", "blowup"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+            if not v > 0.0:
                 raise BadDimensions(f"{name} must be finite and positive, got {v}")
-        if not (math.isfinite(self.t_final) and self.t_final > self.dt):
+        if not self.t_final > self.dt:
             raise BadDimensions(f"t_final must be finite and exceed dt, got {self.t_final}")
         if self.record_stride < 1:
             raise BadDimensions(f"record_stride must be >= 1, got {self.record_stride}")
@@ -438,34 +445,29 @@ def sync_metrics(result_raw, y_bar: Optional[TimeFn] = None, tol: float = 1e-3) 
     if n_rec == 0 or n == 0:
         raise EmptyTrajectory("no recorded samples")
 
-    # l2_pairwise[i, j]: trapezoidal integral of |y_i - y_j|^2, formed from
-    # the differences themselves so that outputs far from zero do not cancel
-    l2_pairwise = np.zeros((n, n))
-    if n_rec >= 2:
-        w = np.zeros(n_rec)
-        dts = np.diff(times)
-        w[:-1] += 0.5 * dts
-        w[1:] += 0.5 * dts
-        for i in range(n - 1):
-            d = y[:, i : i + 1, :] - y[:, i + 1 :, :]
-            l2_pairwise[i, i + 1 :] = w @ (d * d).sum(axis=2)
-        l2_pairwise += l2_pairwise.T
-
     t_end = times[-1]
     tail_start = t_end - 0.1 * (t_end - times[0])
-    tail = y[times >= tail_start - 1e-12]
-    # largest |y_i - y_j|, each distance computed as sqrt(d.d)
-    if y.shape[2] == 1:
-        # the largest scalar gap of a row is max - min; sqrt(g*g) is monotone
-        # in g, so applying it to the largest gap gives the same value
-        # (under- and overflow of g*g included) as taking it over all pairs
-        gap = tail.max(axis=1)[:, 0] - tail.min(axis=1)[:, 0]
-        sup_tail = float(np.sqrt(gap * gap).max())
-    else:
-        sup_tail = 0.0
+    in_tail = times >= tail_start - 1e-12
+
+    # l2_pairwise[i, j]: trapezoidal integral of |y_i - y_j|^2, formed from
+    # the differences themselves so that outputs far from zero do not cancel;
+    # tail_sq[i]: the largest |y_i - y_j|^2 (j > i) over the tail, whose
+    # square root over all i is the largest pairwise distance there
+    l2_pairwise = np.zeros((n, n))
+    tail_sq = np.zeros(n)
+    w = np.zeros(n_rec)
+    dts = np.diff(times)
+    w[:-1] += 0.5 * dts
+    w[1:] += 0.5 * dts
+    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
         for i in range(n - 1):
-            d = tail[:, i : i + 1, :] - tail[:, i + 1 :, :]
-            sup_tail = max(sup_tail, float(np.sqrt((d * d).sum(axis=2)).max()))
+            d = y[:, i : i + 1, :] - y[:, i + 1 :, :]
+            dd = (d * d).sum(axis=2)
+            if n_rec >= 2:
+                l2_pairwise[i, i + 1 :] = w @ dd
+            tail_sq[i] = dd[in_tail].max()
+    l2_pairwise += l2_pairwise.T
+    sup_tail = float(np.sqrt(tail_sq.max()))
 
     l2_ref = None
     if y_bar is not None:
@@ -518,7 +520,8 @@ def simulate_batch(
     Members are (agents, protocol, config) triples. Every member is checked
     before any is integrated, so a bad one raises before any work is done.
     Members that share per-agent state dimensions and input delays, m, dt,
-    the step count and record_stride are integrated as one stacked batch.
+    the step count, record_stride and whether their protocol adds reference
+    offsets are integrated as one stacked batch.
     Each keeps its own realizations, coupling, pinning gains and offsets,
     initial states and histories, tol and blowup. A member that diverges is
     frozen at its last finite state and keeps its own record count and
@@ -534,19 +537,21 @@ def simulate_batch(
     for j, (agents, protocol, config) in enumerate(members):
         _check_member(agents, protocol, config)
         x0.append(_initial_states(agents, config.initial_states))
-        groups.setdefault(_batch_key(agents, config), []).append(j)
+        groups.setdefault(_batch_key(agents, protocol, config), []).append(j)
     results: list = [None] * len(members)
-    for (_, m, _, n_steps, stride), idx in groups.items():
-        runs = _integrate([members[j] for j in idx], [x0[j] for j in idx], n_steps, stride, m)
+    for key, idx in groups.items():
+        runs = _integrate([members[j] for j in idx], [x0[j] for j in idx], *key[1:])
         for j, run in zip(idx, runs):
             results[j] = _result(*members[j], offsets[j], *run)
     return results
 
 
-def _batch_key(agents, config) -> tuple:
+def _batch_key(agents, protocol, config) -> tuple:
     """Group key of a run: per-agent (state_dim, input_delay), the signal
-    dimension m, dt, the step count and record_stride. Runs with equal keys
-    are integrated together."""
+    dimension m, dt, the step count, record_stride and whether the protocol
+    adds reference offsets. Runs with equal keys are integrated together, so
+    in a group either every run is forced (by a delay or an offset) or none
+    is."""
     n_steps = int(math.floor(config.t_final / config.dt + _GRID_SNAP))
     return (
         tuple((a.state_dim, a.input_delay) for a in agents),
@@ -554,6 +559,7 @@ def _batch_key(agents, config) -> tuple:
         float(config.dt),
         n_steps,
         config.record_stride,
+        _has_offset(protocol),
     )
 
 
@@ -769,7 +775,7 @@ def _inf_norms(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _safe_block(step_mats, kc, x, blowup) -> int:
+def _safe_block(step, kc, x, blowup) -> int:
     """The most steps a block may take. A member that crosses blowup at the
     start of a block steps on to its end before it is cut, and must not
     overflow on the way. Its state is within X = max(blowup, |x0|) there and
@@ -778,7 +784,7 @@ def _safe_block(step_mats, kc, x, blowup) -> int:
     g^s·max(1, ‖KC‖∞)·X, which s keeps under _FINITE_BOUND. The time
     functions (offsets, initial histories) are taken to stay below it too."""
     k = np.maximum(1.0, _inf_norms(kc))
-    g = np.concatenate([_inf_norms(a) for a in step_mats]) * k
+    g = _inf_norms(step) * k
     start = np.maximum(blowup, np.abs(x).max(axis=1)) * k
     with np.errstate(divide="ignore"):
         s = np.floor(np.log(_FINITE_BOUND / start) / np.log(g))
@@ -786,7 +792,7 @@ def _safe_block(step_mats, kc, x, blowup) -> int:
     return int(max(1.0, min(s.min(), _CHUNK)))
 
 
-def _integrate(members, x0, n_steps, stride, m):
+def _integrate(members, x0, m, dt, n_steps, stride, offset):
     """RK4 of the assembled closed loops of a batch, as one affine map per
     step, in blocks of steps; returns (times, states, diverged, t_diverged)
     per member.
@@ -796,10 +802,11 @@ def _integrate(members, x0, n_steps, stride, m):
     K ⊗ I_m. The undelayed part of the input is folded into M. What remains
     at the stage times (t0, t0 + dt/2, t0 + dt) of a step is one stage-major
     forcing vector w = (w0, w½, w1): delayed columns from `_DelayedInputs`,
-    undelayed columns from the reference offset. RK4 on dx/dt = M x + B w(t)
-    is then exactly x⁺ = Φ x + Γ w (see the module docstring). Members with
-    offsets come first, then the other forced members (any delay); these
-    step with [Φ Γ] against [x; w], the rest with Φ alone.
+    undelayed columns from the reference offset, which every member has when
+    `offset` is set and none has otherwise. RK4 on dx/dt = M x + B w(t) is
+    then exactly x⁺ = Φ x + Γ w (see the module docstring). A group with
+    delays or offsets steps with [Φ Γ] against [x; w], any other with Φ
+    alone against x.
 
     The run advances in blocks of at most `lead` steps: with delays, the
     steps whose delayed reads all land at or before the block start (method
@@ -809,47 +816,37 @@ def _integrate(members, x0, n_steps, stride, m):
     ring gather, the offsets of the table of the current `_CHUNK` steps,
     which a block never straddles), every state is tested against blowup,
     the recorded states are copied out and the new inputs are written to the
-    ring. A member is cut at its first step above blowup; its [Φ Γ] becomes
-    [I 0], which holds its state from then on. The block length is capped so
-    that a member that crosses at a block's start cannot overflow before its
-    end (`_safe_block`).
+    ring. A member is cut at its first step above blowup; its step matrix
+    becomes [I 0], which holds its state from then on. The block length is
+    capped so that a member that crosses at a block's start cannot overflow
+    before its end (`_safe_block`).
     """
     agents0 = members[0][0]
     n_b, n = len(members), len(agents0)
     nm = n * m
-    dt = members[0][2].dt
     offs = np.concatenate([[0], np.cumsum([a.state_dim for a in agents0])]).astype(int)
     nx = int(offs[-1])
     col_delay = np.repeat([a.input_delay for a in agents0], m)
     undelayed = np.flatnonzero(col_delay == 0.0)
     has_delay = bool(np.any(col_delay > 0.0))
 
-    offset = [_has_offset(p) for _, p, _ in members]
-    order = sorted(range(n_b), key=lambda j: not offset[j])
-    n_off = sum(offset)
-    n_forced = n_b if has_delay else n_off
-    members = [members[j] for j in order]
-
     m_mat, b_blk, kc = _step_operators(members, m, offs, undelayed)
     hm = dt * m_mat
     eye = np.eye(nx)
-    phi = eye + hm / 4.0
-    phi = eye + (hm / 3.0) @ phi
-    phi = eye + (hm / 2.0) @ phi
-    phi = eye + hm @ phi
-    phi_gamma = phi[:0]  # an empty stack when no member is forced
-    if n_forced:
-        b_f, hm_f = b_blk[:n_forced], hm[:n_forced]
-        mb1 = hm_f @ b_f
-        mb2 = hm_f @ mb1
-        mb3 = hm_f @ mb2
+    step = eye + hm / 4.0
+    step = eye + (hm / 3.0) @ step
+    step = eye + (hm / 2.0) @ step
+    step = eye + hm @ step
+    if has_delay or offset:
+        mb1 = hm @ b_blk
+        mb2 = hm @ mb1
+        mb3 = hm @ mb2
         gamma = [
-            b_f + mb1 + mb2 / 2.0 + mb3 / 4.0,
-            4.0 * b_f + 2.0 * mb1 + mb2 / 2.0,
-            b_f,
+            b_blk + mb1 + mb2 / 2.0 + mb3 / 4.0,
+            4.0 * b_blk + 2.0 * mb1 + mb2 / 2.0,
+            b_blk,
         ]
-        phi_gamma = np.concatenate([phi[:n_forced], *((dt / 6.0) * g for g in gamma)], axis=2)
-    phi_free = phi[n_forced:]
+        step = np.concatenate([step, *((dt / 6.0) * g for g in gamma)], axis=2)
     delayed = None
     lead = _CHUNK
     if has_delay:
@@ -857,14 +854,13 @@ def _integrate(members, x0, n_steps, stride, m):
         delayed = _DelayedInputs(agents0, histories, dt, m, n_steps)
         lead = delayed.lead
 
-    x = np.stack([np.concatenate(x0[j]) for j in order])
+    x = np.stack([np.concatenate(xj) for xj in x0])
     blowup = np.array([config.blowup for _, _, config in members])
-    lead = min(lead, n_steps, _safe_block([phi_gamma, phi_free], kc, x, blowup))
-    z = np.zeros((lead + 1, n_b, nx + 3 * nm if n_forced else nx))
+    lead = min(lead, n_steps, _safe_block(step, kc, x, blowup))
+    z = np.zeros((lead + 1, n_b, step.shape[2]))
     z[0, :, :nx] = x
-    # per-step operands: [x; w] of the forced members, x of the others
-    forced_in, forced_out = z[:, :n_forced, :, None], z[:, :n_forced, :nx, None]
-    free = z[:, n_forced:, :nx, None]
+    # per-step operands [x; w] (x alone for a group without forcing)
+    z_in, z_out = z[..., None], z[:, :, :nx, None]
     w_blk = z[:, :, nx:]
     # the stage-major forcing columns of the undelayed inputs
     und3 = (np.arange(3)[:, None] * nm + undelayed).reshape(-1)
@@ -873,8 +869,8 @@ def _integrate(members, x0, n_steps, stride, m):
         # u = -K C x + offset at steps k, k + 1, ... of the current chunk
         # (whose offsets u_off start at step c0), for the ring
         u = -np.matmul(kc, x_rows[..., None])[..., 0]
-        if n_off:
-            u[:, :n_off] += u_off[k - c0 : k - c0 + len(u)]
+        if offset:
+            u += u_off[k - c0 : k - c0 + len(u)]
         return u
 
     n_rec = n_steps // stride + 1
@@ -887,28 +883,25 @@ def _integrate(members, x0, n_steps, stride, m):
     while k0 < n_steps:
         c0 = k0 - k0 % _CHUNK
         steps = min(lead, n_steps - k0, c0 + _CHUNK - k0)
-        if n_off and k0 == c0:
+        if offset and k0 == c0:
             # offsets of the steps c0 .. c1 - 1 at their stage times, shaped
-            # (c1 - c0, n_off, 3*n*m), and of the steps c0 .. c1 at their
-            # start, for the ring rows written after each block
+            # (c1 - c0, B, 3*n*m), and of the steps c0 .. c1 at their start,
+            # for the ring rows written after each block
             c1 = min(c0 + _CHUNK, n_steps)
             t0 = np.arange(c0, c1 + 1) * dt
             ts = np.append(np.stack([t0[:-1], t0[:-1] + 0.5 * dt, t0[:-1] + dt], axis=1), t0[-1])
-            off = np.stack([_reference_offsets(p, ts, m) for _, p, _ in members[:n_off]], axis=1)
-            table = off[:-1].reshape(c1 - c0, 3, n_off, nm).transpose(0, 2, 1, 3)
-            table = table.reshape(c1 - c0, n_off, 3 * nm)
-            u_off = off[::3].reshape(c1 - c0 + 1, n_off, nm)
+            off = np.stack([_reference_offsets(p, ts, m) for _, p, _ in members], axis=1)
+            table = off[:-1].reshape(c1 - c0, 3, n_b, nm).transpose(0, 2, 1, 3)
+            table = table.reshape(c1 - c0, n_b, 3 * nm)
+            u_off = off[::3].reshape(c1 - c0 + 1, n_b, nm)
         if delayed is not None:
             if k0 == 0:
                 delayed.write(0, inputs(z[:1, :, :nx], 0))
-            delayed.read(k0, w_blk[:steps, :n_forced])
-        if n_off:
-            w_blk[:steps, :n_off, und3] = table[k0 - c0 : k0 - c0 + steps][:, :, und3]
+            delayed.read(k0, w_blk[:steps])
+        if offset:
+            w_blk[:steps, :, und3] = table[k0 - c0 : k0 - c0 + steps][:, :, und3]
         for i in range(steps):
-            if n_forced:
-                np.matmul(phi_gamma, forced_in[i], out=forced_out[i + 1])
-            if n_forced < n_b:
-                np.matmul(phi_free, free[i], out=free[i + 1])
+            np.matmul(step, z_in[i], out=z_out[i + 1])
 
         xs = z[1 : steps + 1, :, :nx]
         first = -k0 % stride or stride
@@ -921,9 +914,8 @@ def _integrate(members, x0, n_steps, stride, m):
             k = k0 + int(np.argmax(bad[:, j]))  # the last step within blowup
             ends[j] = (k // stride + 1, (k + 1) * dt)
             live[j] = False
-            held = phi_gamma[j] if j < n_forced else phi_free[j - n_forced]
-            held[...] = 0.0
-            held[:, :nx] = eye
+            step[j] = 0.0
+            step[j, :, :nx] = eye
         if not live.any():
             break
         if delayed is not None:
@@ -932,9 +924,9 @@ def _integrate(members, x0, n_steps, stride, m):
         k0 += steps
 
     all_times = _record_times(n_steps, stride, dt)
-    runs: list = [None] * n_b
-    for j, orig in enumerate(order):
+    runs = []
+    for j in range(n_b):
         r, t_div = ends[j] or (n_rec, None)
         states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
-        runs[orig] = (all_times[:r].copy(), states, t_div is not None, t_div)
+        runs.append((all_times[:r].copy(), states, t_div is not None, t_div))
     return runs

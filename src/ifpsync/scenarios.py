@@ -676,12 +676,9 @@ _SIM_KEYS = ("dt", "t_final", "tol", "blowup", "record_stride")
 
 
 def _sim_config(base: SimConfig, d) -> SimConfig:
-    """`base` with the settings of a `sim` block: finite numbers, record_stride
-    an integer; BadDimensions names a block or field of the wrong type and an
-    unknown field."""
-    d = json_object("sim", d, _SIM_KEYS)
-    over = {k: integer(k, v) if k == "record_stride" else number(k, v) for k, v in d.items()}
-    return replace(base, **over)
+    """`base` with the settings of a `sim` block; BadDimensions names a block
+    of the wrong type and an unknown field, and SimConfig checks the values."""
+    return replace(base, **json_object("sim", d, _SIM_KEYS))
 
 
 def scenario_from_dict(d: dict):

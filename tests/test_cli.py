@@ -796,6 +796,42 @@ class TestSimulateCommand:
         assert re.findall(r'points="([^"]*)"', svg) == [""]
         assert svg_value_labels(svg) == ["-1.1", "-0.55", "0", "0.55", "1.1"]
 
+    def test_plot_of_a_trace_wider_than_the_float_range(self, tmp_path, capsys):
+        # the outputs start at +-1.5e308, so their range 3e308 exceeds the
+        # float range; warnings are errors, so the run raises no RuntimeWarning
+        net = {"adjacency": [[0, 0], [0, 0]], "agents": [
+            {"type": "lti", "num": [1e308], "den": [1, 1], "x0": [x]} for x in (1.5, -1.5)
+        ], "sim": {"dt": 0.1, "t_final": 1}}
+        f = write_json(tmp_path / "wide.json", net)
+        code = main(["simulate", str(f), "--output-dir", str(tmp_path), "--plot"])
+        assert code == 0, capsys.readouterr().err
+        capsys.readouterr()
+        svg = (tmp_path / "wide.svg").read_text(encoding="utf-8")
+        coords = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)
+        coords += " ".join(re.findall(r'points="([^"]*)"', svg)).replace(",", " ").split()
+        assert all(np.isfinite([float(v) for v in coords]))
+        labels = [float(v) for v in svg_value_labels(svg)]
+        assert all(np.isfinite(labels))
+        assert labels[0] == -labels[-1] and 1.5e308 < labels[-1] <= sys.float_info.max
+
+    def test_sup_tail_of_one_agent_is_zero(self, tmp_path, capsys):
+        # the agent's output 1e300 * 1e9 overflows to inf at every sample
+        inf_agent = {"type": "lti", "num": [1e300], "den": [0, 1], "x0": [1e9]}
+        finite_agent = {"type": "lti", "num": [1], "den": [0, 1], "x0": [1]}
+        sup = []
+        for agents in ([inf_agent], [inf_agent, finite_agent]):
+            n = len(agents)
+            net = {"adjacency": np.zeros((n, n)).tolist(), "agents": agents,
+                   "sim": {"dt": 0.1, "t_final": 1}}
+            f = write_json(tmp_path / f"n{n}.json", net)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code = main(["simulate", str(f), "--output-dir", str(tmp_path)])
+            assert code == 0, capsys.readouterr().err
+            capsys.readouterr()
+            metrics = json.loads((tmp_path / f"n{n}.metrics.json").read_text(encoding="utf-8"))
+            sup.append(metrics["pairwise_sup_tail"])
+        assert sup == [0.0, float("inf")]
+
     def test_artifacts_default_to_the_working_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("IFPSYNC_OUTPUT_DIR", raising=False)

@@ -405,6 +405,14 @@ class TestParameterValidation:
         with pytest.raises(BadDimensions):
             Reference(g, (bad, 0.0), y_bar=TimeFn(1.0))
 
+    @pytest.mark.parametrize("stride, message", [
+        (2.5, "record_stride must be finite and integral, got 2.5"),
+        (True, "record_stride must be a number, got bool"),
+    ])
+    def test_sim_config_reads_record_stride_as_an_integer(self, stride, message):
+        with pytest.raises(BadDimensions, match=message):
+            SimConfig(dt=0.1, t_final=1.0, record_stride=stride)
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -624,7 +632,8 @@ class TestSimulateBatch:
         # one input runs past a block boundary of the offset table: delayed
         # members that all have offsets, for a step count above _CHUNK
         long_run = data.draw(st.integers(0, 4), label="long run") == 0
-        # undelayed groups mix forced (offset) and unforced members
+        # undelayed members with and without offsets are drawn, and
+        # simulate_batch puts them in separate groups
         delays = [0.0] * n
         if long_run or data.draw(st.booleans(), label="delayed"):
             levels = [0.05, 0.08, 0.12] if long_run else [0.0, 0.05, 0.08, 0.12]

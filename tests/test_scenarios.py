@@ -387,15 +387,21 @@ def assert_same_run(got, own) -> None:
 
 
 class TestRunScenarios:
-    def test_mixed_entries_equal_the_public_runners(self):
+    def test_mixed_entries_equal_the_public_runners(self, monkeypatch):
+        import ifpsync.netsim as netsim
+
+        calls = []
+        real = netsim._integrate
+        monkeypatch.setattr(netsim, "_integrate", lambda *a: calls.append(a) or real(*a))
         chain = TrafficSpec.classic_chain(2, 1.0, [0.4, 0.4], [0.3, -0.2], 1.0)
         chain2 = TrafficSpec.classic_chain(2, 0.8, [0.4, 0.4], [-0.5, 0.1], 2.0)
         traffic_cfg = SimConfig(dt=0.01, t_final=1.0, record_stride=10)
         harmonic = {"omega1": 1.0, "omega2": 2.0, "k": 1.0}
         harmonic2 = {"omega1": 0.5, "omega2": 3.0, "k": 2.0}
         remark1 = {"p": 1.0, "q": 1.0, "n_agents": 3, "kappa": 0.2}
-        # the platoon and remark1 entries share a group (three 3-state
-        # agents), as do the two chains and the two harmonic entries
+        # four groups: the two chains, the platoon (three 3-state agents with
+        # reference offsets), remark1 (three 3-state agents without) and the
+        # two harmonic entries
         entries = [
             ("traffic", chain, traffic_cfg),
             ("platoon", platoon_spec(perturbed=True), TINY_SIM),
@@ -412,7 +418,9 @@ class TestRunScenarios:
             run_traffic(chain2, traffic_cfg),
             harmonic_counterexample(**harmonic2, config=TINY_SIM),
         ]
+        calls.clear()
         runs = run_scenarios(entries)
+        assert len(calls) == 4
         assert len(runs) == len(entries)
         for got, ref in zip(runs, own):
             assert_same_run(got, ref)
