@@ -26,10 +26,6 @@ __all__ = [
     "perron_weights",
 ]
 
-#: weights at or below this are treated as absent arcs when deciding
-#: connectivity (support pattern only; numerics elsewhere use the raw weights)
-SUPPORT_THRESHOLD = 1e-15
-
 #: a solved p counts as a null vector of L^T only if
 #: max|p^T L| <= _NULLSPACE_RTOL * max|L| * max|p|
 _NULLSPACE_RTOL = 1e-9
@@ -43,8 +39,10 @@ class Digraph:
     adjacency: NDArray[np.float64]
 
     def support(self) -> NDArray[np.bool_]:
-        """Boolean arc pattern: support()[j, k] is True iff arc k -> j exists."""
-        return self.adjacency > SUPPORT_THRESHOLD
+        """Boolean arc pattern: support()[j, k] is True iff arc k -> j exists,
+        that is iff a[j, k] > 0, however small (the arc set of the degrees and
+        the Perron weights, in any time unit)."""
+        return self.adjacency > 0.0
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ filled before the step loop. The reference offsets b_i y_bar(t) + u_bar_i(t)
 come from an offset table of the stage times of the next `_CHUNK` steps,
 filled ahead of the state a chunk at a time, so its memory does not grow
 with the horizon. Time functions are `TimeFn` values, and each table
-evaluates them on its whole array of times at once.
+evaluates them on its whole array of times at once. The loop is assembled
+once per run, with each agent's realization read once: the recorded outputs
+are y = C x and the recorded inputs u = -K y plus the reference offsets,
+from the same C and coupling K that the step uses.
 
 `simulate_batch` takes any runs. It checks them all first, then groups them
 by a key (per-agent state dimension and input delay, m, h, the step count,
@@ -318,14 +321,6 @@ def _reference_offsets(proto: Reference, ts: NDArray[np.float64], m: int) -> NDA
     return off
 
 
-def _coupling_matrix(protocol: Protocol) -> NDArray[np.float64]:
-    """K with u = -K y + offset(t); K = L for plain, L + diag(b) pinned."""
-    k = laplacian(protocol.g)
-    if isinstance(protocol, Reference):
-        k = k + np.diag(protocol.b)
-    return k
-
-
 def _has_offset(protocol: Protocol) -> bool:
     if not isinstance(protocol, Reference):
         return False
@@ -452,17 +447,19 @@ def sync_metrics(result_raw, y_bar: Optional[TimeFn] = None, tol: float = 1e-3) 
     # l2_pairwise[i, j]: trapezoidal integral of |y_i - y_j|^2, formed from
     # the differences themselves so that outputs far from zero do not cancel;
     # tail_sq[i]: the largest |y_i - y_j|^2 (j > i) over the tail, whose
-    # square root over all i is the largest pairwise distance there
+    # square root over all i is the largest pairwise distance there; a
+    # distance beyond the float range, or not a number (inf - inf), is inf
     l2_pairwise = np.zeros((n, n))
     tail_sq = np.zeros(n)
     w = np.zeros(n_rec)
     dts = np.diff(times)
     w[:-1] += 0.5 * dts
     w[1:] += 0.5 * dts
-    with np.errstate(over="ignore"):  # a distance beyond the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             d = y[:, i : i + 1, :] - y[:, i + 1 :, :]
             dd = (d * d).sum(axis=2)
+            dd[np.isnan(dd)] = np.inf
             if n_rec >= 2:
                 l2_pairwise[i, i + 1 :] = w @ dd
             tail_sq[i] = dd[in_tail].max()
@@ -542,7 +539,7 @@ def simulate_batch(
     for key, idx in groups.items():
         runs = _integrate([members[j] for j in idx], [x0[j] for j in idx], *key[1:])
         for j, run in zip(idx, runs):
-            results[j] = _result(*members[j], offsets[j], *run)
+            results[j] = _result(*members[j][1:], offsets[j], *run)
     return results
 
 
@@ -580,9 +577,7 @@ def _check_member(agents, protocol, config) -> None:
         )
 
 
-def _result(agents, protocol, config, offsets, times, states, diverged, t_div) -> SimResult:
-    y = _outputs_from_states(agents, states)
-    u = _inputs_from_outputs(protocol, times, y)
+def _result(protocol, config, offsets, times, states, y, u, diverged, t_div) -> SimResult:
     y_bar = protocol.y_bar if isinstance(protocol, Reference) else None
     measured = y if offsets is None else y + np.asarray(offsets, dtype=float)[None, :, None]
     metrics = sync_metrics((times, measured), y_bar=y_bar, tol=config.tol)
@@ -618,28 +613,6 @@ def _initial_states(agents, initial_states) -> list[NDArray[np.float64]]:
     return out
 
 
-def _outputs_from_states(agents, states) -> NDArray[np.float64]:
-    n_rec = states[0].shape[0]
-    n = len(agents)
-    m = agents[0].output_dim
-    y = np.empty((n_rec, n, m))
-    for i, a in enumerate(agents):
-        y[:, i, :] = states[i] @ a.linear_realization()[2].T
-    return y
-
-
-def _inputs_from_outputs(protocol, times, y) -> NDArray[np.float64]:
-    u = -np.einsum("ij,rjm->rim", _coupling_matrix(protocol), y)
-    if isinstance(protocol, Reference):
-        u += _reference_offsets(protocol, times, y.shape[2])
-    return u
-
-
-def _record_times(n_steps: int, stride: int, dt: float) -> NDArray[np.float64]:
-    ks = np.arange(0, n_steps + 1, stride)
-    return ks * dt
-
-
 class _DelayedInputs:
     """Delayed columns of the stacked inputs of B batch members at the three
     RK4 stage times of a block of steps, read by one gather per block.
@@ -663,10 +636,9 @@ class _DelayedInputs:
     the delay.
     """
 
-    def __init__(self, agents, histories, dt, m, n_steps):
-        nm = len(agents) * m
+    def __init__(self, col_delay, histories, dt, m, n_steps):
+        nm = len(col_delay)
         n_b = len(histories)
-        col_delay = np.repeat([a.input_delay for a in agents], m)
         row = n_b * nm
 
         # one read per (stage, delayed column), at ring row k + base; a read
@@ -743,27 +715,32 @@ class _DelayedInputs:
             np.copyto(w[:pre], self.pre_val[k0 : k0 + pre], where=self.pre_mask[k0 : k0 + pre])
 
 
-def _step_operators(members, m, offs, undelayed):
-    """Per member, the closed-loop matrix M (the feedback of the undelayed
-    input columns folded in), the stacked input matrix B and the
-    output-to-input map K C, stacked into (B, nx, nx), (B, nx, n*m) and
+def _closed_loop(members, m, offs, undelayed):
+    """The closed loop dx/dt = M x + B w, y = C x, u = -K y + offset(t) of
+    each member, from one pass over its agents: K is L, plus diag(b) when
+    pinned, and KC = (K ⊗ I_m) C maps states to coupling inputs. Returns M
+    (the feedback of the undelayed input columns folded in), B, C, K and KC
+    stacked into (B, nx, nx), (B, nx, n*m), (B, n*m, nx), (B, n, n) and
     (B, n*m, nx) arrays."""
-    nm, nx = len(members[0][0]) * m, int(offs[-1])
-    m_mat = np.zeros((len(members), nx, nx))
-    b_blk = np.zeros((len(members), nx, nm))
-    kc = np.empty((len(members), nm, nx))
+    n_b, n, nx = len(members), len(members[0][0]), int(offs[-1])
+    m_mat = np.zeros((n_b, nx, nx))
+    b_blk = np.zeros((n_b, nx, n * m))
+    c_blk = np.zeros((n_b, n * m, nx))
+    k = np.empty((n_b, n, n))
     for j, (agents, protocol, _) in enumerate(members):
-        c_blk = np.zeros((nm, nx))
         for i, a in enumerate(agents):
             ai, bi, ci = a.linear_realization()
             s = slice(offs[i], offs[i + 1])
             io = slice(i * m, (i + 1) * m)
             m_mat[j, s, s] = ai
             b_blk[j, s, io] = bi
-            c_blk[io, s] = ci
-        kc[j] = np.kron(_coupling_matrix(protocol), np.eye(m)) @ c_blk
-        m_mat[j] -= b_blk[j][:, undelayed] @ kc[j][undelayed, :]
-    return m_mat, b_blk, kc
+            c_blk[j, io, s] = ci
+        k[j] = laplacian(protocol.g)
+        if isinstance(protocol, Reference):
+            k[j] += np.diag(protocol.b)
+    kc = np.kron(k, np.eye(m)) @ c_blk
+    m_mat -= b_blk[:, :, undelayed] @ kc[:, undelayed, :]
+    return m_mat, b_blk, c_blk, k, kc
 
 
 def _inf_norms(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -794,8 +771,8 @@ def _safe_block(step, kc, x, blowup) -> int:
 
 def _integrate(members, x0, m, dt, n_steps, stride, offset):
     """RK4 of the assembled closed loops of a batch, as one affine map per
-    step, in blocks of steps; returns (times, states, diverged, t_diverged)
-    per member.
+    step, in blocks of steps; returns (times, states, y, u, diverged,
+    t_diverged) per member.
 
     A member has n agents with m-dimensional inputs and outputs; its stacked
     input has n*m columns, agent-major, and the coupling acts on it as
@@ -820,6 +797,12 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     becomes [I 0], which holds its state from then on. The block length is
     capped so that a member that crosses at a block's start cannot overflow
     before its end (`_safe_block`).
+
+    The recorded outputs and inputs come from the same loop: y = C x at the
+    recorded states and u = -K y, plus the reference offsets at the record
+    times for every `Reference` member, offset-free or not (adding its zero
+    offsets keeps u bit-equal to the protocol formula, sign of zero
+    included).
     """
     agents0 = members[0][0]
     n_b, n = len(members), len(agents0)
@@ -830,7 +813,7 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     undelayed = np.flatnonzero(col_delay == 0.0)
     has_delay = bool(np.any(col_delay > 0.0))
 
-    m_mat, b_blk, kc = _step_operators(members, m, offs, undelayed)
+    m_mat, b_blk, c_blk, k_mat, kc = _closed_loop(members, m, offs, undelayed)
     hm = dt * m_mat
     eye = np.eye(nx)
     step = eye + hm / 4.0
@@ -851,7 +834,7 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     lead = _CHUNK
     if has_delay:
         histories = [config.initial_histories for _, _, config in members]
-        delayed = _DelayedInputs(agents0, histories, dt, m, n_steps)
+        delayed = _DelayedInputs(col_delay, histories, dt, m, n_steps)
         lead = delayed.lead
 
     x = np.stack([np.concatenate(xj) for xj in x0])
@@ -923,10 +906,19 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
         z[0, :, :nx] = z[steps, :, :nx]
         k0 += steps
 
-    all_times = _record_times(n_steps, stride, dt)
+    all_times = np.arange(0, n_steps + 1, stride) * dt
     runs = []
-    for j in range(n_b):
+    for j, (_, protocol, _) in enumerate(members):
         r, t_div = ends[j] or (n_rec, None)
+        times = all_times[:r].copy()
         states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
-        runs.append((all_times[:r].copy(), states, t_div is not None, t_div))
+        # y_i = C_i x_i agent by agent: the product over the whole stacked
+        # state sums each agent's terms in another order
+        y = np.empty((r, n, m))
+        for i, x_i in enumerate(states):
+            y[:, i] = x_i @ c_blk[j, i * m : (i + 1) * m, offs[i] : offs[i + 1]].T
+        u = -np.einsum("ij,rjm->rim", k_mat[j], y)
+        if isinstance(protocol, Reference):
+            u += _reference_offsets(protocol, times, m)
+        runs.append((times, states, y, u, t_div is not None, t_div))
     return runs

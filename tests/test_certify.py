@@ -53,6 +53,16 @@ class TestWeakCoupling:
         assert not v.passes
         assert np.allclose(v.slack, 0.5 - 8 / 15, atol=1e-15)
 
+    def test_verdict_does_not_depend_on_the_time_unit(self):
+        # weights in 1/s and deficits in s: a tiny weight is still an arc
+        a = np.array([[0, 1e-16], [1e-16, 0]])
+        alpha = np.array([1e15, 1e15])
+        small = check_weak_coupling(build_digraph(a), alpha)
+        scaled = check_weak_coupling(build_digraph(a * 1e16), alpha / 1e16)
+        assert small.passes and scaled.passes
+        assert small.reasons == scaled.reasons == ()
+        assert np.array_equal(small.kappa, scaled.kappa)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_deficit_rejected(self, bad):
         with pytest.raises(BadDimensions):

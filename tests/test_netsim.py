@@ -342,6 +342,18 @@ class TestCoupleReference:
             expected[r] += off
         assert np.array_equal(res.u, expected)
 
+    def test_unforced_reference_keeps_the_sign_of_zero(self):
+        # node 2 has no in-arcs: u_2 = -(0*y_0 + 0*y_1 + 0*y_2) is -0.0, and
+        # a Reference adds its zero offset, which makes it 0.0
+        g = build_digraph([[0, 1.0, 0], [0.5, 0, 0], [0, 0, 0]])
+        agents = [DelayedIntegrator() for _ in range(3)]
+        cfg = SimConfig(dt=0.1, t_final=1.0, initial_states=[[1.0], [2.0], [3.0]])
+        plain = simulate(agents, Plain(g), cfg)
+        ref = simulate(agents, Reference(g, np.zeros(3)), cfg)
+        assert np.array_equal(plain.y, ref.y)
+        assert np.all(ref.u[:, 2] == 0.0) and not np.signbit(ref.u[:, 2]).any()
+        assert np.signbit(plain.u[:, 2]).all()
+
 
 # ---------------------------------------------------------------------------
 # RK4 steps of the network
@@ -776,6 +788,25 @@ class TestSimulateBatch:
     def test_empty_batch(self):
         assert simulate_batch([]) == []
 
+    def test_each_realization_is_read_once_per_member(self, monkeypatch):
+        calls: dict[int, int] = {}
+        for cls in (LtiSiso, DelayedIntegrator, Vehicle3rd):
+            def counted(self, realize=cls.linear_realization):
+                calls[id(self)] = calls.get(id(self), 0) + 1
+                return realize(self)
+            monkeypatch.setattr(cls, "linear_realization", counted)
+        g = build_digraph([[0, 1], [1, 0]])
+        cfg = SimConfig(dt=0.01, t_final=0.5, initial_states=[[1.0], [0.0]])
+        members = [
+            ([integrator(), DelayedIntegrator(0.05)], Plain(g), cfg),
+            ([integrator(), DelayedIntegrator(0.05)], Plain(g), cfg),
+            ([cubic_lag(2.0, 3.0), Vehicle3rd(0.3, 0.5)], Plain(g),
+             replace(cfg, initial_states=None)),
+        ]
+        simulate_batch(members)
+        agents = [a for member in members for a in member[0]]
+        assert calls == {id(a): 1 for a in agents}
+
     def test_member_without_agents_rejected(self):
         proto = Plain(Digraph(0, np.zeros((0, 0))))
         with pytest.raises(BadDimensions, match="need at least one agent"):
@@ -912,6 +943,14 @@ class TestSyncMetrics:
             expected = np.trapezoid(d * d, t)
             assert abs(expected - 5.02e-11) < 0.01e-11
             assert abs(sync_metrics((t, y)).l2_pairwise[0, 1] - expected) <= 1e-12 * expected
+
+    def test_equal_infinite_outputs_are_infinitely_apart(self):
+        # inf - inf is not a number; the distance counts as inf, unwarned
+        inf = np.inf
+        m = sync_metrics((np.array([0.0, 1.0]), np.array([[inf, inf], [inf, inf]])))
+        assert m.pairwise_sup_tail == inf
+        assert m.l2_pairwise.tolist() == [[0.0, inf], [inf, 0.0]]
+        assert not m.synchronized
 
     def test_reference_error_integral(self):
         t = np.linspace(0.0, 10.0, 1001)
