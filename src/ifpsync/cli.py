@@ -14,11 +14,11 @@ Commands
   main process writes the rest; the bytes are the same as a serial write.
 
 Exit codes: 0 success/pass, 1 input error, 2 not certifiable, 3 certificate
-fail, 4 divergence. Artifacts land in --output-dir, else $IFPSYNC_OUTPUT_DIR,
-else the working directory; without --force, a command with an existing
-target exits 1 before it writes any file. CSV output is UTF-8 with LF line
-endings and shortest round-trip float formatting, so identical runs produce
-identical bytes.
+fail, 4 divergence, 141 standard output closed by its reader. Artifacts land
+in --output-dir, else $IFPSYNC_OUTPUT_DIR, else the working directory; without
+--force, a command with an existing target exits 1 before it writes any file.
+CSV output is UTF-8 with LF line endings and shortest round-trip float
+formatting, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ EXIT_INPUT = 1
 EXIT_NOT_CERTIFIABLE = 2
 EXIT_CERT_FAIL = 3
 EXIT_DIVERGED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +657,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of standard output left; send what is still buffered to
+        # devnull so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (NotCertifiable, MuTauViolation) as e:
         print(f"not certifiable: {e}", file=sys.stderr)
         return EXIT_NOT_CERTIFIABLE

@@ -8,6 +8,7 @@ into node ``j`` (information flows k -> j), so row ``j`` collects the arcs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,6 +31,16 @@ __all__ = [
 #: max|p^T L| <= _NULLSPACE_RTOL * max|L| * max|p|
 _NULLSPACE_RTOL = 1e-9
 
+#: graphs with at least this many nodes try power iteration before the dense
+#: solve (measured crossover on 3-in-arc graphs: 1.38 against 1.43 ms at
+#: n = 256, 4.96 against 2.61 ms at n = 512)
+_SWEEP_MIN_N = 256
+#: sweeps of the power iteration before it gives way to the dense solve
+_SWEEP_BUDGET = 1000
+#: the iteration stops once its estimated remaining error in q is at most
+#: _SWEEP_RTOL * max(q)
+_SWEEP_RTOL = 1e-14
+
 
 @dataclass(frozen=True, eq=False)
 class Digraph:
@@ -43,6 +54,14 @@ class Digraph:
         that is iff a[j, k] > 0, however small (the arc set of the degrees and
         the Perron weights, in any time unit)."""
         return self.adjacency > 0.0
+
+    @cached_property
+    def arcs(self) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
+        """(tails, heads, weights) of every arc k -> j of support(), ordered by
+        tail k, then head j; weights[i] = a[heads[i], tails[i]]. Computed on
+        first use."""
+        tails, heads = np.divmod(np.flatnonzero(self.support().T), self.n)
+        return tails, heads, self.adjacency[heads, tails]
 
 
 @dataclass(frozen=True)
@@ -104,10 +123,9 @@ def _successor_lists(g: Digraph) -> list[list[int]]:
     # successors of k are the nodes j with an arc k -> j, i.e. support column k;
     # as plain ints, which Tarjan's list indexing handles far faster than
     # numpy scalars
-    n = g.n
-    arcs = np.flatnonzero(g.support().T)  # k * n + j per arc k -> j, ascending
-    ends = np.searchsorted(arcs, n * np.arange(1, n + 1)).tolist()
-    heads = (arcs % n).tolist()
+    tails, heads, _ = g.arcs
+    ends = np.searchsorted(tails, np.arange(1, g.n + 1)).tolist()
+    heads = heads.tolist()
     return [heads[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
@@ -185,7 +203,10 @@ def perron_weights(g: Digraph) -> NDArray[np.float64]:
     returned read-only.
 
     Exists with strictly positive entries exactly when the graph is strongly
-    connected; computed by one LU solve of L^T bordered with a row of ones.
+    connected. A graph of n >= 256 nodes first tries power iteration over its
+    arcs (at most 1000 sweeps); any other graph, and one whose iterate does
+    not converge or fails the null-vector check, gets one dense LU solve of
+    L^T bordered with a row of ones (see `_perron_vector`).
 
     Raises
     ------
@@ -193,43 +214,101 @@ def perron_weights(g: Digraph) -> NDArray[np.float64]:
     """
     if not connectivity(g).strongly_connected:
         raise NotStronglyConnected("Perron weights require a strongly connected digraph")
-    return _perron_vector(g)
+    return _perron_vector(g, g.adjacency.sum(axis=1))
 
 
-def _perron_vector(g: Digraph) -> NDArray[np.float64]:
-    """Perron weights of a graph already known to be strongly connected.
+def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Perron weights of a graph already known to be strongly connected, given
+    its in-degrees d_plus (the row sums of the adjacency).
 
-    L^T has rank n-1 and its rows have the single dependency 1^T L^T = 0
-    (L 1 = 0), so dropping the last row leaves a basis of p^perp; the row of
-    ones is not in p^perp (1.p > 0). Replacing the last row of L^T by ones
-    thus gives a nonsingular M, and M p = e_n yields p with sum(p) = 1.
+    p^T L = 0 reads d_plus[j] p_j = sum_i p_i a[i, j], so q = d_plus * p is
+    the stationary vector of the row-stochastic P = D^-1 A (q^T P = q^T).
+    When n >= _SWEEP_MIN_N (256), lazy power iteration q <- (q + qP) / 2 runs
+    from the uniform q, one np.bincount over the arcs per sweep, until its
+    remaining error is estimated below _SWEEP_RTOL * max(q) (1e-14 max(q));
+    then p = q / d_plus. p is accepted only if it passes the check below.
+
+    Otherwise, and when the iteration does not stop within _SWEEP_BUDGET
+    (1000) sweeps or its p fails the check, the dense solve runs: L^T has
+    rank n-1 and its rows have the single dependency 1^T L^T = 0 (L 1 = 0),
+    so dropping the last row leaves a basis of p^perp; the row of ones is not
+    in p^perp (1.p > 0). Replacing the last row of L^T by ones thus gives a
+    nonsingular M, and M p = e_n yields p with sum(p) = 1.
+
+    The check, against the dense adjacency: max|p^T L| <= _NULLSPACE_RTOL *
+    max(d_plus) * max|p|, and p > 0.
 
     Raises
     ------
     NotStronglyConnected
-        If the solve is singular or its result is not a positive null vector
-        (NaN included).
+        If the dense solve is singular or its result fails the check (NaN
+        included).
     """
     a = g.adjacency
-    d_plus = a.sum(axis=1)
+    if g.n >= _SWEEP_MIN_N:
+        # a weight outside the support (a Digraph built without build_digraph)
+        # can make d_plus zero; the iterate then fails the check
+        with np.errstate(all="ignore"):
+            p = _power_iteration(g.arcs, d_plus)
+            if p is not None and _null_vector_fault(a, d_plus, p) is None:
+                return _unit_sum(p)
+    p = _bordered_solve(a, d_plus)
+    fault = _null_vector_fault(a, d_plus, p)
+    if fault is not None:
+        raise NotStronglyConnected(fault)
+    return _unit_sum(p)
+
+
+def _power_iteration(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64] | None:
+    """q / d_plus for the stationary q of P = D^-1 A, or None when the
+    iteration does not stop within _SWEEP_BUDGET sweeps.
+
+    With step_k = max|q_k - q_(k-1)| and rho = step_k / step_(k-1), the error
+    left after geometric convergence is step_k rho / (1 - rho); it stops when
+    that is at most _SWEEP_RTOL * max(q), written without division as
+    step_k^2 <= _SWEEP_RTOL max(q) (step_(k-1) - step_k). It needs rho < 1,
+    and step_0 = 0 lets the first sweep stop only if it left q as it was."""
+    tails, heads, w = arcs
+    n = d_plus.size
+    share = w / d_plus[heads]  # P[heads, tails] of each arc
+    q = np.full(n, 1.0 / n)
+    last = 0.0
+    for _ in range(_SWEEP_BUDGET):
+        nxt = 0.5 * (q + np.bincount(tails, weights=q[heads] * share, minlength=n))
+        step = float(np.abs(nxt - q).max())
+        q = nxt
+        if step * step <= _SWEEP_RTOL * float(q.max()) * (last - step):
+            return q / d_plus
+        last = step
+    return None
+
+
+def _bordered_solve(a: NDArray[np.float64], d_plus: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The solution of M p = e_n, M being L^T with its last row replaced by ones."""
     m = -a.T
-    m[np.diag_indices(g.n)] = d_plus
+    m[np.diag_indices(a.shape[0])] = d_plus
     m[-1] = 1.0
-    e_n = np.zeros(g.n)
+    e_n = np.zeros(a.shape[0])
     e_n[-1] = 1.0
     try:
-        p = np.linalg.solve(m, e_n)
+        return np.linalg.solve(m, e_n)
     except np.linalg.LinAlgError as e:
         raise NotStronglyConnected(f"bordered Laplacian system is singular ({e})") from e
+
+
+def _null_vector_fault(a, d_plus, p) -> str | None:
+    """Why p is not a positive null vector of L^T, or None if it is one."""
     # max|L| is the largest in-degree: d_plus[j] >= a[j, k] >= 0
     res = float(np.abs(d_plus * p - p @ a).max())
     bound = _NULLSPACE_RTOL * float(d_plus.max()) * float(np.abs(p).max())
     if not (res <= bound):
-        raise NotStronglyConnected(
-            f"L^T has no numerical null vector (|p^T L| = {res:.3e}, bound {bound:.3e})"
-        )
+        return f"L^T has no numerical null vector (|p^T L| = {res:.3e}, bound {bound:.3e})"
     if np.any(p <= 0.0):
-        raise NotStronglyConnected("null vector of L^T is not strictly positive")
+        return "null vector of L^T is not strictly positive"
+    return None
+
+
+def _unit_sum(p: NDArray[np.float64]) -> NDArray[np.float64]:
     p = p / p.sum()
     p.setflags(write=False)
     return p

@@ -1293,3 +1293,47 @@ class TestSelftestAndParser:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["alpha"] - 0.25) < 1e-6
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_standard_output_is_not_an_input_error(self, tmp_path, unbuffered):
+        # the read end is closed before the child writes, so its first write
+        # to stdout fails with EPIPE; without PYTHONUNBUFFERED that write is
+        # the flush at the end of main
+        net = write_json(tmp_path / "net.json", INTEGRATOR_PAIR)
+        out = tmp_path / "out"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        cmd = [sys.executable, "-m", "ifpsync", "simulate", str(net), "--output-dir", str(out)]
+        try:
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+        assert sorted(p.suffix for p in out.iterdir()) == [".csv", ".json"]
+
+    def test_closed_standard_output_goes_to_devnull(self, tmp_path, capsys, monkeypatch):
+        # in-process: the stream raises EPIPE as a pipe without a reader does,
+        # and after main its descriptor writes to devnull, not to the pipe
+        read_end, write_end = os.pipe()
+
+        class ReaderGone:
+            def write(self, *_):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            flush = write
+
+            def fileno(self):
+                return write_end
+
+        f = write_json(tmp_path / "tf.json", CUBIC_TF)
+        monkeypatch.setattr(sys, "stdout", ReaderGone())
+        try:
+            assert main(["ifp", str(f)]) == 141
+            os.write(write_end, b"after main")
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == b""
+        assert capsys.readouterr().err == ""

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_strongly_connected_adjacency, reachability_closure
+from ifpsync import graphnet
 from ifpsync import (
     BadDimensions,
     Digraph,
@@ -77,6 +80,30 @@ class TestDegrees:
             a[i, (i - 1) % 3] = 1.0
         d_plus, _ = degrees(build_digraph(a))
         assert np.array_equal(d_plus, [1, 1, 1])
+
+
+# ---------------------------------------------------------------------------
+# arcs
+# ---------------------------------------------------------------------------
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), density=st.floats(0.0, 1.0))
+def test_arcs_are_the_support_ordered_by_tail(seed, n, density):
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
+    np.fill_diagonal(a, 0.0)
+    g = build_digraph(a)
+    tails, heads, weights = g.arcs
+    k, j = np.nonzero(g.support().T)
+    assert np.array_equal(tails, k) and np.array_equal(heads, j)
+    assert np.array_equal(weights, a[j, k])
+    assert g.arcs is g.arcs
+
+
+def test_arcs_of_a_digraph_built_directly():
+    a = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [-1.0, 3.0, 0.0]])
+    tails, heads, weights = Digraph(n=3, adjacency=a).arcs
+    assert tails.tolist() == [0, 1, 2] and heads.tolist() == [1, 2, 0]
+    assert weights.tolist() == [1.0, 3.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +179,48 @@ def ring_with_hidden_weight(x: float) -> Digraph:
     return Digraph(n=3, adjacency=a)
 
 
+def sparse_strongly_connected_adjacency(rng: np.random.Generator, n: int,
+                                        in_arcs: int) -> np.ndarray:
+    """A directed ring backbone plus about in_arcs random in-arcs per node,
+    weights uniform in [0.1, 2.0]: the shape of a large certify input."""
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(n) - 1] = rng.uniform(0.1, 2.0, n)
+    j = np.repeat(np.arange(n), in_arcs)
+    k = rng.integers(0, n, j.size)
+    a[j[j != k], k[j != k]] = rng.uniform(0.1, 2.0, np.count_nonzero(j != k))
+    return a
+
+
+def ring_with_chord(n: int) -> np.ndarray:
+    """Unit directed n-ring (arc i-1 -> i) plus the arc n/2 -> 0. It mixes so
+    slowly that power iteration cannot meet its stop rule within the budget.
+    Its Perron weights are 2 on nodes 1..n/2 and 1 elsewhere, up to scale."""
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(n) - 1] = 1.0
+    a[0, n // 2] = 1.0
+    return a
+
+
+@contextlib.contextmanager
+def counting_dense_solves():
+    """Yields a list that gets one entry per dense bordered solve."""
+    calls = []
+
+    def counted(*args, _real=graphnet._bordered_solve):
+        calls.append(args)
+        return _real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphnet, "_bordered_solve", counted)
+        yield calls
+
+
+@pytest.fixture
+def dense_solves():
+    with counting_dense_solves() as calls:
+        yield calls
+
+
 class TestPerronWeights:
     def test_symmetric_graph_gives_uniform_weights(self):
         a = np.array([[0, 1, 0.5], [1, 0, 2], [0.5, 2, 0]])
@@ -203,6 +272,54 @@ class TestPerronWeights:
             with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
                 perron_weights(Digraph(n=3, adjacency=a))
 
+    def test_large_sparse_graph_takes_the_sweeps(self, dense_solves):
+        rng = np.random.default_rng(301)
+        a = sparse_strongly_connected_adjacency(rng, 300, in_arcs=2)
+        p = perron_weights(build_digraph(a))
+        assert dense_solves == []
+        q = svd_perron_oracle(a)
+        assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
+        assert not p.flags.writeable
+
+    def test_below_256_nodes_solves_densely(self, dense_solves):
+        rng = np.random.default_rng(255)
+        perron_weights(build_digraph(sparse_strongly_connected_adjacency(rng, 255, in_arcs=2)))
+        assert len(dense_solves) == 1
+
+    def test_slowly_mixing_ring_falls_back_to_the_dense_solve(self, dense_solves):
+        n = 2000
+        a = ring_with_chord(n)
+        assert graphnet._power_iteration(build_digraph(a).arcs, a.sum(axis=1)) is None
+        p = perron_weights(build_digraph(a))
+        assert len(dense_solves) == 1
+        exact = np.where((np.arange(n) >= 1) & (np.arange(n) <= n // 2), 2.0, 1.0)
+        exact /= exact.sum()
+        # the LU of this ill-conditioned system is 9e-12 relative from exact
+        assert np.max(np.abs(p - exact)) <= 1e-10 * np.max(exact)
+
+    @pytest.mark.parametrize("x", [1.0, 2.0])
+    def test_large_ring_with_hidden_weight_rejected_as_before(self, x, dense_solves):
+        # the null vector of L^T is 1 - x on nodes 0 and 3..n-1 and 1 on nodes 1, 2;
+        # at x = 1 the in-degree of node 2 is 0, so the sweeps divide by zero
+        n = 300
+        a = np.zeros((n, n))
+        a[np.arange(n), np.arange(n) - 1] = 1.0
+        a[2, 0] = -x
+        message = "^null vector of L\\^T is not strictly positive$"
+        with pytest.raises(NotStronglyConnected, match=message):
+            perron_weights(Digraph(n=n, adjacency=a))
+        assert len(dense_solves) == 1
+
+    def test_large_nan_entry_rejected_by_residual(self, dense_solves):
+        n = 300
+        a = np.zeros((n, n))
+        a[np.arange(n), np.arange(n) - 1] = 1.0
+        a[0, 2] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
+                perron_weights(Digraph(n=n, adjacency=a))
+        assert len(dense_solves) == 1
+
 
 # ---------------------------------------------------------------------------
 # randomized invariants
@@ -233,6 +350,18 @@ def test_perron_weights_match_svd_oracle(seed, n):
     p = perron_weights(build_digraph(a))
     q = svd_perron_oracle(a)
     assert np.max(np.abs(p - q)) <= 1e-12 * np.max(q)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(256, 700), in_arcs=st.integers(1, 3))
+def test_swept_perron_weights_match_the_dense_solve(seed, n, in_arcs):
+    rng = np.random.default_rng(seed)
+    a = sparse_strongly_connected_adjacency(rng, n, in_arcs)
+    with counting_dense_solves() as calls:
+        p = perron_weights(build_digraph(a))
+    dense = graphnet._bordered_solve(a, a.sum(axis=1))
+    dense /= dense.sum()
+    if not calls:  # the sweeps' p passed the null-vector check
+        assert np.max(np.abs(p - dense)) <= 1e-12 * np.max(dense)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
