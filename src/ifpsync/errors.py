@@ -13,6 +13,24 @@ from numbers import Real
 
 import numpy as np
 
+# the exception classes; the readers below are internal
+__all__ = [
+    "IfpSyncError",
+    "NotSquare",
+    "NegativeWeight",
+    "SelfLoop",
+    "NotStronglyConnected",
+    "ZeroPolynomial",
+    "PoleOnAxis",
+    "NotCertifiable",
+    "BOutOfRange",
+    "DimensionMismatch",
+    "BadDimensions",
+    "CertificateFailed",
+    "MuTauViolation",
+    "EmptyTrajectory",
+]
+
 
 class IfpSyncError(ValueError):
     """Base class for all ifpsync errors."""

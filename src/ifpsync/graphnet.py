@@ -229,11 +229,12 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
     then p = q / d_plus. p is accepted only if it passes the check below.
 
     Otherwise, and when the iteration does not stop within _SWEEP_BUDGET
-    (1000) sweeps or its p fails the check, the dense solve runs: L^T has
-    rank n-1 and its rows have the single dependency 1^T L^T = 0 (L 1 = 0),
-    so dropping the last row leaves a basis of p^perp; the row of ones is not
-    in p^perp (1.p > 0). Replacing the last row of L^T by ones thus gives a
-    nonsingular M, and M p = e_n yields p with sum(p) = 1.
+    (1000) sweeps, takes a step that is not finite, or its p fails the check,
+    the dense solve runs: L^T has rank n-1 and its rows have the single
+    dependency 1^T L^T = 0 (L 1 = 0), so dropping the last row leaves a basis
+    of p^perp; the row of ones is not in p^perp (1.p > 0). Replacing the last
+    row of L^T by ones thus gives a nonsingular M, and M p = e_n yields p
+    with sum(p) = 1.
 
     The check, against the dense adjacency: max|p^T L| <= _NULLSPACE_RTOL *
     max(d_plus) * max|p|, and p > 0.
@@ -261,7 +262,8 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
 
 def _power_iteration(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64] | None:
     """q / d_plus for the stationary q of P = D^-1 A, or None when the
-    iteration does not stop within _SWEEP_BUDGET sweeps.
+    iteration does not stop within _SWEEP_BUDGET sweeps or takes a step that
+    is not finite (a d_plus of 0 or NaN).
 
     With step_k = max|q_k - q_(k-1)| and rho = step_k / step_(k-1), the error
     left after geometric convergence is step_k rho / (1 - rho); it stops when
@@ -276,6 +278,8 @@ def _power_iteration(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64] |
     for _ in range(_SWEEP_BUDGET):
         nxt = 0.5 * (q + np.bincount(tails, weights=q[heads] * share, minlength=n))
         step = float(np.abs(nxt - q).max())
+        if not np.isfinite(step):
+            return None
         q = nxt
         if step * step <= _SWEEP_RTOL * float(q.max()) * (last - step):
             return q / d_plus

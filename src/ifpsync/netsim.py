@@ -82,7 +82,6 @@ __all__ = [
 
 _GRID_SNAP = 1e-9  # fractional tolerance for treating a time as a grid point
 _CHUNK = 1024  # steps per block of the reference-offset table
-_FINITE_BOUND = 1e300  # no value a block computes may exceed this
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +520,9 @@ def simulate_batch(
     offsets are integrated as one stacked batch.
     Each keeps its own realizations, coupling, pinning gains and offsets,
     initial states and histories, tol and blowup. A member that diverges is
-    frozen at its last finite state and keeps its own record count and
-    t_diverged; the others run on. A member's entry of `output_offsets`,
+    truncated at its first step above blowup and keeps its own record count
+    and t_diverged; its discarded later steps may overflow, and the others
+    run on. A member's entry of `output_offsets`,
     when given and not None, holds one constant per agent that is added to
     the agent's outputs before the metrics are taken (a platoon's desired
     gaps); the recorded y stays as integrated.
@@ -743,32 +743,6 @@ def _closed_loop(members, m, offs, undelayed):
     return m_mat, b_blk, c_blk, k, kc
 
 
-def _inf_norms(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The largest absolute row sum of each matrix of a (B, r, c) stack, in
-    slices of rows, so that no |a|-sized temporary is built."""
-    out = np.zeros(len(a))
-    for r in range(0, a.shape[1], 64):
-        np.maximum(out, np.abs(a[:, r : r + 64]).sum(axis=2).max(axis=1), out=out)
-    return out
-
-
-def _safe_block(step, kc, x, blowup) -> int:
-    """The most steps a block may take. A member that crosses blowup at the
-    start of a block steps on to its end before it is cut, and must not
-    overflow on the way. Its state is within X = max(blowup, |x0|) there and
-    its ring rows within ‖KC‖∞·X; a step grows the larger of the two by at
-    most g = ‖[Φ Γ]‖∞·max(1, ‖KC‖∞), so after s steps every value is below
-    g^s·max(1, ‖KC‖∞)·X, which s keeps under _FINITE_BOUND. The time
-    functions (offsets, initial histories) are taken to stay below it too."""
-    k = np.maximum(1.0, _inf_norms(kc))
-    g = _inf_norms(step) * k
-    start = np.maximum(blowup, np.abs(x).max(axis=1)) * k
-    with np.errstate(divide="ignore"):
-        s = np.floor(np.log(_FINITE_BOUND / start) / np.log(g))
-    s[g <= 1.0] = np.inf
-    return int(max(1.0, min(s.min(), _CHUNK)))
-
-
 def _integrate(members, x0, m, dt, n_steps, stride, offset):
     """RK4 of the assembled closed loops of a batch, as one affine map per
     step, in blocks of steps; returns (times, states, y, u, diverged,
@@ -793,10 +767,7 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     ring gather, the offsets of the table of the current `_CHUNK` steps,
     which a block never straddles), every state is tested against blowup,
     the recorded states are copied out and the new inputs are written to the
-    ring. A member is cut at its first step above blowup; its step matrix
-    becomes [I 0], which holds its state from then on. The block length is
-    capped so that a member that crosses at a block's start cannot overflow
-    before its end (`_safe_block`).
+    ring. A member is cut at its first step above blowup.
 
     The recorded outputs and inputs come from the same loop: y = C x at the
     recorded states and u = -K y, plus the reference offsets at the record
@@ -839,7 +810,7 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
 
     x = np.stack([np.concatenate(xj) for xj in x0])
     blowup = np.array([config.blowup for _, _, config in members])
-    lead = min(lead, n_steps, _safe_block(step, kc, x, blowup))
+    lead = min(lead, n_steps, _CHUNK)  # a block never straddles a chunk
     z = np.zeros((lead + 1, n_b, step.shape[2]))
     z[0, :, :nx] = x
     # per-step operands [x; w] (x alone for a group without forcing)
@@ -863,48 +834,49 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     ends: list[Optional[tuple[int, float]]] = [None] * n_b  # (rows, t_diverged)
 
     k0 = 0
-    while k0 < n_steps:
-        c0 = k0 - k0 % _CHUNK
-        steps = min(lead, n_steps - k0, c0 + _CHUNK - k0)
-        if offset and k0 == c0:
-            # offsets of the steps c0 .. c1 - 1 at their stage times, shaped
-            # (c1 - c0, B, 3*n*m), and of the steps c0 .. c1 at their start,
-            # for the ring rows written after each block
-            c1 = min(c0 + _CHUNK, n_steps)
-            t0 = np.arange(c0, c1 + 1) * dt
-            ts = np.append(np.stack([t0[:-1], t0[:-1] + 0.5 * dt, t0[:-1] + dt], axis=1), t0[-1])
-            off = np.stack([_reference_offsets(p, ts, m) for _, p, _ in members], axis=1)
-            table = off[:-1].reshape(c1 - c0, 3, n_b, nm).transpose(0, 2, 1, 3)
-            table = table.reshape(c1 - c0, n_b, 3 * nm)
-            u_off = off[::3].reshape(c1 - c0 + 1, n_b, nm)
-        if delayed is not None:
-            if k0 == 0:
-                delayed.write(0, inputs(z[:1, :, :nx], 0))
-            delayed.read(k0, w_blk[:steps])
-        if offset:
-            w_blk[:steps, :, und3] = table[k0 - c0 : k0 - c0 + steps][:, :, und3]
-        for i in range(steps):
-            np.matmul(step, z_in[i], out=z_out[i + 1])
+    # a member's steps past its cut are discarded, and may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k0 < n_steps:
+            c0 = k0 - k0 % _CHUNK
+            steps = min(lead, n_steps - k0, c0 + _CHUNK - k0)
+            if offset and k0 == c0:
+                # offsets of the steps c0 .. c1 - 1 at their stage times, shaped
+                # (c1 - c0, B, 3*n*m), and of the steps c0 .. c1 at their start,
+                # for the ring rows written after each block
+                c1 = min(c0 + _CHUNK, n_steps)
+                t0 = np.arange(c0, c1 + 1) * dt
+                stages = np.stack([t0[:-1], t0[:-1] + 0.5 * dt, t0[:-1] + dt], axis=1)
+                ts = np.append(stages, t0[-1])
+                off = np.stack([_reference_offsets(p, ts, m) for _, p, _ in members], axis=1)
+                table = off[:-1].reshape(c1 - c0, 3, n_b, nm).transpose(0, 2, 1, 3)
+                table = table.reshape(c1 - c0, n_b, 3 * nm)
+                u_off = off[::3].reshape(c1 - c0 + 1, n_b, nm)
+            if delayed is not None:
+                if k0 == 0:
+                    delayed.write(0, inputs(z[:1, :, :nx], 0))
+                delayed.read(k0, w_blk[:steps])
+            if offset:
+                w_blk[:steps, :, und3] = table[k0 - c0 : k0 - c0 + steps][:, :, und3]
+            for i in range(steps):
+                np.matmul(step, z_in[i], out=z_out[i + 1])
 
-        xs = z[1 : steps + 1, :, :nx]
-        first = -k0 % stride or stride
-        r0 = k0 // stride + 1
-        rec = xs[first - 1 :: stride]
-        x_rec[r0 : r0 + len(rec)] = rec
-        bad = ~((xs.max(axis=2) <= blowup) & (xs.min(axis=2) >= -blowup))  # NaN fails both
-        bad &= live
-        for j in np.flatnonzero(bad.any(axis=0)):
-            k = k0 + int(np.argmax(bad[:, j]))  # the last step within blowup
-            ends[j] = (k // stride + 1, (k + 1) * dt)
-            live[j] = False
-            step[j] = 0.0
-            step[j, :, :nx] = eye
-        if not live.any():
-            break
-        if delayed is not None:
-            delayed.write(k0 + 1, inputs(xs, k0 + 1))
-        z[0, :, :nx] = z[steps, :, :nx]
-        k0 += steps
+            xs = z[1 : steps + 1, :, :nx]
+            first = -k0 % stride or stride
+            r0 = k0 // stride + 1
+            rec = xs[first - 1 :: stride]
+            x_rec[r0 : r0 + len(rec)] = rec
+            bad = ~((xs.max(axis=2) <= blowup) & (xs.min(axis=2) >= -blowup))  # NaN fails both
+            bad &= live
+            for j in np.flatnonzero(bad.any(axis=0)):
+                k = k0 + int(np.argmax(bad[:, j]))  # the last step within blowup
+                ends[j] = (k // stride + 1, (k + 1) * dt)
+                live[j] = False
+            if not live.any():
+                break
+            if delayed is not None:
+                delayed.write(k0 + 1, inputs(xs, k0 + 1))
+            z[0, :, :nx] = z[steps, :, :nx]
+            k0 += steps
 
     all_times = np.arange(0, n_steps + 1, stride) * dt
     runs = []

@@ -221,6 +221,19 @@ def dense_solves():
         yield calls
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """A list that gets one entry per sweep of the Perron power iteration."""
+    calls = []
+
+    def counted(*args, _real=np.bincount, **kwargs):
+        calls.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
 class TestPerronWeights:
     def test_symmetric_graph_gives_uniform_weights(self):
         a = np.array([[0, 1, 0.5], [1, 0, 2], [0.5, 2, 0]])
@@ -298,9 +311,10 @@ class TestPerronWeights:
         assert np.max(np.abs(p - exact)) <= 1e-10 * np.max(exact)
 
     @pytest.mark.parametrize("x", [1.0, 2.0])
-    def test_large_ring_with_hidden_weight_rejected_as_before(self, x, dense_solves):
+    def test_large_ring_with_hidden_weight_rejected_as_before(self, x, dense_solves, sweeps):
         # the null vector of L^T is 1 - x on nodes 0 and 3..n-1 and 1 on nodes 1, 2;
         # at x = 1 the in-degree of node 2 is 0, so the sweeps divide by zero
+        # and stop at their first step, which is not finite
         n = 300
         a = np.zeros((n, n))
         a[np.arange(n), np.arange(n) - 1] = 1.0
@@ -309,8 +323,11 @@ class TestPerronWeights:
         with pytest.raises(NotStronglyConnected, match=message):
             perron_weights(Digraph(n=n, adjacency=a))
         assert len(dense_solves) == 1
+        if x == 1.0:
+            assert 1 <= len(sweeps) <= 3
 
-    def test_large_nan_entry_rejected_by_residual(self, dense_solves):
+    def test_large_nan_entry_rejected_by_residual(self, dense_solves, sweeps):
+        # d_plus[0] is NaN, so the first step is NaN and the sweeps stop there
         n = 300
         a = np.zeros((n, n))
         a[np.arange(n), np.arange(n) - 1] = 1.0
@@ -319,6 +336,7 @@ class TestPerronWeights:
             with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
                 perron_weights(Digraph(n=n, adjacency=a))
         assert len(dense_solves) == 1
+        assert 1 <= len(sweeps) <= 3
 
 
 # ---------------------------------------------------------------------------

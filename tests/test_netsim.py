@@ -689,9 +689,17 @@ class TestSimulateBatch:
         assert diverged.times.shape[0] == round(diverged.t_diverged / 0.01)
         assert np.array_equal(stable.y[: diverged.y.shape[0]], diverged.y)
 
-    def test_a_diverged_member_is_frozen_before_it_overflows(self):
-        # the second member crosses blowup at once; stepping it on would
-        # overflow to inf and interpolate inf - inf in the delay ring
+    @staticmethod
+    def assert_equal_runs(got, own):
+        assert np.array_equal(got.times, own.times)
+        assert np.array_equal(got.y, own.y)
+        assert np.array_equal(got.u, own.u)
+        assert all(np.array_equal(a, b) for a, b in zip(got.states, own.states))
+
+    def test_a_member_past_blowup_at_once_is_cut_at_its_first_step(self):
+        # the second member crosses blowup at once; its discarded steps
+        # overflow to inf and interpolate inf - inf in its ring columns, and
+        # no floating-point error escapes
         agents = [DelayedIntegrator(0.05), DelayedIntegrator(0.05)]
         cfg = SimConfig(dt=0.01, t_final=20.0, initial_states=[[1.0], [0.0]])
         huge = replace(cfg, initial_states=[[1e100], [-1e100]])
@@ -704,11 +712,11 @@ class TestSimulateBatch:
         assert not live.diverged and live.metrics.synchronized
         assert diverged.diverged and diverged.t_diverged == 0.01
         assert diverged.times.shape == (1,)
+        self.assert_equal_runs(live, simulate(*members[0]))
 
-    def test_a_block_ends_before_a_crossed_member_overflows(self):
+    def test_a_member_that_overflows_after_its_cut_raises_no_fp_error(self):
         # 1/(s - a) with a*dt = 1e20 grows by about 4e78 per step: it crosses
-        # blowup at the first step, and four more steps of the block it
-        # crossed in would overflow, so the blocks are kept shorter
+        # blowup at the first step and overflows within the block
         fast = [LtiSiso.from_coeffs([1.0], [-1e22, 1.0])]
         slow = [LtiSiso.from_coeffs([1.0], [1.0, 1.0])]
         proto = Plain(build_digraph([[0.0]]))
@@ -718,12 +726,28 @@ class TestSimulateBatch:
         assert not live.diverged and live.times.shape == (101,)
         assert diverged.diverged and diverged.t_diverged == 0.01
         assert diverged.times.shape == (1,)
+        self.assert_equal_runs(live, simulate(slow, proto, cfg))
+
+    def test_a_coupling_beyond_the_float_range_is_cut_when_it_arrives(self):
+        # weight 1e300 makes |u| = 1e300 and |K C| = 2e300; the delay holds
+        # it off for 5 steps, the fifth reads u(0) and crosses blowup
+        agents = [DelayedIntegrator(0.05), DelayedIntegrator(0.05)]
+        cfg = SimConfig(dt=0.01, t_final=1.0, initial_states=[[1.0], [0.0]])
+        members = [
+            (agents, Plain(build_digraph([[0, w], [w, 0]])), cfg) for w in (1.0, 1e300)
+        ]
+        with np.errstate(all="raise"):
+            live, diverged = simulate_batch(members)
+        assert not live.diverged and live.times.shape == (101,)
+        assert diverged.diverged and diverged.t_diverged == 0.05
+        assert diverged.times.shape == (5,)
+        self.assert_equal_runs(live, simulate(*members[0]))
 
     def test_a_member_is_cut_at_its_first_crossing_at_every_offset_of_a_block(self):
         # a delay of 5 steps makes blocks of 5 steps; one member crosses
         # blowup at each offset of one block, the others keep stepping past
-        # it, and no value overflows in the steps a block computes beyond a
-        # crossing
+        # it, and no floating-point error escapes from the steps a block
+        # computes beyond a crossing
         dt, lead = 0.01, 5
         agents = [LtiSiso.from_coeffs([1.0], [-1.0, 1.0]), DelayedIntegrator(lead * dt)]
         proto = Plain(build_digraph([[0, 0.5], [0.5, 0]]))
@@ -739,7 +763,7 @@ class TestSimulateBatch:
         ]
         with np.errstate(all="raise"):
             batch = simulate_batch(members)
-        assert np.array_equal(batch[0].y, full.y)
+        self.assert_equal_runs(batch[0], full)
         for k, cut in zip(firsts, batch[1:]):
             assert cut.diverged and cut.t_diverged == k * dt
             assert cut.times.shape == (k,)
