@@ -79,7 +79,7 @@ def _verdict(g: Digraph, alphas, b=None) -> tuple[WeakCouplingVerdict, Optional[
     """The verdict of check_weak_coupling, and the Perron weights it used
     (None on a graph that is not strongly connected)."""
     alphas = _as_nonnegative_vector("alpha", alphas, g.n)
-    d_plus = g.adjacency.sum(axis=1)
+    d_plus, _ = degrees(g)
     reasons = []
     if b is None:
         slack = 0.5 - alphas * d_plus

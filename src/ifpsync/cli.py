@@ -488,7 +488,7 @@ def _apply_overrides(config: SimConfig, args) -> SimConfig:
 
 def _read_object(args, what: str) -> dict:
     """The input file of a command that takes one JSON object; a square
-    `adjacency` of numbers is read as one array (see jsontext)."""
+    `adjacency` of numbers is read as its nonzero cells (see jsontext)."""
     from . import jsontext  # here, so that importing the CLI (and scenario) does not load it
 
     d = jsontext.loads(Path(args.input).read_text(encoding="utf-8"))

@@ -1,14 +1,21 @@
 """Weighted digraphs: construction, connectivity, Laplacians, Perron weights.
 
-Adjacency convention: ``a[j, k] > 0`` means there is an arc from node ``k``
-into node ``j`` (information flows k -> j), so row ``j`` collects the arcs
-*into* node ``j`` and the in-degree ``d_plus[j]`` is the j-th row sum.
+A `Digraph` is its arc list: arc i runs from node ``tails[i]`` into node
+``heads[i]`` with weight ``weights[i]``. In the adjacency convention,
+``a[j, k] > 0`` means there is an arc from node ``k`` into node ``j``
+(information flows k -> j), so row ``j`` collects the arcs *into* node ``j``
+and the in-degree ``d_plus[j]`` is the sum of the weights of the arcs with
+head ``j``. Degrees, connectivity and the Perron weights of a graph whose
+power iteration converges read only the arcs; the dense n x n adjacency is
+formed on first use (by the Laplacian, the dense Perron solve and the
+dissipation identities of `certify`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,26 +49,41 @@ _SWEEP_BUDGET = 1000
 _SWEEP_RTOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class Digraph:
-    """A weighted digraph on nodes 0..n-1 with non-negative adjacency."""
+class Cells(NamedTuple):
+    """The nonzero cells of an n x n adjacency matrix in row-major order:
+    a[rows[i], cols[i]] = values[i], every other cell zero (as
+    `jsontext.loads` reads a matrix)."""
 
     n: int
-    adjacency: NDArray[np.float64]
+    rows: NDArray[np.intp]
+    cols: NDArray[np.intp]
+    values: NDArray[np.float64]
 
-    def support(self) -> NDArray[np.bool_]:
-        """Boolean arc pattern: support()[j, k] is True iff arc k -> j exists,
-        that is iff a[j, k] > 0, however small (the arc set of the degrees and
-        the Perron weights, in any time unit)."""
-        return self.adjacency > 0.0
+
+@dataclass(frozen=True, eq=False)
+class Digraph:
+    """A weighted digraph on nodes 0..n-1: arc i runs from tails[i] into
+    heads[i] with weight weights[i]. The arcs are ordered by tail, then head
+    (as `build_digraph` orders them)."""
+
+    n: int
+    tails: NDArray[np.intp]
+    heads: NDArray[np.intp]
+    weights: NDArray[np.float64]
+
+    @property
+    def arcs(self) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
+        """(tails, heads, weights)."""
+        return self.tails, self.heads, self.weights
 
     @cached_property
-    def arcs(self) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
-        """(tails, heads, weights) of every arc k -> j of support(), ordered by
-        tail k, then head j; weights[i] = a[heads[i], tails[i]]. Computed on
-        first use."""
-        tails, heads = np.divmod(np.flatnonzero(self.support().T), self.n)
-        return tails, heads, self.adjacency[heads, tails]
+    def adjacency(self) -> NDArray[np.float64]:
+        """The dense n x n matrix with a[heads[i], tails[i]] = weights[i],
+        read-only; formed on first use, unless the graph was built from it."""
+        a = np.zeros((self.n, self.n))
+        a[self.heads, self.tails] = self.weights
+        a.setflags(write=False)
+        return a
 
 
 @dataclass(frozen=True)
@@ -76,41 +98,55 @@ def build_digraph(adjacency) -> Digraph:
 
     Parameters
     ----------
-    adjacency : array_like
+    adjacency : array_like or Cells
         Square matrix with non-negative entries and zero diagonal; entry
         (j, k) is the weight of the arc from node k into node j. A read-only
-        float64 array (as `jsontext.loads` returns) is used without a copy.
+        float64 array is kept as the digraph's `adjacency` without a copy;
+        `Cells` (what `jsontext.loads` reads) give the arcs without the
+        matrix, which is then formed only if something needs it.
 
     Raises
     ------
     NotSquare, BadDimensions (an entry that is not a finite number),
-    NegativeWeight, SelfLoop
+    NegativeWeight, SelfLoop; each names the first bad cell in row-major
+    order.
     """
-    if isinstance(adjacency, np.ndarray) and adjacency.dtype == np.float64 \
+    if isinstance(adjacency, Cells):
+        a = None
+        n, heads, tails, weights = adjacency
+    elif isinstance(adjacency, np.ndarray) and adjacency.dtype == np.float64 \
             and not adjacency.flags.writeable:
         a = adjacency  # it cannot change under the Digraph
     else:
         a = numbers("adjacency", adjacency, finite=False)  # one conversion, also of a JSON list
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        j, k = np.argwhere(~np.isfinite(a))[0]
-        raise BadDimensions(f"non-finite weight a[{j},{k}] = {a[j, k]}")
-    if np.any(a < 0.0):
-        j, k = np.argwhere(a < 0.0)[0]
-        raise NegativeWeight(f"negative weight a[{j},{k}] = {a[j, k]}")
-    if np.any(np.diagonal(a) != 0.0):
-        (j,) = np.argwhere(np.diagonal(a) != 0.0)[0]
-        raise SelfLoop(f"nonzero diagonal entry a[{j},{j}] = {a[j, j]}")
-    a.setflags(write=False)
-    return Digraph(n=a.shape[0], adjacency=a)
+    if a is not None:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
+        n = a.shape[0]
+        heads, tails = np.nonzero(a)
+        weights = a[heads, tails]
+    for bad, error, message in (
+        (~np.isfinite(weights), BadDimensions, "non-finite weight a[{j},{k}] = {w}"),
+        (weights < 0.0, NegativeWeight, "negative weight a[{j},{k}] = {w}"),
+        (heads == tails, SelfLoop, "nonzero diagonal entry a[{j},{k}] = {w}"),
+    ):
+        if bad.any():
+            i = np.argmax(bad)
+            raise error(message.format(j=heads[i], k=tails[i], w=weights[i]))
+    order = np.argsort(tails, kind="stable")  # row-major, so heads stay sorted per tail
+    g = Digraph(n=n, tails=tails[order], heads=heads[order], weights=weights[order])
+    if a is not None:
+        a.setflags(write=False)
+        object.__setattr__(g, "adjacency", a)  # the cached_property's value
+    return g
 
 
 def degrees(g: Digraph) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Return (d_plus, d_minus): weighted in-degrees (row sums) and out-degrees
-    (column sums)."""
-    a = g.adjacency
-    return a.sum(axis=1), a.sum(axis=0)
+    """Return (d_plus, d_minus): weighted in-degrees and out-degrees, the sums
+    of the arc weights by head and by tail, in arc order."""
+    tails, heads, w = g.arcs
+    return (np.bincount(heads, weights=w, minlength=g.n),
+            np.bincount(tails, weights=w, minlength=g.n))
 
 
 def laplacian(g: Digraph) -> NDArray[np.float64]:
@@ -120,9 +156,9 @@ def laplacian(g: Digraph) -> NDArray[np.float64]:
 
 
 def _successor_lists(g: Digraph) -> list[list[int]]:
-    # successors of k are the nodes j with an arc k -> j, i.e. support column k;
-    # as plain ints, which Tarjan's list indexing handles far faster than
-    # numpy scalars
+    # successors of k are the heads of the arcs with tail k, one run of the
+    # tail-ordered arcs; as plain ints, which Tarjan's list indexing handles
+    # far faster than numpy scalars
     tails, heads, _ = g.arcs
     ends = np.searchsorted(tails, np.arange(1, g.n + 1)).tolist()
     heads = heads.tolist()
@@ -179,7 +215,7 @@ def _tarjan_components(succ: list[list[int]]) -> list[int]:
 
 
 def connectivity(g: Digraph) -> ConnectivityReport:
-    """Strong / quasi-strong connectivity of the arc support pattern.
+    """Strong / quasi-strong connectivity of the arc set.
 
     Quasi-strong connectivity means some root node reaches every node along
     arc directions (equivalently, the graph has a directed spanning tree).
@@ -214,12 +250,12 @@ def perron_weights(g: Digraph) -> NDArray[np.float64]:
     """
     if not connectivity(g).strongly_connected:
         raise NotStronglyConnected("Perron weights require a strongly connected digraph")
-    return _perron_vector(g, g.adjacency.sum(axis=1))
+    return _perron_vector(g, degrees(g)[0])
 
 
 def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float64]:
     """Perron weights of a graph already known to be strongly connected, given
-    its in-degrees d_plus (the row sums of the adjacency).
+    its in-degrees d_plus.
 
     p^T L = 0 reads d_plus[j] p_j = sum_i p_i a[i, j], so q = d_plus * p is
     the stationary vector of the row-stochastic P = D^-1 A (q^T P = q^T).
@@ -229,14 +265,15 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
     then p = q / d_plus. p is accepted only if it passes the check below.
 
     Otherwise, and when the iteration does not stop within _SWEEP_BUDGET
-    (1000) sweeps, takes a step that is not finite, or its p fails the check,
-    the dense solve runs: L^T has rank n-1 and its rows have the single
-    dependency 1^T L^T = 0 (L 1 = 0), so dropping the last row leaves a basis
-    of p^perp; the row of ones is not in p^perp (1.p > 0). Replacing the last
-    row of L^T by ones thus gives a nonsingular M, and M p = e_n yields p
-    with sum(p) = 1.
+    (1000) sweeps, P has an entry that is negative or not finite, or its p
+    fails the check, the dense solve runs: L^T has rank n-1 and its rows have
+    the single dependency 1^T L^T = 0 (L 1 = 0), so dropping the last row
+    leaves a basis of p^perp; the row of ones is not in p^perp (1.p > 0).
+    Replacing the last row of L^T by ones thus gives a nonsingular M, and
+    M p = e_n yields p with sum(p) = 1. Only this solve forms the dense
+    adjacency.
 
-    The check, against the dense adjacency: max|p^T L| <= _NULLSPACE_RTOL *
+    The check, over the arcs: max|d_plus p - p^T A| <= _NULLSPACE_RTOL *
     max(d_plus) * max|p|, and p > 0.
 
     Raises
@@ -245,41 +282,42 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
         If the dense solve is singular or its result fails the check (NaN
         included).
     """
-    a = g.adjacency
     if g.n >= _SWEEP_MIN_N:
-        # a weight outside the support (a Digraph built without build_digraph)
-        # can make d_plus zero; the iterate then fails the check
+        # a negative weight (a Digraph built without build_digraph) can make
+        # a d_plus zero or negative; the sweeps then decline at once
         with np.errstate(all="ignore"):
             p = _power_iteration(g.arcs, d_plus)
-            if p is not None and _null_vector_fault(a, d_plus, p) is None:
+            if p is not None and _null_vector_fault(g.arcs, d_plus, p) is None:
                 return _unit_sum(p)
-    p = _bordered_solve(a, d_plus)
-    fault = _null_vector_fault(a, d_plus, p)
+    p = _bordered_solve(g.adjacency, d_plus)
+    fault = _null_vector_fault(g.arcs, d_plus, p)
     if fault is not None:
         raise NotStronglyConnected(fault)
     return _unit_sum(p)
 
 
 def _power_iteration(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64] | None:
-    """q / d_plus for the stationary q of P = D^-1 A, or None when the
-    iteration does not stop within _SWEEP_BUDGET sweeps or takes a step that
-    is not finite (a d_plus of 0 or NaN).
+    """q / d_plus for the stationary q of P = D^-1 A, or None when an entry of
+    P is negative or not finite (a d_plus of 0, of the wrong sign, or NaN),
+    checked before the first sweep, or when the iteration does not stop
+    within _SWEEP_BUDGET sweeps.
 
     With step_k = max|q_k - q_(k-1)| and rho = step_k / step_(k-1), the error
     left after geometric convergence is step_k rho / (1 - rho); it stops when
     that is at most _SWEEP_RTOL * max(q), written without division as
     step_k^2 <= _SWEEP_RTOL max(q) (step_(k-1) - step_k). It needs rho < 1,
-    and step_0 = 0 lets the first sweep stop only if it left q as it was."""
+    and step_0 = 0 lets the first sweep stop only if it left q as it was.
+    With every entry of P in [0, 1], q stays finite."""
     tails, heads, w = arcs
     n = d_plus.size
     share = w / d_plus[heads]  # P[heads, tails] of each arc
+    if not np.all(np.isfinite(share) & (share >= 0.0)):
+        return None
     q = np.full(n, 1.0 / n)
     last = 0.0
     for _ in range(_SWEEP_BUDGET):
         nxt = 0.5 * (q + np.bincount(tails, weights=q[heads] * share, minlength=n))
         step = float(np.abs(nxt - q).max())
-        if not np.isfinite(step):
-            return None
         q = nxt
         if step * step <= _SWEEP_RTOL * float(q.max()) * (last - step):
             return q / d_plus
@@ -300,10 +338,13 @@ def _bordered_solve(a: NDArray[np.float64], d_plus: NDArray[np.float64]) -> NDAr
         raise NotStronglyConnected(f"bordered Laplacian system is singular ({e})") from e
 
 
-def _null_vector_fault(a, d_plus, p) -> str | None:
+def _null_vector_fault(arcs, d_plus, p) -> str | None:
     """Why p is not a positive null vector of L^T, or None if it is one."""
-    # max|L| is the largest in-degree: d_plus[j] >= a[j, k] >= 0
-    res = float(np.abs(d_plus * p - p @ a).max())
+    tails, heads, w = arcs
+    # (p^T A)_k sums p_j a[j, k] over the arcs k -> j; max|L| is the largest
+    # in-degree: d_plus[j] >= a[j, k] >= 0
+    pta = np.bincount(tails, weights=p[heads] * w, minlength=p.size)
+    res = float(np.abs(d_plus * p - pta).max())
     bound = _NULLSPACE_RTOL * float(d_plus.max()) * float(np.abs(p).max())
     if not (res <= bound):
         return f"L^T has no numerical null vector (|p^T L| = {res:.3e}, bound {bound:.3e})"

@@ -1,27 +1,28 @@
-"""JSON text of an input file, with a dense adjacency read as one array.
+"""JSON text of an input file, with a dense adjacency read as its arcs.
 
 `loads(text)` returns what ``json.loads(text)`` returns, except that the
 `adjacency` of a top-level object, when it is a square matrix of numbers,
-comes back as one read-only float64 array, bit-equal to what
-``errors.numbers("adjacency", ...)`` makes of json's nested list, whose zero
-cells never become Python floats. json's own scanner parses every other
-value.
+comes back as `graphnet.Cells`: the nonzero cells, in row-major order, of
+the float64 matrix that ``errors.numbers("adjacency", ...)`` makes of json's
+nested list, bit for bit. Neither the n x n array nor a Python float for a
+zero cell is made. json's own scanner parses every other value.
 
 The matrix is read in blocks of whole rows, about 512 KB of text each, so a
 block's arrays stay in the L2 cache. A block with at least one digit 1-9 per
-two cells is mostly nonzero: one ``json.loads`` reads its rows as they stand.
-In any other block, numpy comparisons check the layout: the separators must
-be ``[``, n - 1 commas and ``]`` per row, and each cell must hold one run of
-number characters (``0-9 + - . e E``) between spaces. Cells that read
-exactly ``0`` or ``0.0`` are skipped, and one ``json.loads`` parses the other
-tokens of the block. Either way the numbers must come back as an int64 or a
-float64 array, the types numpy also gives the whole matrix then. Anything
-else (non-ASCII text, tabs or newlines in a mostly zero block, strings,
-nested or ragged rows, a token json refuses, booleans alone, an integer
-beyond int64 that numpy does not read as a float) sends the whole value to
-json's scanner, and text that json refuses goes to ``json.loads`` itself. So
-every value read is the one json reads, and every error is json's or the
-typed readers'.
+two cells is mostly nonzero: one ``json.loads`` reads its rows as they stand,
+and ``np.nonzero`` picks its cells. In any other block, numpy comparisons
+check the layout: the separators must be ``[``, n - 1 commas and ``]`` per
+row, and each cell must hold one run of number characters (``0-9 + - . e
+E``) between spaces. Cells that read exactly ``0`` or ``0.0`` are skipped,
+one ``json.loads`` parses the other tokens of the block, and those that read
+as zero (``-0.0``, ``0e0``, ``0.00``) are dropped. Either way the numbers
+must come back as an int64 or a float64 array, the types numpy also gives
+the whole matrix then. Anything else (non-ASCII text, tabs or newlines in a
+mostly zero block, strings, nested or ragged rows, a token json refuses,
+booleans alone, an integer beyond int64 that numpy does not read as a float)
+sends the whole value to json's scanner, and text that json refuses goes to
+``json.loads`` itself. So every value read is the one json reads, up to the
+form of the matrix, and every error is json's or the typed readers'.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import json
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
 
 import numpy as np
+
+from .graphnet import Cells
 
 _scan_once = JSONDecoder().scan_once
 _ws = WHITESPACE.match
@@ -46,7 +49,7 @@ class _Decline(Exception):
 
 def loads(text: str):
     """json.loads(text), with a top-level object's square `adjacency` matrix
-    of numbers as a read-only float64 array."""
+    of numbers as its nonzero `Cells`."""
     try:
         return _object(text)
     except (_Decline, json.JSONDecodeError, StopIteration):
@@ -81,7 +84,7 @@ def _object(text: str) -> dict:
 
 
 def _matrix(text: str, i: int):
-    """(array, end) for the square matrix of numbers whose text starts at i,
+    """(Cells, end) for the square matrix of numbers whose text starts at i,
     or None where the blocks do not read it."""
     if not text.startswith("[", i):
         return None
@@ -90,13 +93,8 @@ def _matrix(text: str, i: int):
     if not text.startswith("[", pos) or first < 0:
         return None
     n = text.count(",", pos, first) + 1
-    # each of the n*n cells takes at least a character and a separator, so
-    # the array is never more than about four times the text
-    if n * (2 * n + 1) > len(text) - i:
-        return None
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
     rows_per_block = max(1, _BLOCK // (first - pos + 2))
+    rows, cols, values = [], [], []
     row = 0
     while True:
         k = min(rows_per_block, n - row)
@@ -105,15 +103,19 @@ def _matrix(text: str, i: int):
             stop = text.find("]", stop) + 1
             if not stop:
                 return None
-        if not _block(text[pos:stop], n, k, flat[row * n:(row + k) * n]):
+        cells = _block(text[pos:stop], n, k)
+        if cells is None:
             return None
+        rows.append(cells[0] + row)
+        cols.append(cells[1])
+        values.append(cells[2])
         row += k
         i = _ws(text, stop).end()
         if row == n:
             if not text.startswith("]", i):
                 return None
-            out.setflags(write=False)
-            return out, i + 1
+            cells = Cells(n, np.concatenate(rows), np.concatenate(cols), np.concatenate(values))
+            return cells, i + 1
         if not text.startswith(",", i):
             return None
         pos = _ws(text, i + 1).end()
@@ -130,48 +132,50 @@ def _numbers(text: str):
     return a if a.dtype in (np.int64, np.float64) else None
 
 
-def _block(block: str, n: int, k: int, out: np.ndarray) -> bool:
-    """Read the k rows of n cells in block into out (flat, left zero where a
-    cell reads 0 or 0.0, see the module docstring); False, with out
-    unspecified, where they are not read here."""
+def _block(block: str, n: int, k: int):
+    """(rows, cols, values) of the nonzero cells of the k rows of n cells in
+    block, row-major, rows counted from the block's first; None where they
+    are not read here (see the module docstring)."""
     try:
         b = np.frombuffer(block.encode("ascii"), np.uint8)
     except UnicodeEncodeError:
-        return False
+        return None
     if 2 * np.count_nonzero((b - 49) < 9) >= k * n:
         # at least one digit 1-9 per two cells: mostly nonzero, so json
         # reads the rows as they stand
-        rows = _numbers("[" + block + "]")
-        if rows is None or rows.shape != (k, n):
-            return False
-        out.reshape(k, n)[...] = rows
-        return True
+        a = _numbers("[" + block + "]")
+        if a is None or a.shape != (k, n):
+            return None
+        rows, cols = np.nonzero(a)
+        return rows, cols, a[rows, cols].astype(float)
 
     b = np.concatenate((b, _PAD))  # so that b[t + 3] exists for every token t
     num = ((b - 48) < 10) | (b == 46) | (b == 101) | (b == 69) | (b == 45) | (b == 43)
     sep = (b == 91) | (b == 44) | (b == 93)  # [ , ]
     if np.count_nonzero(num) + np.count_nonzero(sep) + np.count_nonzero(b == 32) != b.size:
-        return False
+        return None
     start = num.copy()
     start[1:] &= ~num[:-1]
     # events: every separator and token start, one token between separators
     events = np.flatnonzero(sep | start)
     if events.size != k * (2 * n + 2) - 1:
-        return False
+        return None
     marks = np.append(b[events], 44)  # and the comma that would follow the last row
     marks[:-1][start[events]] = 84  # "T"
     row = np.frombuffer(b"[T" + b",T" * (n - 1) + b"],", np.uint8)
     if not (marks.reshape(k, -1) == row).all():
-        return False
+        return None
 
     # a token that reads 0 (a non-number character next) or 0.0 is skipped
     zero = (b[:-3] == 48) & (~num[1:-2] | ((b[1:-2] == 46) & (b[2:-1] == 48) & ~num[3:]))
     keep = np.flatnonzero((start[:-3] & ~zero)[events])  # event index of each token kept
+    values = np.zeros(0)
     if keep.size:
         ends = events[keep + 1].tolist()  # the separator after the token
         tokens = ",".join([block[s:e] for s, e in zip(events[keep].tolist(), ends)])
         values = _numbers("[" + tokens + "]")
         if values is None:
-            return False
-        out.reshape(k, n)[keep // (2 * n + 2), keep % (2 * n + 2) // 2] = values
-    return True
+            return None
+        nonzero = values != 0  # -0.0, 0e0, 0.00 and the like read as zero
+        keep, values = keep[nonzero], values[nonzero].astype(float)
+    return keep // (2 * n + 2), keep % (2 * n + 2) // 2, values

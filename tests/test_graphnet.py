@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_strongly_connected_adjacency, reachability_closure
 from ifpsync import graphnet
+from ifpsync.graphnet import Cells
 from ifpsync import (
     BadDimensions,
     Digraph,
@@ -19,6 +20,7 @@ from ifpsync import (
     NotStronglyConnected,
     SelfLoop,
     build_digraph,
+    check_weak_coupling,
     connectivity,
     degrees,
     laplacian,
@@ -91,19 +93,24 @@ def test_arcs_are_the_support_ordered_by_tail(seed, n, density):
     rng = np.random.default_rng(seed)
     a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
     np.fill_diagonal(a, 0.0)
-    g = build_digraph(a)
-    tails, heads, weights = g.arcs
-    k, j = np.nonzero(g.support().T)
-    assert np.array_equal(tails, k) and np.array_equal(heads, j)
-    assert np.array_equal(weights, a[j, k])
-    assert g.arcs is g.arcs
+    k, j = np.nonzero(a.T)
+    rows, cols = np.nonzero(a)
+    for g in (build_digraph(a), build_digraph(Cells(n, rows, cols, a[rows, cols]))):
+        tails, heads, weights = g.arcs
+        assert np.array_equal(tails, k) and np.array_equal(heads, j)
+        assert np.array_equal(weights, a[j, k])
+        assert np.array_equal(g.adjacency, a) and not g.adjacency.flags.writeable
 
 
 def test_arcs_of_a_digraph_built_directly():
-    a = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [-1.0, 3.0, 0.0]])
-    tails, heads, weights = Digraph(n=3, adjacency=a).arcs
+    g = Digraph(n=3, tails=np.array([0, 1, 2]), heads=np.array([1, 2, 0]),
+                weights=np.array([1.0, 3.0, 2.0]))
+    tails, heads, weights = g.arcs
     assert tails.tolist() == [0, 1, 2] and heads.tolist() == [1, 2, 0]
     assert weights.tolist() == [1.0, 3.0, 2.0]
+    assert "adjacency" not in g.__dict__  # formed on first use
+    assert g.adjacency.tolist() == [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
+    assert g.adjacency is g.adjacency and not g.adjacency.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +177,19 @@ def svd_perron_oracle(a: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def unchecked_digraph(a: np.ndarray) -> Digraph:
+    """The Digraph whose arcs are the nonzero cells of a, ordered by tail,
+    built without build_digraph, which would reject a negative or NaN
+    weight."""
+    tails, heads = np.nonzero(a.T)
+    return Digraph(n=a.shape[0], tails=tails, heads=heads, weights=a[heads, tails])
+
+
 def ring_with_hidden_weight(x: float) -> Digraph:
-    """Directed 3-ring plus a[2, 0] = -x. The negative entry is not an arc of
-    the support, so the graph counts as strongly connected, but it shifts the
-    null vector of L^T to [1 - x, 1, 1]. Built without build_digraph, which
-    would reject the negative weight."""
-    a = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-x, 1.0, 0.0]])
-    return Digraph(n=3, adjacency=a)
+    """Directed 3-ring plus a[2, 0] = -x. The ring alone makes the graph
+    strongly connected, and the negative arc shifts the null vector of L^T
+    to [1 - x, 1, 1]."""
+    return unchecked_digraph(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-x, 1.0, 0.0]]))
 
 
 def sparse_strongly_connected_adjacency(rng: np.random.Generator, n: int,
@@ -223,14 +236,20 @@ def dense_solves():
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """A list that gets one entry per sweep of the Perron power iteration."""
+    """A list that gets one entry per sweep of the Perron power iteration:
+    per np.bincount call inside graphnet._power_iteration."""
     calls = []
 
     def counted(*args, _real=np.bincount, **kwargs):
         calls.append(args)
         return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counted)
+    def iteration(*args, _real=graphnet._power_iteration):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "bincount", counted)
+            return _real(*args)
+
+    monkeypatch.setattr(graphnet, "_power_iteration", iteration)
     return calls
 
 
@@ -283,7 +302,7 @@ class TestPerronWeights:
         a = np.array([[0.0, np.nan, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with np.errstate(invalid="ignore"):
             with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
-                perron_weights(Digraph(n=3, adjacency=a))
+                perron_weights(unchecked_digraph(a))
 
     def test_large_sparse_graph_takes_the_sweeps(self, dense_solves):
         rng = np.random.default_rng(301)
@@ -310,33 +329,46 @@ class TestPerronWeights:
         # the LU of this ill-conditioned system is 9e-12 relative from exact
         assert np.max(np.abs(p - exact)) <= 1e-10 * np.max(exact)
 
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_certify_forms_no_dense_adjacency_unless_the_sweeps_give_way(self, slow, dense_solves):
+        # a digraph from arcs, as the input reader gives them; the ring with
+        # a chord mixes too slowly for the sweeps, so the dense solve forms it
+        n = 2000 if slow else 300
+        a = ring_with_chord(n) if slow else sparse_strongly_connected_adjacency(
+            np.random.default_rng(7), n, in_arcs=2)
+        rows, cols = np.nonzero(a)
+        g = build_digraph(Cells(n, rows, cols, a[rows, cols]))
+        verdict = check_weak_coupling(g, np.full(n, 0.01))
+        assert verdict.passes
+        assert ("adjacency" in g.__dict__) == slow
+        assert len(dense_solves) == slow
+
     @pytest.mark.parametrize("x", [1.0, 2.0])
     def test_large_ring_with_hidden_weight_rejected_as_before(self, x, dense_solves, sweeps):
         # the null vector of L^T is 1 - x on nodes 0 and 3..n-1 and 1 on nodes 1, 2;
-        # at x = 1 the in-degree of node 2 is 0, so the sweeps divide by zero
-        # and stop at their first step, which is not finite
+        # the in-degree of node 2 is 1 - x, so P = D^-1 A has an infinite entry
+        # at x = 1 and a negative one at x = 2, and the sweeps never start
         n = 300
         a = np.zeros((n, n))
         a[np.arange(n), np.arange(n) - 1] = 1.0
         a[2, 0] = -x
         message = "^null vector of L\\^T is not strictly positive$"
         with pytest.raises(NotStronglyConnected, match=message):
-            perron_weights(Digraph(n=n, adjacency=a))
+            perron_weights(unchecked_digraph(a))
         assert len(dense_solves) == 1
-        if x == 1.0:
-            assert 1 <= len(sweeps) <= 3
+        assert sweeps == []
 
     def test_large_nan_entry_rejected_by_residual(self, dense_solves, sweeps):
-        # d_plus[0] is NaN, so the first step is NaN and the sweeps stop there
+        # d_plus[0] is NaN, so P has NaN entries and the sweeps never start
         n = 300
         a = np.zeros((n, n))
         a[np.arange(n), np.arange(n) - 1] = 1.0
         a[0, 2] = np.nan
         with np.errstate(invalid="ignore"):
             with pytest.raises(NotStronglyConnected, match="no numerical null vector"):
-                perron_weights(Digraph(n=n, adjacency=a))
+                perron_weights(unchecked_digraph(a))
         assert len(dense_solves) == 1
-        assert 1 <= len(sweeps) <= 3
+        assert sweeps == []
 
 
 # ---------------------------------------------------------------------------

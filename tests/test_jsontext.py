@@ -1,4 +1,4 @@
-"""The input-file reader: a dense adjacency read in row blocks equals json's."""
+"""The input-file reader: a dense adjacency read in row blocks gives the arcs of json's."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ifpsync import build_digraph, cli, jsontext
 from ifpsync.cli import main
 from ifpsync.errors import numbers
+from ifpsync.graphnet import Cells
 
 # cells that json reads, refuses, or reads as something other than a number
 ODD_CELLS = [
@@ -52,20 +53,26 @@ def matrix_texts(draw) -> str:
 
 
 def outcome(read):
-    """What read() gives: ("array", bits) for an array, ("value", repr) for
-    anything else, or (exception type, message)."""
+    """What read() gives: ("value", repr), or (exception type, message)."""
     try:
         value = read()
     except Exception as e:  # the outcome is compared, not handled
         return type(e), str(e)
-    if isinstance(value, np.ndarray):
-        return "array", value.shape, value.view(np.int64).tolist()
     return "value", repr(value)
 
 
+def cells_of(matrix: np.ndarray) -> tuple:
+    """(n, rows, cols, value bits) of the nonzero cells of a square matrix,
+    in row-major order."""
+    rows, cols = np.nonzero(matrix)
+    return matrix.shape[0], rows.tolist(), cols.tolist(), matrix[rows, cols].view(np.int64).tolist()
+
+
 def assert_reads_as_json(text: str) -> None:
-    """jsontext.loads(text) is json.loads(text), with the adjacency as the
-    array numbers() makes of json's list, bit for bit, and the same errors."""
+    """jsontext.loads(text) is json.loads(text), with a square adjacency of
+    numbers as the nonzero cells of the array numbers() makes of json's list,
+    bit for bit, and the same errors; build_digraph gives the same arcs, or
+    raises the same error, from either."""
     expected = outcome(lambda: json.loads(text))
     got = outcome(lambda: jsontext.loads(text))
     if expected[0] != "value" or not isinstance(json.loads(text), dict):
@@ -79,12 +86,17 @@ def assert_reads_as_json(text: str) -> None:
     if "adjacency" not in ref:
         return
     adjacency = d["adjacency"]
-    assert outcome(lambda: numbers("adjacency", adjacency, finite=False)) == outcome(
-        lambda: numbers("adjacency", ref["adjacency"], finite=False))
-    if isinstance(adjacency, np.ndarray):
-        assert adjacency.dtype == np.float64 and not adjacency.flags.writeable
+    if isinstance(adjacency, Cells):
+        matrix = numbers("adjacency", ref["adjacency"], finite=False)
+        assert matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+        assert adjacency.rows.dtype == adjacency.cols.dtype == np.intp
+        assert adjacency.values.dtype == np.float64
+        n, rows, cols, values = adjacency
+        assert (n, rows.tolist(), cols.tolist(), values.view(np.int64).tolist()) == cells_of(matrix)
     else:
         assert repr(adjacency) == repr(ref["adjacency"])
+    assert outcome(lambda: build_digraph(adjacency).arcs) == outcome(
+        lambda: build_digraph(ref["adjacency"]).arcs)
 
 
 class TestLoads:
@@ -132,14 +144,24 @@ class TestLoads:
         text = json.dumps({"adjacency": rows}, indent=indent, separators=separators)
         with mock.patch.object(jsontext, "_BLOCK", 2000):
             got = jsontext.loads(text)["adjacency"]
-        assert isinstance(got, np.ndarray) == (indent is None)
-        assert np.array_equal(np.asarray(got).view(np.int64), a.view(np.int64))
+        assert isinstance(got, Cells) == (indent is None)
+        if isinstance(got, Cells):
+            n, rows, cols, values = got
+            got = n, rows.tolist(), cols.tolist(), values.view(np.int64).tolist()
+        else:
+            got = cells_of(np.asarray(got, dtype=float))
+        assert got == cells_of(a)
 
     def test_the_array_is_the_digraphs_without_a_copy(self):
-        a = jsontext.loads('{"adjacency": [[0, 0.5], [2, 0.0]]}')["adjacency"]
+        a = np.array([[0, 0.5], [2, 0.0]])
+        a.setflags(write=False)
         assert build_digraph(a).adjacency is a
         writable = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert build_digraph(writable).adjacency is not writable
+        # the reader's cells give a digraph that forms no array until asked
+        g = build_digraph(jsontext.loads('{"adjacency": [[0, 0.5], [2, 0.0]]}')["adjacency"])
+        assert "adjacency" not in g.__dict__
+        assert np.array_equal(g.adjacency, a)
 
 
 class TestCli:
@@ -168,3 +190,27 @@ class TestCli:
         with mock.patch.object(cli, "json", SimpleNamespace(**public)):
             assert main(["certify", str(f)]) == 0
         assert json.loads(capsys.readouterr().out)["passes"] is True
+
+    @pytest.mark.parametrize("cell, j, k", [("NaN", 1, 2), ("1e400", 1, 2), ("-1", 1, 2),
+                                            ("2", 1, 1)])
+    @pytest.mark.parametrize("fill", ["0.5", "0"])  # mostly nonzero rows, mostly zero rows
+    def test_certify_refuses_a_bad_cell_whoever_reads_it(self, tmp_path, capsys, cell, j, k, fill):
+        n = 6
+        rows = [[fill] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i], rows[i][i - 1] = "0", "1"  # a ring: strongly connected
+        rows[j][k] = cell
+        text = '{"adjacency": [%s], "alpha": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}' % ", ".join(
+            "[" + ", ".join(row) + "]" for row in rows)
+        f = tmp_path / "net.json"
+        f.write_text(text, encoding="utf-8")
+        # the blocks read every case but a NaN in a mostly zero block
+        read = isinstance(jsontext.loads(text)["adjacency"], Cells)
+        assert read == (cell != "NaN" or fill != "0")
+        code = main(["certify", str(f)])
+        got = code, capsys.readouterr()
+        with mock.patch.object(jsontext, "_matrix", lambda text, i: None):
+            assert not isinstance(jsontext.loads(text)["adjacency"], Cells)
+            code = main(["certify", str(f)])
+        assert (code, capsys.readouterr()) == got
+        assert code == 1 and f"a[{j},{k}]" in got[1].err

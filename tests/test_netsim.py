@@ -832,7 +832,7 @@ class TestSimulateBatch:
         assert calls == {id(a): 1 for a in agents}
 
     def test_member_without_agents_rejected(self):
-        proto = Plain(Digraph(0, np.zeros((0, 0))))
+        proto = Plain(Digraph(0, np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)))
         with pytest.raises(BadDimensions, match="need at least one agent"):
             simulate_batch([([], proto, SimConfig(dt=0.1, t_final=1.0))])
 
