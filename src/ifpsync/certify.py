@@ -211,19 +211,20 @@ def all_to_all_bound(p: float, q: float, n_agents: int, kappa: float) -> bool:
     return routh_hurwitz(poly)
 
 
-def _pairwise_quadratic(g: Digraph, weights: NDArray[np.float64], y: NDArray[np.float64]) -> float:
-    """sum_{i,j} w_i a_ij |y_j - y_i|^2 with per-row weights w."""
-    total = 0.0
-    a = g.adjacency
-    for i in range(g.n):
-        diff = y - y[i]
-        total += float(weights[i] * (a[i] @ np.einsum("jk,jk->j", diff, diff)))
-    return total
+def _pairwise_quadratic(g: Digraph, w: NDArray[np.float64], y: NDArray[np.float64]) -> float:
+    """sum_{i,j} w_i a_ij |y_j - y_i|^2 with per-row weights w, summed over
+    the arcs j -> i."""
+    tails, heads, a = g.arcs
+    diff = y[tails] - y[heads]
+    return float(np.sum(a * w[heads] * np.einsum("ek,ek->e", diff, diff)))
 
 
 def _coupling_inputs(g: Digraph, y: NDArray[np.float64]) -> NDArray[np.float64]:
-    d_plus, _ = degrees(g)
-    return g.adjacency @ y - d_plus[:, None] * y
+    """u_i = sum_j a_ij (y_j - y_i), scattered over the arcs j -> i."""
+    tails, heads, a = g.arcs
+    u = np.zeros_like(y)
+    np.add.at(u, heads, a[:, None] * (y[tails] - y[heads]))
+    return u
 
 
 def _stack_outputs(g: Digraph, y) -> NDArray[np.float64]:

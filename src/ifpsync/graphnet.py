@@ -5,16 +5,13 @@ A `Digraph` is its arc list: arc i runs from node ``tails[i]`` into node
 ``a[j, k] > 0`` means there is an arc from node ``k`` into node ``j``
 (information flows k -> j), so row ``j`` collects the arcs *into* node ``j``
 and the in-degree ``d_plus[j]`` is the sum of the weights of the arcs with
-head ``j``. Degrees, connectivity and the Perron weights of a graph whose
-power iteration converges read only the arcs; the dense n x n adjacency is
-formed on first use (by the Laplacian, the dense Perron solve and the
-dissipation identities of `certify`).
+head ``j``. Every function here reads the arcs; the Laplacian and the
+bordered matrix of the dense Perron solve are scattered from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,15 +73,6 @@ class Digraph:
         """(tails, heads, weights)."""
         return self.tails, self.heads, self.weights
 
-    @cached_property
-    def adjacency(self) -> NDArray[np.float64]:
-        """The dense n x n matrix with a[heads[i], tails[i]] = weights[i],
-        read-only; formed on first use, unless the graph was built from it."""
-        a = np.zeros((self.n, self.n))
-        a[self.heads, self.tails] = self.weights
-        a.setflags(write=False)
-        return a
-
 
 @dataclass(frozen=True)
 class ConnectivityReport:
@@ -100,10 +88,9 @@ def build_digraph(adjacency) -> Digraph:
     ----------
     adjacency : array_like or Cells
         Square matrix with non-negative entries and zero diagonal; entry
-        (j, k) is the weight of the arc from node k into node j. A read-only
-        float64 array is kept as the digraph's `adjacency` without a copy;
-        `Cells` (what `jsontext.loads` reads) give the arcs without the
-        matrix, which is then formed only if something needs it.
+        (j, k) is the weight of the arc from node k into node j. A matrix
+        gives its nonzero cells as the arcs; `Cells` (what `jsontext.loads`
+        reads) give them without the matrix.
 
     Raises
     ------
@@ -112,14 +99,9 @@ def build_digraph(adjacency) -> Digraph:
     order.
     """
     if isinstance(adjacency, Cells):
-        a = None
         n, heads, tails, weights = adjacency
-    elif isinstance(adjacency, np.ndarray) and adjacency.dtype == np.float64 \
-            and not adjacency.flags.writeable:
-        a = adjacency  # it cannot change under the Digraph
     else:
         a = numbers("adjacency", adjacency, finite=False)  # one conversion, also of a JSON list
-    if a is not None:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise NotSquare(f"adjacency must be square and non-empty, got shape {a.shape}")
         n = a.shape[0]
@@ -134,11 +116,7 @@ def build_digraph(adjacency) -> Digraph:
             i = np.argmax(bad)
             raise error(message.format(j=heads[i], k=tails[i], w=weights[i]))
     order = np.argsort(tails, kind="stable")  # row-major, so heads stay sorted per tail
-    g = Digraph(n=n, tails=tails[order], heads=heads[order], weights=weights[order])
-    if a is not None:
-        a.setflags(write=False)
-        object.__setattr__(g, "adjacency", a)  # the cached_property's value
-    return g
+    return Digraph(n=n, tails=tails[order], heads=heads[order], weights=weights[order])
 
 
 def degrees(g: Digraph) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -150,9 +128,11 @@ def degrees(g: Digraph) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 
 def laplacian(g: Digraph) -> NDArray[np.float64]:
-    """Laplacian L = diag(d_plus) - A; every row sums to zero."""
-    d_plus, _ = degrees(g)
-    return np.diag(d_plus) - g.adjacency
+    """Laplacian L = diag(d_plus) - A, with -weights scattered at [heads,
+    tails]; every row sums to zero."""
+    ell = np.diag(degrees(g)[0])
+    ell[g.heads, g.tails] = -g.weights
+    return ell
 
 
 def _successor_lists(g: Digraph) -> list[list[int]]:
@@ -270,8 +250,8 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
     the single dependency 1^T L^T = 0 (L 1 = 0), so dropping the last row
     leaves a basis of p^perp; the row of ones is not in p^perp (1.p > 0).
     Replacing the last row of L^T by ones thus gives a nonsingular M, and
-    M p = e_n yields p with sum(p) = 1. Only this solve forms the dense
-    adjacency.
+    M p = e_n yields p with sum(p) = 1. Only this solve forms an n x n
+    matrix, M, scattered from the arcs.
 
     The check, over the arcs: max|d_plus p - p^T A| <= _NULLSPACE_RTOL *
     max(d_plus) * max|p|, and p > 0.
@@ -289,7 +269,7 @@ def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float6
             p = _power_iteration(g.arcs, d_plus)
             if p is not None and _null_vector_fault(g.arcs, d_plus, p) is None:
                 return _unit_sum(p)
-    p = _bordered_solve(g.adjacency, d_plus)
+    p = _bordered_solve(g.arcs, d_plus)
     fault = _null_vector_fault(g.arcs, d_plus, p)
     if fault is not None:
         raise NotStronglyConnected(fault)
@@ -325,12 +305,15 @@ def _power_iteration(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64] |
     return None
 
 
-def _bordered_solve(a: NDArray[np.float64], d_plus: NDArray[np.float64]) -> NDArray[np.float64]:
+def _bordered_solve(arcs, d_plus: NDArray[np.float64]) -> NDArray[np.float64]:
     """The solution of M p = e_n, M being L^T with its last row replaced by ones."""
-    m = -a.T
-    m[np.diag_indices(a.shape[0])] = d_plus
+    tails, heads, w = arcs
+    n = d_plus.size
+    m = np.zeros((n, n))
+    m[tails, heads] = -w
+    m[np.diag_indices(n)] = d_plus
     m[-1] = 1.0
-    e_n = np.zeros(a.shape[0])
+    e_n = np.zeros(n)
     e_n[-1] = 1.0
     try:
         return np.linalg.solve(m, e_n)

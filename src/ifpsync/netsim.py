@@ -834,7 +834,8 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
     ends: list[Optional[tuple[int, float]]] = [None] * n_b  # (rows, t_diverged)
 
     k0 = 0
-    # a member's steps past its cut are discarded, and may overflow
+    # a member's steps past its cut are discarded, and may overflow; so may
+    # a recorded output y = C x (and its u = -K y)
     with np.errstate(over="ignore", invalid="ignore"):
         while k0 < n_steps:
             c0 = k0 - k0 % _CHUNK
@@ -878,19 +879,19 @@ def _integrate(members, x0, m, dt, n_steps, stride, offset):
             z[0, :, :nx] = z[steps, :, :nx]
             k0 += steps
 
-    all_times = np.arange(0, n_steps + 1, stride) * dt
-    runs = []
-    for j, (_, protocol, _) in enumerate(members):
-        r, t_div = ends[j] or (n_rec, None)
-        times = all_times[:r].copy()
-        states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
-        # y_i = C_i x_i agent by agent: the product over the whole stacked
-        # state sums each agent's terms in another order
-        y = np.empty((r, n, m))
-        for i, x_i in enumerate(states):
-            y[:, i] = x_i @ c_blk[j, i * m : (i + 1) * m, offs[i] : offs[i + 1]].T
-        u = -np.einsum("ij,rjm->rim", k_mat[j], y)
-        if isinstance(protocol, Reference):
-            u += _reference_offsets(protocol, times, m)
-        runs.append((times, states, y, u, t_div is not None, t_div))
+        all_times = np.arange(0, n_steps + 1, stride) * dt
+        runs = []
+        for j, (_, protocol, _) in enumerate(members):
+            r, t_div = ends[j] or (n_rec, None)
+            times = all_times[:r].copy()
+            states = tuple(x_rec[:r, j, offs[i] : offs[i + 1]].copy() for i in range(n))
+            # y_i = C_i x_i agent by agent: the product over the whole stacked
+            # state sums each agent's terms in another order
+            y = np.empty((r, n, m))
+            for i, x_i in enumerate(states):
+                y[:, i] = x_i @ c_blk[j, i * m : (i + 1) * m, offs[i] : offs[i + 1]].T
+            u = -np.einsum("ij,rjm->rim", k_mat[j], y)
+            if isinstance(protocol, Reference):
+                u += _reference_offsets(protocol, times, m)
+            runs.append((times, states, y, u, t_div is not None, t_div))
     return runs

@@ -182,8 +182,9 @@ def build_traffic(spec: TrafficSpec):
     node (an undelayed integrator with no incoming arcs, so its velocity stays
     at v0) and the followers keep their delays.
     """
+    g = build_digraph(spec.adjacency)
     cert = TrafficCertificate(
-        weak_coupling=check_weak_coupling(build_digraph(spec.adjacency), spec.delays),
+        weak_coupling=check_weak_coupling(g, spec.delays),
         chain_bound=_chain_bound(spec),
     )
     if spec.topology_preset == "classic_chain":
@@ -196,7 +197,7 @@ def build_traffic(spec: TrafficSpec):
         protocol = Plain(build_digraph(aug))
     else:
         agents = [DelayedIntegrator(delay=float(d)) for d in spec.delays]
-        protocol = Plain(build_digraph(spec.adjacency))
+        protocol = Plain(g)
     return agents, protocol, cert
 
 

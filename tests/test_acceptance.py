@@ -273,8 +273,9 @@ def test_acceptance_06_random_network_identities(capsys):
     for k in range(200):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 4))
-        g = build_digraph(random_strongly_connected_adjacency(rng, n))
-        d_plus = np.asarray(g.adjacency).sum(axis=1)
+        a = random_strongly_connected_adjacency(rng, n)
+        g = build_digraph(a)
+        d_plus = a.sum(axis=1)
         alphas = rng.uniform(0.1, 0.9, n) * 0.5 / d_plus  # certified by construction
         y = [rng.normal(size=m) for _ in range(n)]
         scale = max(1.0, max(float(np.max(np.abs(v))) for v in y))

@@ -36,12 +36,12 @@ class TestBuildDigraph:
     def test_bidirectional_pair(self):
         g = build_digraph([[0, 1], [1, 0]])
         assert g.n == 2
-        assert np.array_equal(g.adjacency, [[0, 1], [1, 0]])
+        assert [v.tolist() for v in g.arcs] == [[0, 1], [1, 0], [1.0, 1.0]]
 
     def test_single_arc(self):
         g = build_digraph([[0, 1], [0, 0]])
         assert g.n == 2
-        assert g.adjacency[0, 1] == 1.0
+        assert [v.tolist() for v in g.arcs] == [[1], [0], [1.0]]
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
@@ -99,7 +99,7 @@ def test_arcs_are_the_support_ordered_by_tail(seed, n, density):
         tails, heads, weights = g.arcs
         assert np.array_equal(tails, k) and np.array_equal(heads, j)
         assert np.array_equal(weights, a[j, k])
-        assert np.array_equal(g.adjacency, a) and not g.adjacency.flags.writeable
+        assert tails.dtype == heads.dtype == np.intp and weights.dtype == np.float64
 
 
 def test_arcs_of_a_digraph_built_directly():
@@ -108,9 +108,7 @@ def test_arcs_of_a_digraph_built_directly():
     tails, heads, weights = g.arcs
     assert tails.tolist() == [0, 1, 2] and heads.tolist() == [1, 2, 0]
     assert weights.tolist() == [1.0, 3.0, 2.0]
-    assert "adjacency" not in g.__dict__  # formed on first use
-    assert g.adjacency.tolist() == [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
-    assert g.adjacency is g.adjacency and not g.adjacency.flags.writeable
+    assert laplacian(g).tolist() == [[2.0, 0.0, -2.0], [-1.0, 1.0, 0.0], [0.0, -3.0, 3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ class TestPerronWeights:
     @pytest.mark.parametrize("slow", [False, True])
     def test_certify_forms_no_dense_adjacency_unless_the_sweeps_give_way(self, slow, dense_solves):
         # a digraph from arcs, as the input reader gives them; the ring with
-        # a chord mixes too slowly for the sweeps, so the dense solve forms it
+        # a chord mixes too slowly for the sweeps, so the dense solve runs
         n = 2000 if slow else 300
         a = ring_with_chord(n) if slow else sparse_strongly_connected_adjacency(
             np.random.default_rng(7), n, in_arcs=2)
@@ -340,7 +338,6 @@ class TestPerronWeights:
         g = build_digraph(Cells(n, rows, cols, a[rows, cols]))
         verdict = check_weak_coupling(g, np.full(n, 0.01))
         assert verdict.passes
-        assert ("adjacency" in g.__dict__) == slow
         assert len(dense_solves) == slow
 
     @pytest.mark.parametrize("x", [1.0, 2.0])
@@ -383,6 +380,20 @@ def test_laplacian_row_sums_vanish(seed, n):
     assert np.max(np.abs(ell.sum(axis=1))) < 1e-13 * n * np.max(a)
 
 
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), density=st.floats(0.0, 1.0))
+def test_laplacian_is_scattered_from_the_arcs(seed, n, density):
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
+    np.fill_diagonal(a, 0.0)
+    rows, cols = np.nonzero(a)
+    off = ~np.eye(n, dtype=bool)
+    for g in (build_digraph(a), build_digraph(Cells(n, rows, cols, a[rows, cols]))):
+        ell = laplacian(g)
+        # bit for bit as diag(d_plus) - a has them, +0.0 off the arcs
+        assert ell[off].tobytes() == (0.0 - a)[off].tobytes()
+        assert np.diagonal(ell).tobytes() == degrees(g)[0].tobytes()
+
+
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
 def test_perron_weights_positive_with_small_residual(seed, n):
     rng = np.random.default_rng(seed)
@@ -408,7 +419,7 @@ def test_swept_perron_weights_match_the_dense_solve(seed, n, in_arcs):
     a = sparse_strongly_connected_adjacency(rng, n, in_arcs)
     with counting_dense_solves() as calls:
         p = perron_weights(build_digraph(a))
-    dense = graphnet._bordered_solve(a, a.sum(axis=1))
+    dense = graphnet._bordered_solve(build_digraph(a).arcs, a.sum(axis=1))
     dense /= dense.sum()
     if not calls:  # the sweeps' p passed the null-vector check
         assert np.max(np.abs(p - dense)) <= 1e-12 * np.max(dense)

@@ -152,17 +152,6 @@ class TestLoads:
             got = cells_of(np.asarray(got, dtype=float))
         assert got == cells_of(a)
 
-    def test_the_array_is_the_digraphs_without_a_copy(self):
-        a = np.array([[0, 0.5], [2, 0.0]])
-        a.setflags(write=False)
-        assert build_digraph(a).adjacency is a
-        writable = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert build_digraph(writable).adjacency is not writable
-        # the reader's cells give a digraph that forms no array until asked
-        g = build_digraph(jsontext.loads('{"adjacency": [[0, 0.5], [2, 0.0]]}')["adjacency"])
-        assert "adjacency" not in g.__dict__
-        assert np.array_equal(g.adjacency, a)
-
 
 class TestCli:
     def test_certify_output_does_not_depend_on_the_layout(self, tmp_path, capsys):

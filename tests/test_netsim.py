@@ -75,7 +75,9 @@ def rk4_oracle(agents, protocol, config) -> np.ndarray:
     n = len(agents)
     dt = config.dt
     abc = [a.linear_realization() for a in agents]
-    adj = np.asarray(protocol.g.adjacency, dtype=float)
+    g = protocol.g
+    adj = np.zeros((n, n))
+    adj[g.heads, g.tails] = g.weights
     k = np.diag(adj.sum(axis=1)) - adj
     pinned = isinstance(protocol, Reference)
     if pinned:
@@ -742,6 +744,15 @@ class TestSimulateBatch:
         assert diverged.diverged and diverged.t_diverged == 0.05
         assert diverged.times.shape == (5,)
         self.assert_equal_runs(live, simulate(*members[0]))
+
+    def test_a_recorded_output_beyond_the_float_range_warns_nothing(self):
+        # agent 1 outputs 1e300 * 1e9, inf from t = 0: forming the recorded
+        # y and u overflows, and no floating-point warning escapes
+        agents = [LtiSiso.from_coeffs([1.0], [0.0, 1.0]), LtiSiso.from_coeffs([1e300], [0.0, 1.0])]
+        cfg = SimConfig(dt=0.1, t_final=1.0, initial_states=[[0.0], [1e9]])
+        run = simulate(agents, Plain(build_digraph([[0, 1], [0, 0]])), cfg)
+        assert run.diverged and run.t_diverged == 0.1
+        assert run.y[:, :, 0].tolist() == [[0.0, math.inf]]
 
     def test_a_member_is_cut_at_its_first_crossing_at_every_offset_of_a_block(self):
         # a delay of 5 steps makes blocks of 5 steps; one member crosses

@@ -82,7 +82,8 @@ class TestBuildTraffic:
         assert len(agents) == 3  # leader + two drivers
         assert isinstance(agents[0], DelayedIntegrator)
         assert agents[0].input_delay == 0.0
-        assert protocol.g.adjacency[1, 0] == 1.0  # first driver follows the leader
+        # the first driver follows the leader: the arc 0 -> 1 of weight 1
+        assert (0, 1, 1.0) in zip(*(v.tolist() for v in protocol.g.arcs))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(BadDimensions):
