@@ -13,7 +13,11 @@ two cells is mostly nonzero: one ``json.loads`` reads its rows as they stand,
 and ``np.nonzero`` picks its cells. In any other block, numpy comparisons
 check the layout: the separators must be ``[``, n - 1 commas and ``]`` per
 row, and each cell must hold one run of number characters (``0-9 + - . e
-E``) between spaces. Cells that read exactly ``0`` or ``0.0`` are skipped,
+E``) between spaces. Two counts and one compare check it, with no write per
+cell: the block must hold as many separators, and as many separators and
+runs together, as k such rows, and every separator of those rows must be in
+its place in the sequence of separators and run starts, so every other
+place holds a run. Cells that read exactly ``0`` or ``0.0`` are skipped,
 one ``json.loads`` parses the other tokens of the block, and those that read
 as zero (``-0.0``, ``0e0``, ``0.00``) are dropped. Either way the numbers
 must come back as an int64 or a float64 array, the types numpy also gives
@@ -154,21 +158,25 @@ def _block(block: str, n: int, k: int):
     sep = (b == 91) | (b == 44) | (b == 93)  # [ , ]
     if np.count_nonzero(num) + np.count_nonzero(sep) + np.count_nonzero(b == 32) != b.size:
         return None
-    start = num.copy()
-    start[1:] &= ~num[:-1]
-    # events: every separator and token start, one token between separators
+    start = np.empty_like(num)  # the first character of each token
+    start[0] = num[0]
+    np.greater(num[1:], num[:-1], out=start[1:])
+    # events: every separator and token start; k rows hold k(n + 2) - 1
+    # separators and k n tokens
     events = np.flatnonzero(sep | start)
-    if events.size != k * (2 * n + 2) - 1:
+    if events.size != k * (2 * n + 2) - 1 or np.count_nonzero(sep) != k * (n + 2) - 1:
         return None
+    # "T" matches no event's character, so k(n + 2) matches put every
+    # separator in its place, and every "T" is a token start
     marks = np.append(b[events], 44)  # and the comma that would follow the last row
-    marks[:-1][start[events]] = 84  # "T"
     row = np.frombuffer(b"[T" + b",T" * (n - 1) + b"],", np.uint8)
-    if not (marks.reshape(k, -1) == row).all():
+    if np.count_nonzero(marks.reshape(k, -1) == row) != k * (n + 2):
         return None
 
     # a token that reads 0 (a non-number character next) or 0.0 is skipped
     zero = (b[:-3] == 48) & (~num[1:-2] | ((b[1:-2] == 46) & (b[2:-1] == 48) & ~num[3:]))
-    keep = np.flatnonzero((start[:-3] & ~zero)[events])  # event index of each token kept
+    # event index of each token kept: the kept tokens are few
+    keep = np.searchsorted(events, np.flatnonzero(start[:-3] & ~zero))
     values = np.zeros(0)
     if keep.size:
         ends = events[keep + 1].tolist()  # the separator after the token

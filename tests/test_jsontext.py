@@ -31,7 +31,7 @@ CELLS = st.one_of(
 )
 # (cell separator, row separator): compact, json.dumps' ", ", spaced, one
 # row per line, and indented as json.dumps(indent=2) writes it
-LAYOUTS = [(",", ","), (", ", ", "), (" , ", " ,  "), (", ", ",\n "),
+LAYOUTS = [(",", "],["), (", ", "], ["), (" , ", " ] ,  [ "), (", ", "],\n ["),
            (",\n    ", "\n  ],\n  [\n    ")]
 
 
@@ -121,6 +121,12 @@ class TestLoads:
         '{"adjacency": [[0, 1], [é, 0]]}', '{"adjacency": [[0, 01], [0.0, 0]]}',
         '{"adjacency": [[0, 0.0], [-0.0, 0]]}', '{"adjacency": [[0, 0], [0, 0]]}',
         '{"adjacency": [[0 0,], [0, 0]]}',
+        # the right counts of tokens and separators, a separator in a token's place
+        '{"adjacency": [[0, 0, 1], [1 0,, 0], [0, 1, 0]]}',
+        '{"adjacency": [[0, 0, 1], [1, 0, 0], [0 1,, 0]]}',
+        '{"adjacency": [[0, 0, 1], [,1 0, 0], [0, 1, 0]]}',
+        '{"adjacency": [[0, 0, 1], [1, 0, 0],, [0, 1 0]]}',
+        '{"adjacency": [[0, 1], [0,, ]]}',  # a separator in a token's place, a token short
         '{"adjacency": [[0, 1], [2, 0]], "b": [1, 2]}', '{"adjacency": [[0, 1], [2, 0]],}',
         '{"adjacency": }', '{"adjacency" 1}', '{1: 2}', "{}", "[1, 2]", "5", '"x"', "",
         "\ufeff{}", '{"a": "\x01"}', '{"adjacency": [[0]]} {}',
@@ -128,6 +134,17 @@ class TestLoads:
     @pytest.mark.parametrize("block", [1, 1 << 19])
     def test_edge_cases_equal_json(self, text, block):
         with mock.patch.object(jsontext, "_BLOCK", block):
+            assert_reads_as_json(text)
+
+    @pytest.mark.parametrize("block", [1, 30, 1 << 19])
+    @pytest.mark.parametrize("sep, row_sep", LAYOUTS[:3])
+    def test_one_line_layouts_are_read_in_blocks(self, sep, row_sep, block):
+        # a mostly zero matrix: a few 0.5 cells among 0 and 0.0
+        rows = [["0.5" if (3 * i + j) % 5 == 0 else "0" if (i + j) % 2 else "0.0"
+                 for j in range(7)] for i in range(7)]
+        text = '{"adjacency": [[%s]]}' % row_sep.join(sep.join(row) for row in rows)
+        with mock.patch.object(jsontext, "_BLOCK", block):
+            assert isinstance(jsontext.loads(text)["adjacency"], Cells)
             assert_reads_as_json(text)
 
     @pytest.mark.parametrize("indent", [None, 2])
