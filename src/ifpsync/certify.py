@@ -79,7 +79,7 @@ def _verdict(g: Digraph, alphas, b=None) -> tuple[WeakCouplingVerdict, Optional[
     """The verdict of check_weak_coupling, and the Perron weights it used
     (None on a graph that is not strongly connected)."""
     alphas = _as_nonnegative_vector("alpha", alphas, g.n)
-    d_plus, _ = degrees(g)
+    d_plus = degrees(g)
     reasons = []
     if b is None:
         slack = 0.5 - alphas * d_plus
@@ -88,14 +88,14 @@ def _verdict(g: Digraph, alphas, b=None) -> tuple[WeakCouplingVerdict, Optional[
         slack = 0.5 - alphas * (d_plus + 2.0 * b)
         if not b.any():
             reasons.append("no_pinned_agent")
-    conn = connectivity(g)
+    strongly_connected = connectivity(g)
     offending = tuple(int(j) for j in np.flatnonzero(slack <= 0.0))
-    if not conn.strongly_connected:
+    if not strongly_connected:
         reasons.append("not_strongly_connected")
     if offending:
         reasons.append("coupling_too_strong")
     p = kappa = None
-    if conn.strongly_connected:
+    if strongly_connected:
         p = _perron_vector(g, d_plus)
         kappa = p * slack
         kappa.setflags(write=False)
@@ -104,7 +104,7 @@ def _verdict(g: Digraph, alphas, b=None) -> tuple[WeakCouplingVerdict, Optional[
         passes=not reasons,
         slack=slack,
         kappa=kappa,
-        strongly_connected=conn.strongly_connected,
+        strongly_connected=strongly_connected,
         reasons=tuple(reasons),
         offending=offending,
     )

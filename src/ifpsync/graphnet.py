@@ -1,12 +1,14 @@
-"""Weighted digraphs: construction, connectivity, Laplacians, Perron weights.
+"""Weighted digraphs: construction, in-degrees, strong connectivity,
+Laplacians, Perron weights.
 
 A `Digraph` is its arc list: arc i runs from node ``tails[i]`` into node
 ``heads[i]`` with weight ``weights[i]``. In the adjacency convention,
 ``a[j, k] > 0`` means there is an arc from node ``k`` into node ``j``
 (information flows k -> j), so row ``j`` collects the arcs *into* node ``j``
 and the in-degree ``d_plus[j]`` is the sum of the weights of the arcs with
-head ``j``. Every function here reads the arcs; the Laplacian and the
-bordered matrix of the dense Perron solve are scattered from them.
+head ``j``. Every function here reads the arcs, in any order (`build_digraph`
+gives them row-major); the Laplacian and the bordered matrix of the dense
+Perron solve are scattered from them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "Digraph",
-    "ConnectivityReport",
     "build_digraph",
     "degrees",
     "connectivity",
@@ -60,8 +61,7 @@ class Cells(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Digraph:
     """A weighted digraph on nodes 0..n-1: arc i runs from tails[i] into
-    heads[i] with weight weights[i]. The arcs are ordered by tail, then head
-    (as `build_digraph` orders them)."""
+    heads[i] with weight weights[i]. The arcs may come in any order."""
 
     n: int
     tails: NDArray[np.intp]
@@ -74,13 +74,6 @@ class Digraph:
         return self.tails, self.heads, self.weights
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    strongly_connected: bool
-    quasi_strongly_connected: bool
-    scc_count: int
-
-
 def build_digraph(adjacency) -> Digraph:
     """Validate an adjacency matrix and wrap it as a Digraph.
 
@@ -90,7 +83,8 @@ def build_digraph(adjacency) -> Digraph:
         Square matrix with non-negative entries and zero diagonal; entry
         (j, k) is the weight of the arc from node k into node j. A matrix
         gives its nonzero cells as the arcs; `Cells` (what `jsontext.loads`
-        reads) give them without the matrix.
+        reads) give them without the matrix. Either way the arcs come in
+        row-major order of their cells: by head, then by tail.
 
     Raises
     ------
@@ -115,103 +109,52 @@ def build_digraph(adjacency) -> Digraph:
         if bad.any():
             i = np.argmax(bad)
             raise error(message.format(j=heads[i], k=tails[i], w=weights[i]))
-    order = np.argsort(tails, kind="stable")  # row-major, so heads stay sorted per tail
-    return Digraph(n=n, tails=tails[order], heads=heads[order], weights=weights[order])
+    return Digraph(n=n, tails=tails, heads=heads, weights=weights)
 
 
-def degrees(g: Digraph) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Return (d_plus, d_minus): weighted in-degrees and out-degrees, the sums
-    of the arc weights by head and by tail, in arc order."""
-    tails, heads, w = g.arcs
-    return (np.bincount(heads, weights=w, minlength=g.n),
-            np.bincount(tails, weights=w, minlength=g.n))
+def degrees(g: Digraph) -> NDArray[np.float64]:
+    """Weighted in-degrees d_plus: the sums of the arc weights by head."""
+    return np.bincount(g.heads, weights=g.weights, minlength=g.n)
 
 
 def laplacian(g: Digraph) -> NDArray[np.float64]:
     """Laplacian L = diag(d_plus) - A, with -weights scattered at [heads,
     tails]; every row sums to zero."""
-    ell = np.diag(degrees(g)[0])
+    ell = np.diag(degrees(g))
     ell[g.heads, g.tails] = -g.weights
     return ell
 
 
-def _successor_lists(g: Digraph) -> list[list[int]]:
-    # successors of k are the heads of the arcs with tail k, one run of the
-    # tail-ordered arcs; as plain ints, which Tarjan's list indexing handles
-    # far faster than numpy scalars
-    tails, heads, _ = g.arcs
-    ends = np.searchsorted(tails, np.arange(1, g.n + 1)).tolist()
-    heads = heads.tolist()
-    return [heads[start:end] for start, end in zip([0] + ends[:-1], ends)]
+def _reaches_all(n: int, tails: NDArray[np.intp], heads: NDArray[np.intp]) -> bool:
+    """Whether node 0 reaches every node along the arcs tails[i] -> heads[i]
+    (a stack search over plain ints, which index lists far faster than numpy
+    scalars)."""
+    order = np.argsort(tails)
+    ends = np.searchsorted(tails, np.arange(n + 1), sorter=order).tolist()
+    succ = heads[order].tolist()  # successors of k: succ[ends[k]:ends[k + 1]]
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        k = stack.pop()
+        for j in succ[ends[k]:ends[k + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+                reached += 1
+    return reached == n
 
 
-def _tarjan_components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component of every node, numbered 0, 1, ...
-    (iterative Tarjan)."""
-    n = len(succ)
-    comp = [0] * n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    count = 0
-    next_index = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = count
-                    if w == v:
-                        break
-                count += 1
-    return comp
+def connectivity(g: Digraph) -> bool:
+    """Whether g is strongly connected: a walk joins any two distinct nodes.
 
-
-def connectivity(g: Digraph) -> ConnectivityReport:
-    """Strong / quasi-strong connectivity of the arc set.
-
-    Quasi-strong connectivity means some root node reaches every node along
-    arc directions (equivalently, the graph has a directed spanning tree).
-    The components form an acyclic condensation in which every component is
-    reached from one with no entering arc, so a root exists iff exactly one
-    component has no arc entering it from another component.
+    That holds exactly when node 0 reaches every node along the arcs and
+    every node reaches node 0, that is node 0 reaches every node along the
+    reversed arcs. Two searches from node 0 decide it, each one sort of the
+    arcs by their source and one walk over them, in any arc order.
     """
-    succ = _successor_lists(g)
-    comp = _tarjan_components(succ)
-    scc_count = max(comp) + 1
-    entered = {comp[w] for v, heads in enumerate(succ) for w in heads if comp[w] != comp[v]}
-    return ConnectivityReport(
-        strongly_connected=scc_count == 1,
-        quasi_strongly_connected=scc_count - len(entered) == 1,
-        scc_count=scc_count,
-    )
+    return _reaches_all(g.n, g.tails, g.heads) and _reaches_all(g.n, g.heads, g.tails)
 
 
 def perron_weights(g: Digraph) -> NDArray[np.float64]:
@@ -228,9 +171,9 @@ def perron_weights(g: Digraph) -> NDArray[np.float64]:
     ------
     NotStronglyConnected
     """
-    if not connectivity(g).strongly_connected:
+    if not connectivity(g):
         raise NotStronglyConnected("Perron weights require a strongly connected digraph")
-    return _perron_vector(g, degrees(g)[0])
+    return _perron_vector(g, degrees(g))
 
 
 def _perron_vector(g: Digraph, d_plus: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -36,7 +36,7 @@ class TestBuildDigraph:
     def test_bidirectional_pair(self):
         g = build_digraph([[0, 1], [1, 0]])
         assert g.n == 2
-        assert [v.tolist() for v in g.arcs] == [[0, 1], [1, 0], [1.0, 1.0]]
+        assert [v.tolist() for v in g.arcs] == [[1, 0], [0, 1], [1.0, 1.0]]
 
     def test_single_arc(self):
         g = build_digraph([[0, 1], [0, 0]])
@@ -67,20 +67,18 @@ class TestBuildDigraph:
 
 class TestDegrees:
     def test_symmetric_pair(self):
-        d_plus, d_minus = degrees(build_digraph([[0, 1], [1, 0]]))
+        d_plus = degrees(build_digraph([[0, 1], [1, 0]]))
         assert np.array_equal(d_plus, [1, 1])
-        assert np.array_equal(d_minus, [1, 1])
 
     def test_row_and_column_sums(self):
-        d_plus, d_minus = degrees(build_digraph([[0, 2], [0, 0]]))
+        d_plus = degrees(build_digraph([[0, 2], [0, 0]]))
         assert np.array_equal(d_plus, [2, 0])
-        assert np.array_equal(d_minus, [0, 2])
 
     def test_unit_ring(self):
         a = np.zeros((3, 3))
         for i in range(3):
             a[i, (i - 1) % 3] = 1.0
-        d_plus, _ = degrees(build_digraph(a))
+        d_plus = degrees(build_digraph(a))
         assert np.array_equal(d_plus, [1, 1, 1])
 
 
@@ -89,13 +87,12 @@ class TestDegrees:
 # ---------------------------------------------------------------------------
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), density=st.floats(0.0, 1.0))
-def test_arcs_are_the_support_ordered_by_tail(seed, n, density):
+def test_arcs_are_the_support_in_row_major_order(seed, n, density):
     rng = np.random.default_rng(seed)
     a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
     np.fill_diagonal(a, 0.0)
-    k, j = np.nonzero(a.T)
-    rows, cols = np.nonzero(a)
-    for g in (build_digraph(a), build_digraph(Cells(n, rows, cols, a[rows, cols]))):
+    j, k = np.nonzero(a)
+    for g in (build_digraph(a), build_digraph(Cells(n, j, k, a[j, k]))):
         tails, heads, weights = g.arcs
         assert np.array_equal(tails, k) and np.array_equal(heads, j)
         assert np.array_equal(weights, a[j, k])
@@ -120,23 +117,31 @@ class TestConnectivity:
         a = np.zeros((3, 3))
         for i in range(3):
             a[i, (i - 1) % 3] = 1.0
-        rep = connectivity(build_digraph(a))
-        assert rep.strongly_connected
-        assert rep.scc_count == 1
+        assert connectivity(build_digraph(a)) is True
 
     def test_chain_quasi_strongly_connected_only(self):
-        # arcs 0 -> 1 -> 2: row j holds arcs INTO node j
+        # arcs 0 -> 1 -> 2: row j holds arcs INTO node j; node 0 reaches
+        # every node, but no node reaches node 0
         a = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-        rep = connectivity(build_digraph(a))
-        assert not rep.strongly_connected
-        assert rep.quasi_strongly_connected
-        assert rep.scc_count == 3
+        assert connectivity(build_digraph(a)) is False
 
     def test_isolated_nodes(self):
-        rep = connectivity(build_digraph([[0, 0], [0, 0]]))
-        assert not rep.strongly_connected
-        assert not rep.quasi_strongly_connected
-        assert rep.scc_count == 2
+        assert connectivity(build_digraph([[0, 0], [0, 0]])) is False
+
+    def test_ring_with_arcs_out_of_tail_order(self):
+        g = Digraph(n=3, tails=np.array([2, 0, 1]), heads=np.array([0, 1, 2]),
+                    weights=np.ones(3))
+        assert connectivity(g) is True
+        verdict = check_weak_coupling(g, [0.1] * 3)
+        assert verdict.passes and verdict.to_json_dict()["strongly_connected"] is True
+
+    def test_deep_ring_is_searched_without_recursion(self):
+        n = 100_000
+        tails = np.arange(n)
+        heads = (tails + 1) % n
+        w = np.ones(n)
+        assert connectivity(Digraph(n=n, tails=tails, heads=heads, weights=w)) is True
+        assert connectivity(Digraph(n=n, tails=tails[1:], heads=heads[1:], weights=w[1:])) is False
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,7 @@ def test_laplacian_is_scattered_from_the_arcs(seed, n, density):
         ell = laplacian(g)
         # bit for bit as diag(d_plus) - a has them, +0.0 off the arcs
         assert ell[off].tobytes() == (0.0 - a)[off].tobytes()
-        assert np.diagonal(ell).tobytes() == degrees(g)[0].tobytes()
+        assert np.diagonal(ell).tobytes() == degrees(g).tobytes()
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
@@ -440,13 +445,9 @@ def test_connectivity_matches_reachability_oracle(seed, n, density):
     rng = np.random.default_rng(seed)
     a = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 2.0, (n, n)), 0.0)
     np.fill_diagonal(a, 0.0)
-    rep = connectivity(build_digraph(a))
     reach = reachability_closure(a)
     off_diag = ~np.eye(n, dtype=bool)
-    strongly = bool(np.all(reach[off_diag]))
-    quasi = any(np.all(reach[:, r] | np.eye(n, dtype=bool)[:, r]) for r in range(n))
-    assert rep.strongly_connected == strongly
-    assert rep.quasi_strongly_connected == quasi
+    assert connectivity(build_digraph(a)) == bool(np.all(reach[off_diag]))
 
 
 def _reaches_all(a: np.ndarray, root: int) -> bool:
@@ -463,18 +464,25 @@ def _reaches_all(a: np.ndarray, root: int) -> bool:
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 40), arcs_per_node=st.floats(0.5, 2.5))
-def test_quasi_strong_connectivity_matches_bfs_from_every_root(seed, n, arcs_per_node):
+def test_connectivity_of_shuffled_arcs_matches_bfs_from_every_root(seed, n, arcs_per_node):
     rng = np.random.default_rng(seed)
-    a = np.where(rng.random((n, n)) < arcs_per_node / n, 1.0, 0.0)
+    a = np.where(rng.random((n, n)) < arcs_per_node / n, rng.uniform(0.1, 2.0, (n, n)), 0.0)
     np.fill_diagonal(a, 0.0)
-    quasi = any(_reaches_all(a, root) for root in range(n))
-    assert connectivity(build_digraph(a)).quasi_strongly_connected == quasi
+    g = build_digraph(a)
+    strongly = all(_reaches_all(a, root) for root in range(n))
+    assert connectivity(g) == strongly
+    p = perron_weights(g) if strongly else None
+    for order in (rng.permutation(g.tails.size), np.arange(g.tails.size)[::-1]):
+        shuffled = Digraph(n=n, tails=g.tails[order], heads=g.heads[order],
+                           weights=g.weights[order])
+        assert connectivity(shuffled) == strongly
+        if strongly:
+            assert np.max(np.abs(perron_weights(shuffled) - p)) <= 1e-12 * np.max(p)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
 def test_total_in_weight_equals_total_out_weight(seed, n):
     rng = np.random.default_rng(seed)
     a = random_strongly_connected_adjacency(rng, n)
-    d_plus, d_minus = degrees(build_digraph(a))
-    assert np.isclose(d_plus.sum(), d_minus.sum(), rtol=0, atol=1e-12 * max(1.0, a.sum()))
+    d_plus = degrees(build_digraph(a))
     assert np.isclose(d_plus.sum(), a.sum(), rtol=0, atol=1e-12 * max(1.0, a.sum()))
