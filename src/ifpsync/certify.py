@@ -24,7 +24,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BadDimensions, CertificateFailed
-from .graphnet import Digraph, _perron_vector, connectivity, degrees, perron_weights
+from .graphnet import (
+    Digraph, _perron_vector, build_digraph, connectivity, degrees, perron_weights,
+)
 from .passivity import Polynomial, routh_hurwitz
 
 __all__ = [
@@ -134,7 +136,9 @@ class CaccGainSet:
 
     mu: velocity-error gains; eta: gains on the gap to the predecessor;
     nu: gains on the gap to the successor (length n-1, nu[i] belongs to
-    vehicle i which has a successor); tau: drivetrain lags.
+    vehicle i which has a successor); tau: drivetrain lags. `network` is the
+    chain these gains couple, the one graph that the platoon runs on and
+    that its conditions read.
     """
 
     mu: tuple[float, ...]
@@ -162,6 +166,15 @@ class CaccGainSet:
     def n(self) -> int:
         return len(self.mu)
 
+    def network(self) -> tuple[Digraph, NDArray[np.float64]]:
+        """(g, b): the chain's digraph, in which vehicle i senses its
+        predecessor with weight eta[i] (a[i, i-1]) and its successor with
+        weight nu[i] (a[i, i+1]), and the pinning gains b, where only the
+        lead vehicle senses the leader, with b[0] = eta[0]."""
+        b = np.zeros(self.n)
+        b[0] = self.eta[0]
+        return build_digraph(np.diag(self.eta[1:], -1) + np.diag(self.nu, 1)), b
+
 
 @dataclass(frozen=True)
 class PlatoonGainVerdict:
@@ -175,22 +188,14 @@ class PlatoonGainVerdict:
 def check_platoon_gains(gains: CaccGainSet) -> PlatoonGainVerdict:
     """Per-vehicle gain inequalities for a CACC chain.
 
-    Vehicle i passes iff mu_i*tau_i < 1/2 and mu_i^2/2 exceeds the coupling it
-    carries: 2*eta_1 + nu_1 for the lead vehicle, eta_i + nu_i in the middle,
-    eta_n for the last vehicle.
+    Vehicle i passes iff mu_i*tau_i < 1/2 and mu_i^2/2 exceeds the coupling
+    it carries on the chain's graph, d_plus[i] + 2*b_i with (g, b) =
+    `gains.network()`.
     """
-    n = gains.n
-    per = []
-    for i in range(n):
-        mu, tau, eta = gains.mu[i], gains.tau[i], gains.eta[i]
-        if i == 0:
-            coupling = 2.0 * eta + gains.nu[0]
-        elif i == n - 1:
-            coupling = eta
-        else:
-            coupling = eta + gains.nu[i]
-        per.append(mu * tau < 0.5 and 0.5 * mu * mu > coupling)
-    return PlatoonGainVerdict(passes=all(per), per_vehicle=tuple(per))
+    g, b = gains.network()
+    mu, tau = np.array(gains.mu), np.array(gains.tau)
+    per = tuple(((mu * tau < 0.5) & (0.5 * mu * mu > degrees(g) + 2.0 * b)).tolist())
+    return PlatoonGainVerdict(passes=all(per), per_vehicle=per)
 
 
 def all_to_all_bound(p: float, q: float, n_agents: int, kappa: float) -> bool:

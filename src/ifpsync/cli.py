@@ -159,6 +159,11 @@ def _certify_pinning(d: dict, n: int) -> np.ndarray:
     return _pinning(d, n)
 
 
+def _check_agent_count(n: int, agents: list) -> None:
+    if n != len(agents):
+        raise IfpSyncError(f"adjacency is {n}x{n} but {len(agents)} agents given")
+
+
 def load_network(d: dict):
     """(agents, protocol, SimConfig) from a network JSON dictionary.
 
@@ -172,8 +177,7 @@ def load_network(d: dict):
     """
     g = build_digraph(field(json_object("network", d, _NETWORK_KEYS), "adjacency"))
     agents = _agents_from_json(d)
-    if g.n != len(agents):
-        raise IfpSyncError(f"adjacency is {g.n}x{g.n} but {len(agents)} agents given")
+    _check_agent_count(g.n, agents)
 
     proto_d = json_object("protocol", d.get("protocol", {"type": "plain"}), _PROTOCOL_KEYS)
     pkind = proto_d.get("type", "plain")
@@ -512,11 +516,11 @@ def cmd_ifp(args) -> int:
     return EXIT_OK
 
 
-def _alphas_from_json(d: dict) -> list[float]:
+def _alphas_from_json(d: dict, n: int) -> list[float]:
     """The given alpha list, or every agent's passivity deficit: all agents
     are parsed first, the LTI ones then go through one ifp_indices batch. The
     first agent in input order whose deficit is undefined raises, named by
-    its index."""
+    its index; only then must there be n agents, one per node."""
     if "alpha" in d:
         return numbers("alpha", d["alpha"]).tolist()
     if "agents" not in d:
@@ -530,6 +534,7 @@ def _alphas_from_json(d: dict) -> list[float]:
             if isinstance(cert, IfpSyncError):
                 raise cert
             alphas.append(agent.ifp_index() if cert is None else cert.alpha)
+    _check_agent_count(n, agents)
     return alphas
 
 
@@ -538,7 +543,7 @@ def cmd_certify(args) -> int:
     g = build_digraph(field(d, "adjacency"))
     json_object("certify", d, _CERTIFY_KEYS)
     del d["adjacency"]  # free json's lists, where the reader fell back to them
-    alphas = _alphas_from_json(d)
+    alphas = _alphas_from_json(d, g.n)
     b = _certify_pinning(d, g.n) if args.reference else None
     verdict = check_weak_coupling(g, alphas, b)
     report = {"weak_coupling": verdict.to_json_dict(), "alpha": alphas}

@@ -183,6 +183,8 @@ class Vehicle3rd(AgentModel):
     velocity-feedback term mu*y' has been absorbed into the left-hand side.
     The passivity deficit is 1/mu^2 provided mu*tau < 1/2; beyond that the
     closed-form index ceases to hold and `ifp_index` raises MuTauViolation.
+    A mu so small that 1/mu^2 is not a finite number makes `ifp_index` raise
+    BadDimensions; simulating such a vehicle needs no deficit.
     """
 
     def __init__(self, tau: float, mu: float):
@@ -209,7 +211,10 @@ class Vehicle3rd(AgentModel):
             raise MuTauViolation(
                 f"mu*tau = {self.mu * self.tau:.6g} >= 1/2; the 1/mu^2 index does not apply"
             )
-        return 1.0 / self.mu**2
+        deficit = 1.0 / self.mu**2 if self.mu**2 else math.inf
+        if deficit == math.inf:
+            raise BadDimensions(f"mu = {self.mu:.6g}: the deficit 1/mu^2 is not a finite number")
+        return deficit
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .certify import (
 from .errors import (
     BadDimensions, DimensionMismatch, field, integer, json_object, number, numbers, where,
 )
-from .graphnet import build_digraph
+from .graphnet import build_digraph, degrees
 from .netsim import (
     DelayedIntegrator,
     LtiSiso,
@@ -95,7 +95,7 @@ class TrafficSpec:
     (entry (i, j) is driver i's response gain to vehicle j, 1/s), per-driver
     reaction delays (a single delay is broadcast to every driver), and initial
     velocities. classic_chain follows a virtual leader at constant speed v0
-    through gain leader_gain."""
+    through gain leader_gain. A ring preset needs n >= 2."""
 
     n: int
     adjacency: NDArray[np.float64]
@@ -106,7 +106,11 @@ class TrafficSpec:
     leader_gain: Optional[float] = None
 
     def __post_init__(self):
-        n, d = self.n, self.delays
+        n, d, preset = self.n, self.delays, self.topology_preset
+        if preset not in _PRESETS:
+            raise BadDimensions(f"unknown topology preset {preset!r}")
+        if preset.endswith("_ring") and n < 2:
+            raise BadDimensions(f"{preset} needs n >= 2 vehicles, got {n}")
         a, v = numbers("adjacency", self.adjacency), numbers("v_init", self.v_init)
         d = np.full(n, number("delays", d)) if isinstance(d, (int, float)) else numbers("delays", d)
         if a.shape != (n, n):
@@ -115,9 +119,7 @@ class TrafficSpec:
             raise DimensionMismatch("delays and v_init must have length n")
         if np.any(d < 0.0):
             raise BadDimensions("delays must be non-negative")
-        if self.topology_preset not in _PRESETS:
-            raise BadDimensions(f"unknown topology preset {self.topology_preset!r}")
-        if self.topology_preset == "classic_chain" and self.leader_gain is None:
+        if preset == "classic_chain" and self.leader_gain is None:
             raise BadDimensions("classic_chain requires a leader_gain")
         for arr in (a, d, v):
             arr.setflags(write=False)
@@ -156,7 +158,8 @@ class TrafficCertificate:
     """weak_coupling is the general certificate on the sensitivity digraph
     (delays double as the passivity deficits). The leader-following chain is
     not strongly connected, so for that preset the decisive check is the
-    classical per-link bound 2*delay*gain < 1, reported in chain_bound."""
+    per-node bound 2*delay_i*d_plus[i] < 1 of every follower on the rooted
+    graph that build_traffic returns, reported in chain_bound."""
 
     weak_coupling: WeakCouplingVerdict
     chain_bound: Optional[bool]
@@ -178,35 +181,24 @@ class TrafficCertificate:
 def build_traffic(spec: TrafficSpec):
     """(agents, protocol, certificate) for a traffic spec.
 
-    Chain preset: the graph is augmented with a zero-dynamics virtual leader
-    node (an undelayed integrator with no incoming arcs, so its velocity stays
-    at v0) and the followers keep their delays.
+    Chain preset: the graph is rooted at a zero-dynamics virtual leader,
+    node 0 (an undelayed integrator with no incoming arcs, so its velocity
+    stays at v0), and the followers keep their delays. chain_bound is the
+    per-node test 2*delay_i*d_plus[i] < 1 of every follower on that rooted
+    graph, the one the protocol returned here couples.
     """
     g = build_digraph(spec.adjacency)
-    cert = TrafficCertificate(
-        weak_coupling=check_weak_coupling(g, spec.delays),
-        chain_bound=_chain_bound(spec),
-    )
+    weak_coupling = check_weak_coupling(g, spec.delays)
+    agents = [DelayedIntegrator(delay=float(d)) for d in spec.delays]
+    chain_bound = None
     if spec.topology_preset == "classic_chain":
-        n = spec.n
-        aug = np.zeros((n + 1, n + 1))
+        aug = np.zeros((spec.n + 1, spec.n + 1))
         aug[1:, 1:] = spec.adjacency
         aug[1, 0] = spec.leader_gain
-        agents = [DelayedIntegrator(delay=0.0)]
-        agents += [DelayedIntegrator(delay=float(d)) for d in spec.delays]
-        protocol = Plain(build_digraph(aug))
-    else:
-        agents = [DelayedIntegrator(delay=float(d)) for d in spec.delays]
-        protocol = Plain(g)
-    return agents, protocol, cert
-
-
-def _chain_bound(spec: TrafficSpec) -> Optional[bool]:
-    if spec.topology_preset != "classic_chain":
-        return None
-    gains = spec.adjacency.sum(axis=1)
-    gains[0] += spec.leader_gain
-    return bool(np.all(2.0 * spec.delays * gains < 1.0))
+        g = build_digraph(aug)
+        agents.insert(0, DelayedIntegrator(delay=0.0))
+        chain_bound = bool(np.all(2.0 * spec.delays * degrees(g)[1:] < 1.0))
+    return agents, Plain(g), TrafficCertificate(weak_coupling, chain_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,22 +323,16 @@ class PlatoonCertificate:
 def _platoon_network(spec: PlatoonSpec):
     """(agents, graph, b, certificate) shared by both platoon coordinates.
 
-    The graph is a bidirectional chain with predecessor gains eta and
-    successor gains nu. Vehicle i is pinned iff i = 0 (b[0] = eta[0]).
+    The graph and the pinning gains b are `spec.gains.network()`: a
+    bidirectional chain with predecessor gains eta and successor gains nu,
+    where only vehicle 0 is pinned (b[0] = eta[0]).
 
     Raises MuTauViolation when some mu_i*tau_i >= 1/2 (the per-vehicle
     passivity deficit 1/mu_i^2 is only valid below that product).
     """
-    gains, n = spec.gains, spec.n
-    a = np.zeros((n, n))
-    for i in range(1, n):
-        a[i, i - 1] = gains.eta[i]
-    for i in range(n - 1):
-        a[i, i + 1] = gains.nu[i]
-    g = build_digraph(a)
+    gains = spec.gains
+    g, b = gains.network()
     agents = [Vehicle3rd(tau=t, mu=m) for t, m in zip(gains.tau, gains.mu)]
-    b = np.zeros(n)
-    b[0] = gains.eta[0]
     cert = PlatoonCertificate(
         pinned=check_weak_coupling(g, [ag.ifp_index() for ag in agents], b),
         gains=check_platoon_gains(gains),

@@ -3,9 +3,11 @@ Hurwitz bound, and the diffusive power identities on random networks."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifpsync.certify as certify
@@ -160,6 +162,54 @@ class TestPlatoonGains:
     def test_follower_gain_vector_length_checked(self):
         with pytest.raises(BadDimensions):
             CaccGainSet(mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5, 0.5], tau=[0.1, 0.1])
+
+    def test_network_is_the_pinned_bidirectional_chain(self):
+        g, b = CaccGainSet(
+            mu=[2.0, 2.0, 2.0], eta=[0.4, 0.5, 1.0], nu=[0.5, 0.7], tau=[0.1, 0.1, 0.1]
+        ).network()
+        a = np.zeros((3, 3))
+        a[g.heads, g.tails] = g.weights
+        np.testing.assert_array_equal(a, [[0.0, 0.5, 0.0], [0.5, 0.0, 0.7], [0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(b, [0.4, 0.0, 0.0])
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_per_vehicle_matches_the_closed_form(self, data):
+        n = data.draw(st.integers(2, 12))
+        gain = st.floats(1e-3, 1e3)
+        eta = data.draw(st.lists(gain, min_size=n, max_size=n))
+        nu = data.draw(st.lists(gain, min_size=n - 1, max_size=n - 1))
+        coupling = closed_form_couplings(eta, nu)
+        mu, tau = [], []
+        for c in coupling:
+            # mu free, or within a few ulps of the boundary mu^2/2 = coupling
+            m = data.draw(gain) if data.draw(st.booleans()) else ulps_from(
+                math.sqrt(2.0 * c), data.draw(st.integers(-4, 4)))
+            # tau free, or within a few ulps of the boundary mu*tau = 1/2
+            t = data.draw(st.floats(1e-3, 2.0)) if data.draw(st.booleans()) else ulps_from(
+                0.5 / m, data.draw(st.integers(-4, 4)))
+            mu.append(m)
+            tau.append(t)
+        expected = tuple(m * t < 0.5 and 0.5 * m * m > c for m, t, c in zip(mu, tau, coupling))
+        v = check_platoon_gains(CaccGainSet(mu=mu, eta=eta, nu=nu, tau=tau))
+        assert v.per_vehicle == expected
+        assert v.passes == all(expected)
+
+
+def closed_form_couplings(eta, nu) -> list[float]:
+    """The coupling each vehicle of a CACC chain carries, written out: 2*eta
+    + nu for the lead vehicle, which is also pinned to the leader with gain
+    eta, eta + nu in the middle, eta for the last vehicle."""
+    n = len(eta)
+    return ([2.0 * eta[0] + nu[0]] + [eta[i] + nu[i] for i in range(1, n - 1)]
+            + [eta[n - 1]])
+
+
+def ulps_from(x: float, k: int) -> float:
+    """x moved k floating-point steps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
 
 
 # ---------------------------------------------------------------------------

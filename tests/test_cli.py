@@ -231,6 +231,14 @@ WRONG_TYPE_CERTIFY = [
      "input error: agent 0: denominator is identically zero\n"),
     ("lti_num_overflow", {"agents": [{"type": "lti", "num": [1e308], "den": [1e-308, 1]}, LTI_1]},
      "input error: agent 0: numerator coefficients overflow when rescaled to the pole scale\n"),
+    # 1/mu^2 divides by a square that underflows to zero, or overflows
+    ("vehicle_mu_squared_zero", {"agents": [{"type": "vehicle", "tau": 0.1, "mu": 1e-200}] * 2},
+     "input error: agent 0: mu = 1e-200: the deficit 1/mu^2 is not a finite number\n"),
+    ("vehicle_deficit_inf", {"agents": [LTI_0, {"type": "vehicle", "tau": 0.1, "mu": 1e-160}]},
+     "input error: agent 1: mu = 1e-160: the deficit 1/mu^2 is not a finite number\n"),
+    ("agents_fewer_than_the_graph", {"adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                                     "agents": [LTI_0, LTI_1]},
+     "input error: adjacency is 3x3 but 2 agents given\n"),
 ]
 
 # simulate inputs with an unknown type or mismatched sizes: (name, network
@@ -349,6 +357,20 @@ BAD_SCENARIO_FILE = [
      "input error: a platoon needs at least 2 vehicles\n"),
     ("platoon_gap_zero", (), {**PLATOON_TINY, "s": [20.0, 0.0]},
      "input error: desired gaps s must be positive\n"),
+    ("platoon_mu_squared_zero", (), {**PLATOON_TINY, "gains": {
+        **PLATOON_TINY["gains"], "mu": [1e-200, 2.0]}},
+     "input error: mu = 1e-200: the deficit 1/mu^2 is not a finite number\n"),
+    ("platoon_deficit_inf", (), {**PLATOON_TINY, "gains": {
+        **PLATOON_TINY["gains"], "mu": [2.0, 1e-160]}},
+     "input error: mu = 1e-160: the deficit 1/mu^2 is not a finite number\n"),
+    ("traffic_bidirectional_ring_of_one", (),
+     {**TRAFFIC_RING, "n": 1, "delays": [0.2], "v_init": [10.0]},
+     "input error: bidirectional_ring needs n >= 2 vehicles, got 1\n"),
+    # n left out: it is the length of v_init
+    ("traffic_unidirectional_ring_of_one", (), {
+        **{k: v for k, v in TRAFFIC_RING.items() if k != "n"},
+        "topology_preset": "unidirectional_ring", "delays": [0.2], "v_init": [10.0]},
+     "input error: unidirectional_ring needs n >= 2 vehicles, got 1\n"),
     # n >= 1 and K > 0, as docs/scenario.schema.json requires
     ("traffic_n_zero", (), {**TRAFFIC_RING, "n": 0}, "input error: n must be >= 1, got 0\n"),
     ("traffic_n_negative", (), {**TRAFFIC_RING, "n": -1},
@@ -559,6 +581,14 @@ class TestCertifyCommand:
         assert main(["certify", str(f)]) == code
         assert capsys.readouterr().err.startswith(message)
 
+    def test_agent_that_is_not_certifiable_outranks_the_agent_count(self, tmp_path, capsys):
+        f = write_json(tmp_path / "net.json", {
+            "adjacency": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "agents": [LTI_0, {"type": "vehicle", "tau": 0.3, "mu": 2.0}],
+        })
+        assert main(["certify", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("not certifiable: agent 1: mu*tau = 0.6")
+
     @pytest.mark.parametrize("lti_first", [True, False])
     def test_first_failing_agent_in_input_order_is_named(self, tmp_path, capsys, lti_first):
         unstable = {"type": "lti", "num": [1.0], "den": [-1.0, 1.0]}
@@ -695,6 +725,19 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert (tmp_path / "a" / "pair.csv").read_bytes() == \
                (tmp_path / "b" / "pair.csv").read_bytes()
+
+    def test_vehicle_without_a_finite_deficit_still_simulates(self, tmp_path, capsys):
+        # a run never asks for the deficit 1/mu^2 that certify refuses
+        f = write_json(tmp_path / "veh.json", {
+            "adjacency": [[0, 1], [1, 0]],
+            "agents": [{"type": "vehicle", "tau": 0.1, "mu": 1e-200, "x0": [1.0, 0.0, 0.0]},
+                       {"type": "vehicle", "tau": 0.1, "mu": 2.0}],
+            "sim": {"dt": 0.01, "t_final": 1.0, "record_stride": 10},
+        })
+        code, _ = run_cli(capsys, "simulate", str(f), "--output-dir", str(tmp_path))
+        assert code == 0
+        assert main(["certify", str(f)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_existing_artifacts_guarded_without_force(self, tmp_path, capsys):
         f = write_json(tmp_path / "pair.json", INTEGRATOR_PAIR)

@@ -408,6 +408,14 @@ class TestParameterValidation:
         with pytest.raises(BadDimensions):
             Vehicle3rd(tau=0.1, mu=bad)
 
+    @pytest.mark.parametrize("mu", [1e-200, 1e-160])
+    def test_vehicle_deficit_that_is_not_finite_is_refused_when_asked_for(self, mu):
+        # mu^2 underflows to 0 at 1e-200; 1/mu^2 overflows at 1e-160
+        vehicle = Vehicle3rd(tau=0.1, mu=mu)
+        with pytest.raises(BadDimensions, match=f"^mu = {mu:g}: the deficit 1/mu\\^2 is not"):
+            vehicle.ifp_index()
+        assert Vehicle3rd(tau=0.1, mu=1e-150).ifp_index() == 1.0 / 1e-150**2
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_delayed_integrator_rejects_non_finite_delay(self, bad):
         with pytest.raises(BadDimensions):

@@ -8,6 +8,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifpsync
 from ifpsync import (
@@ -22,6 +24,7 @@ from ifpsync import (
     all_to_all_counterexample,
     build_platoon,
     build_traffic,
+    check_weak_coupling,
     connectivity,
     harmonic_counterexample,
     run_platoon,
@@ -30,6 +33,7 @@ from ifpsync import (
     run_traffic,
     scenario_from_dict,
 )
+from test_certify import ulps_from
 
 TINY_SIM = SimConfig(dt=0.01, t_final=1.0, record_stride=10, tol=0.1)
 
@@ -88,6 +92,32 @@ class TestBuildTraffic:
     def test_negative_delay_rejected(self):
         with pytest.raises(BadDimensions):
             TrafficSpec.bidirectional_ring(3, 0.3, [-0.1, 0.2, 0.2], [1.0, 2.0, 3.0])
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_chain_bound_is_the_per_node_test_on_the_rooted_graph(self, data):
+        n = data.draw(st.integers(1, 12))
+        K = data.draw(st.floats(1e-2, 1e2))
+        weight = st.floats(1e-2, 1e2) | st.just(0.0)
+        if data.draw(st.booleans()):  # the preset's chain, or another follower graph
+            a = np.diag(np.full(n - 1, K), -1)
+        else:
+            a = np.array(data.draw(st.lists(st.lists(weight, min_size=n, max_size=n),
+                                            min_size=n, max_size=n)))
+            np.fill_diagonal(a, 0.0)
+        d_plus = a.sum(axis=1)
+        d_plus[0] += K
+        # each delay free, or within a few ulps of the bound 2*delay*d_plus = 1
+        delays = [data.draw(st.floats(0.0, 1.0)) if d == 0.0 or data.draw(st.booleans())
+                  else ulps_from(0.5 / d, data.draw(st.integers(-4, 4))) for d in d_plus]
+        spec = TrafficSpec(n, a, delays, "classic_chain", np.zeros(n), v0=1.0, leader_gain=K)
+        _, protocol, cert = build_traffic(spec)
+        assert cert.chain_bound == (not check_weak_coupling(protocol.g, [0.0, *delays]).offending)
+
+    @pytest.mark.parametrize("preset", ["unidirectional_ring", "bidirectional_ring"])
+    def test_ring_of_one_vehicle_rejected(self, preset):
+        with pytest.raises(BadDimensions, match=f"^{preset} needs n >= 2 vehicles, got 1$"):
+            getattr(TrafficSpec, preset)(1, 0.3, [0.2], [1.0])
 
 
 class TestRunTraffic:
@@ -154,6 +184,21 @@ class TestBuildPlatoon:
     def test_only_the_lead_vehicle_is_pinned(self):
         _, protocol, _ = build_platoon(platoon_spec(perturbed=False))
         assert np.allclose(protocol.b, [0.4, 0.0, 0.0], atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_both_coordinates_run_on_the_gain_sets_graph(self, n):
+        rng = np.random.default_rng(n)
+        gains = CaccGainSet(mu=[2.0] * n, eta=rng.uniform(0.1, 1.0, n),
+                            nu=rng.uniform(0.1, 1.0, n - 1), tau=[0.1] * n)
+        spec = PlatoonSpec(gains=gains, s=[20.0] * n, v0=0.5, q_init=-20.0 * np.arange(1, n + 1),
+                           v_init=[0.5] * n, a_init=[0.0] * n)
+        g, b = gains.network()
+        shifted = build_platoon(spec)[1]
+        physical = ifpsync.scenarios._platoon_job(spec, TINY_SIM).member[1]
+        for protocol in (shifted, physical):
+            for got, want in zip(protocol.g.arcs, g.arcs):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(protocol.b, b)
 
     def test_slow_powertrain_invalidates_the_deficit_formula(self):
         gains = CaccGainSet(mu=[2.0, 2.0], eta=[0.4, 0.5], nu=[0.5], tau=[0.3, 0.1])

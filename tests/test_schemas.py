@@ -145,6 +145,8 @@ BAD_FIELDS = [
     ("scenario_n_agents_string", "scenario", REMARK1_TINY, ("n_agents",), "3"),
     ("scenario_gains_mu_strings", "scenario", PLATOON_TINY, ("gains", "mu"), ["2", "2"]),
     ("scenario_v0_string", "scenario", PLATOON_TINY, ("v0",), "15"),
+    # a number the schema bounds only for some presets
+    ("scenario_ring_of_one", "scenario", TRAFFIC_RING, ("n",), 1),
     ("certify_adjacency_string", "certify", CERTIFY_PLATOON, ("adjacency", 1, 0), "0.5"),
     ("certify_alpha_strings", "certify", CERTIFY_PLATOON, ("alpha",), ["0.1", "0.1", "0.1"]),
     ("certify_b_string_and_boolean", "certify", CERTIFY_PLATOON, ("b",), ["1", False, 0.0]),
@@ -213,11 +215,16 @@ LOADER_KEYS = {
 
 
 def schema_objects(node, pointer=""):
-    """(JSON pointer, object schema) of every object a schema describes."""
+    """(JSON pointer, object schema) of every object a schema describes. The
+    `if` and `then` of a conditional constrain the object they sit in, by
+    keys that it lists, and are not objects of their own."""
     if isinstance(node, dict):
         if node.get("type") == "object" or "properties" in node:
             yield pointer, node
-        items = node.items()
+        for key in ("if", "then"):
+            if key in node:
+                assert set(node[key].get("properties", ())) <= set(node["properties"])
+        items = [(key, child) for key, child in node.items() if key not in ("if", "then")]
     elif isinstance(node, list):
         items = enumerate(node)
     else:
